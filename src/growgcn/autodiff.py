@@ -133,7 +133,8 @@ def log_softmax_rows(x):
 def masked_cross_entropy(log_probs, labels, mask, reduction="mean"):
     """Negative log-likelihood of the true class, averaged (or summed) over mask.
 
-    ``mask`` is a set of row indices; duplicates are not allowed.
+    ``mask`` holds row indices; a repeated index counts once per occurrence,
+    in the loss and in its gradient.
     """
     if reduction not in ("mean", "sum"):
         raise ValueError(f"unknown reduction {reduction!r}")
@@ -147,7 +148,7 @@ def masked_cross_entropy(log_probs, labels, mask, reduction="mean"):
 
     def bwd(g):
         gi = np.zeros_like(log_probs.data)
-        gi[idx, labels[idx]] = -float(g) / denom
+        np.add.at(gi, (idx, labels[idx]), -float(g) / denom)
         _accum(log_probs, gi)
 
     return _compose(out, (log_probs,), bwd)

@@ -48,45 +48,51 @@ def _header(stack):
     }
 
 
-def _tensors_in_order(stack):
-    out = []
-    for layer in stack.conv_layers():
-        out.append(layer.W)
-        if layer.adapter is not None:
-            out.extend([layer.adapter.A, layer.adapter.B])
-    out.append(stack.head)
-    return out
-
-
 def save_checkpoint(stack, path):
     header = json.dumps(_header(stack)).encode()
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
-        for t in _tensors_in_order(stack):
+        for t in stack.parameters():
             fh.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
     return path
 
 
 def load_checkpoint(path):
+    """Read a stack back; any malformed file raises DataError."""
     try:
         blob = open(path, "rb").read()
     except OSError as e:
         raise DataError(str(e), file=path) from e
     if blob[:8] != MAGIC:
         raise DataError("not a checkpoint (bad magic)", file=path)
+    if len(blob) < 12:
+        raise DataError("checkpoint truncated in header length", file=path)
     (hlen,) = struct.unpack("<I", blob[8:12])
+    if 12 + hlen > len(blob):
+        raise DataError("checkpoint truncated in header", file=path)
     try:
         header = json.loads(blob[12 : 12 + hlen].decode())
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise DataError(f"corrupt checkpoint header: {e}", file=path) from e
+    if not isinstance(header, dict):
+        raise DataError("checkpoint header is not a JSON object", file=path)
     if header.get("format") != 1:
         raise DataError(f"unsupported checkpoint format {header.get('format')}", file=path)
+    try:
+        return _stack_from(header, blob, 12 + hlen, path)
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        # a header that parses as JSON but does not describe a valid stack
+        raise DataError(f"malformed checkpoint header ({type(e).__name__}: {e})",
+                        file=path) from e
 
-    offset = 12 + hlen
+
+def _stack_from(header, blob, offset, path):
     data = {}
     for name, shape in header["arrays"]:
+        if len(shape) != 2:
+            raise ValueError(f"array {name} is not 2-D")
         count = int(np.prod(shape))
         end = offset + 4 * count
         if end > len(blob):

@@ -91,6 +91,17 @@ def _read_lines(path):
         raise DataError(str(e), file=path) from e
 
 
+def _data_line(path, row):
+    """1-based file line of data row ``row``, skipping lines np.loadtxt skips."""
+    seen = -1
+    for lineno, line in enumerate(_read_lines(path), 1):
+        if line.split("#", 1)[0].strip():
+            seen += 1
+            if seen == row:
+                return lineno
+    return None
+
+
 def load_bundle(path):
     path = Path(path)
     if not path.is_dir():
@@ -133,6 +144,10 @@ def load_bundle(path):
         raise DataError(
             f"features shape {X.shape} does not match declared n={n}, f={f}", file=fpath
         )
+    finite = np.isfinite(X)
+    if not finite.all():
+        row = int(np.argmin(finite.all(axis=1)))
+        raise DataError("non-finite feature value", file=fpath, line=_data_line(fpath, row))
 
     lpath = path / "labels.txt"
     lines = [ln for ln in _read_lines(lpath) if ln.strip()]

@@ -219,6 +219,10 @@ class LayerStack:
             raise ValueError("hidden layers require an input layer")
         if self.input_layer is None and self.sgc_steps < 1:
             raise ValueError("a stack needs conv layers or propagation steps")
+        if not isinstance(self.sgc_steps, int) or self.sgc_steps < 0:
+            raise ValueError(f"sgc_steps {self.sgc_steps!r} is not a count")
+        if not 0.0 <= self.dropout_p < 1.0:
+            raise ValueError(f"dropout p={self.dropout_p} outside [0, 1)")
         d_head = self.head.data.shape[0]
         for i, layer in enumerate(layers):
             layer.check()
@@ -246,7 +250,11 @@ class LayerStack:
         return self.head.data.shape[1]
 
     def parameters(self):
-        """Every weight array in the model, adapters included."""
+        """Every weight array in the model, adapters included.
+
+        The order (per conv layer W, then A and B; the head last) is the
+        checkpoint's array order.
+        """
         out = []
         for layer in self.conv_layers():
             out.append(layer.W)

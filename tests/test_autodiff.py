@@ -151,6 +151,29 @@ class TestGradCheck:
 
         assert grad_check(f, [w]) < 1e-7
 
+    @pytest.mark.parametrize("reduction", ["mean", "sum"])
+    def test_duplicate_mask_indices_accumulate(self, path3, reduction):
+        L = normalized_laplacian(path3)
+        rng = np.random.default_rng(4)
+        w = t64(rng.standard_normal((3, 2)), grad=True)
+        x = t64(rng.standard_normal((3, 3)))
+
+        def f():
+            h = ad.matmul(ad.spmm(L, x), w)
+            return ad.masked_cross_entropy(ad.log_softmax_rows(h), [0, 1, 0], [1, 1],
+                                           reduction)
+
+        assert grad_check(f, [w]) < 1e-7
+
+    def test_unique_mask_gradient_is_plain_scatter(self):
+        lp = Tensor(np.random.default_rng(5).standard_normal((6, 3)).astype(np.float32),
+                    requires_grad=True)
+        labels, mask = np.array([0, 2, 1, 1, 0, 2]), np.array([4, 0, 3])
+        ad.masked_cross_entropy(lp, labels, mask).backward()
+        expected = np.zeros_like(lp.data)
+        expected[mask, labels[mask]] = -1.0 / 3.0
+        assert np.array_equal(lp.grad, expected)
+
     def test_eps_bounds(self):
         w = t64([[1.0]], grad=True)
 

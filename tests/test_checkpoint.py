@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from growgcn import (
     DataError,
@@ -12,6 +14,7 @@ from growgcn import (
     PairNormConfig,
     Tensor,
     TrainConfig,
+    build_adjacency,
     glorot_init,
     load_checkpoint,
     make_adapter,
@@ -144,3 +147,75 @@ class TestCorruptFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_checkpoint(tmp_path / "nope.ckpt")
+
+    def test_ten_byte_file(self, tmp_path):
+        p = tmp_path / "short.ckpt"
+        p.write_bytes(MAGIC + b"\x00\x01")
+        with pytest.raises(DataError, match="truncated in header length"):
+            load_checkpoint(p)
+
+    def test_header_length_past_end(self, tmp_path):
+        p = tmp_path / "long.ckpt"
+        p.write_bytes(MAGIC + struct.pack("<I", 1000) + b"{}")
+        with pytest.raises(DataError, match="truncated in header"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda h: h.pop("arrays"), "KeyError: 'arrays'"),
+        (lambda h: h["layers"][0].update(mode="thawed"), "not a valid LayerMode"),
+        (lambda h: h.update(dropout_p=9.25), r"dropout p=9.25"),
+        (lambda h: h.update(sgc_steps=1.5), "sgc_steps"),
+        (lambda h: h.update(pairnorm_s=-1.0), "pairnorm scale"),
+        (lambda h: h["layers"][0].update(rank=3), "rank"),
+        (lambda h: h.update(arrays=7), "TypeError"),
+        (lambda h: h["arrays"][0].__setitem__(1, [30]), "not 2-D"),
+        (lambda h: h["arrays"][0].__setitem__(1, [5, 1e999]), "OverflowError"),
+    ], ids=["no-arrays", "unknown-mode", "dropout", "sgc-steps", "pairnorm", "rank",
+            "arrays-type", "flat-array", "infinite-dim"])
+    def test_malformed_header_is_data_error(self, tiny_dataset, tmp_path, edit, match):
+        blob = self._good_blob(tiny_dataset, tmp_path)
+        (hlen,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12 : 12 + hlen])
+        edit(header)
+        raw = json.dumps(header).encode()
+        p = tmp_path / "edited.ckpt"
+        p.write_bytes(MAGIC + struct.pack("<I", len(raw)) + raw + blob[12 + hlen :])
+        with pytest.raises(DataError, match=match):
+            load_checkpoint(p)
+
+    def test_header_not_an_object(self, tmp_path):
+        p = tmp_path / "list.ckpt"
+        p.write_bytes(MAGIC + struct.pack("<I", 2) + b"[]")
+        with pytest.raises(DataError, match="not a JSON object"):
+            load_checkpoint(p)
+
+
+_JSONISH = st.sampled_from(list(b'0123456789-.e"[],:{} ntfrua'))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    cut=st.one_of(st.none(), st.integers(0, 1100)),
+    edits=st.lists(st.tuples(st.integers(0, 1100), st.one_of(st.integers(0, 255), _JSONISH)),
+                   max_size=4),
+)
+def test_damaged_checkpoint_loads_or_is_data_error(tmp_path, cut, edits):
+    """Truncated or byte-mutated files either load a usable stack or raise DataError."""
+    stack = _lora_stack(5, 2)
+    path = tmp_path / "fuzz.ckpt"
+    blob = bytearray(save_checkpoint(stack, path).read_bytes())
+    for pos, byte in edits:
+        blob[pos % len(blob)] = byte
+    if cut is not None:
+        blob = blob[: cut % (len(blob) + 1)]
+    path.write_bytes(bytes(blob))
+    try:
+        back = load_checkpoint(path)
+    except DataError:
+        return
+    d_in = back.head.data.shape[0] if back.input_layer is None else back.input_layer.d_in
+    L = normalized_laplacian(build_adjacency([(0, 1), (1, 2)], 3))
+    with np.errstate(all="ignore"):
+        logits = stack_forward(back, L, np.ones((3, d_in)))
+    assert logits.shape == (3, back.n_classes)

@@ -264,6 +264,14 @@ class TestEvalAndExport:
                    "--data", str(bundle)])
         assert rc == 2
 
+    def test_eval_ten_byte_checkpoint(self, trained, tmp_path, capsys):
+        bundle, run = trained
+        short = tmp_path / "short.ckpt"
+        short.write_bytes((run / "model_seed0.ckpt").read_bytes()[:10])
+        rc = main(["eval", "--checkpoint", str(short), "--data", str(bundle)])
+        assert rc == 2
+        assert "truncated" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_depth_axis(self, tmp_path):

@@ -95,6 +95,16 @@ class TestBundleIO:
         with pytest.raises(DataError, match="features.csv"):
             load_bundle(b)
 
+    @pytest.mark.parametrize("text, line", [
+        ("1.0,0.0\n0.5,nan\n0.0,1.0\n", 2),
+        ("# header\n1.0,0.0\n\n0.5,0.5\n0.0,-inf\n", 5),
+    ])
+    def test_nonfinite_feature_names_line(self, tmp_path, text, line):
+        b = self._write_valid(tmp_path / "b")
+        (b / "features.csv").write_text(text)
+        with pytest.raises(DataError, match=rf"features.csv:{line}: non-finite"):
+            load_bundle(b)
+
     def test_split_overlap_rejected(self, tmp_path):
         b = self._write_valid(tmp_path / "b")
         (b / "splits.json").write_text('{"train": [0, 1], "val": [1], "test": [2]}')
