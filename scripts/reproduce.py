@@ -3,7 +3,7 @@
 
 Always runs the gradient check and the synthetic block-model experiments
 (depth sweep, ablation, rank sweep). When a citation bundle is available
-(at $GROWGCN_CORA or data/cora, see scripts/convert_planetoid.py) the same
+(at $GROWGCN_CORA or data/cora, see `growgcn prepare planetoid`) the same
 sweeps also run there at paper scale, which takes a while on CPU.
 
     python scripts/reproduce.py [--fast] [--workers N]

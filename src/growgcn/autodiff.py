@@ -3,7 +3,9 @@
 Only the operations the model needs exist, each with a hand-written backward
 closure. Gradients accumulate additively at fan-out, and anything reachable
 only through tensors with ``requires_grad=False`` is skipped entirely, which
-is what makes frozen layers free of gradient traffic.
+is what makes frozen layers free of gradient traffic. A backward forms an
+input's gradient only when that input requires grad: ``matmul`` of constant
+features by a trainable weight never builds the features' gradient.
 """
 
 import numpy as np
@@ -69,8 +71,10 @@ def matmul(x, w):
     out = x.data @ w.data
 
     def bwd(g):
-        _accum(x, g @ w.data.T)
-        _accum(w, x.data.T @ g)
+        if x.requires_grad:
+            _accum(x, g @ w.data.T)
+        if w.requires_grad:
+            _accum(w, x.data.T @ g)
 
     return _compose(out, (x, w), bwd)
 

@@ -442,9 +442,18 @@ def cmd_gradcheck(args):
     return 0
 
 
-def cmd_eval(args):
+def _load_checkpoint_and_bundle(args):
+    """The checkpoint and the bundle of eval and export-embeddings, checked to fit."""
     stack = ckpt.load_checkpoint(args.checkpoint)
     data = gdata.load_bundle(args.data)
+    if stack.in_dim != data.f:
+        raise DataError(f"bundle has {data.f} features, checkpoint {args.checkpoint} "
+                        f"expects {stack.in_dim}", file=args.data)
+    return stack, data
+
+
+def cmd_eval(args):
+    stack, data = _load_checkpoint_and_bundle(args)
     mask = getattr(data.splits, args.split)
     acc = gtrain.evaluate(stack, data, mask)
     print(f"{args.split} accuracy: {acc:.4f}")
@@ -452,8 +461,7 @@ def cmd_eval(args):
 
 
 def cmd_export(args):
-    stack = ckpt.load_checkpoint(args.checkpoint)
-    data = gdata.load_bundle(args.data)
+    stack, data = _load_checkpoint_and_bundle(args)
     try:
         gmetrics.export_embeddings(stack, data, args.layer, args.out)
     except ValueError as e:

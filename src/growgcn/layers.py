@@ -181,9 +181,13 @@ def dropout(h, p, training, rng=None):
     return ad._compose(out, (h,), bwd)
 
 
-def gcn_forward(L, h, layer):
-    """One graph convolution: relu(L @ H @ W_eff)."""
-    return ad.relu(ad.matmul(ad.spmm(L, h), layer.effective_weight()))
+def gcn_forward(L, h, layer, Lh=None):
+    """One graph convolution: relu(L @ H @ W_eff).
+
+    ``Lh``, if given, is the array L @ H computed beforehand; ``h`` is then unused.
+    """
+    Lh = ad.spmm(L, h) if Lh is None else Tensor(Lh)
+    return ad.relu(ad.matmul(Lh, layer.effective_weight()))
 
 
 def sgc_propagate(L, X, steps):
@@ -242,6 +246,12 @@ class LayerStack:
         return k if k else self.sgc_steps
 
     @property
+    def in_dim(self):
+        """Feature width the stack reads: the input layer's, else the head's."""
+        layer = self.input_layer
+        return self.head.data.shape[0] if layer is None else layer.d_in
+
+    @property
     def hidden_dim(self):
         return self.head.data.shape[0]
 
@@ -273,21 +283,29 @@ def prepare_features(stack, X):
 
 
 def stack_forward(stack, L, X, *, training=False, rng=None, return_hidden=False,
-                  prepared=False):
+                  prepared=False, LX=None):
     """Full forward pass; returns logits (and per-layer features if asked).
 
     ``hidden[0]`` is the prepared input; ``hidden[k]`` is the output of layer k
     (or of the k-th propagation hop for a propagation-only stack).
+
+    ``LX``, if given, is the array ``L @ Xp`` for the prepared input ``Xp``,
+    computed once so that repeated forwards skip the input layer's
+    propagation. It is valid only when no dropout comes before the input
+    layer, that is at ``dropout_p == 0`` or outside training, and only for a
+    stack without propagation steps.
     """
+    if LX is not None and (stack.sgc_steps or (training and stack.dropout_p > 0.0)):
+        raise ValueError("LX replaces L @ X only for a conv input layer without dropout")
     Xp = X if prepared else prepare_features(stack, X)
     h = Tensor(Xp)
     hidden = [h.data]
     for _ in range(stack.sgc_steps):
         h = ad.spmm(L, h)
         hidden.append(h.data)
-    for layer in stack.conv_layers():
+    for i, layer in enumerate(stack.conv_layers()):
         h = dropout(h, stack.dropout_p, training, rng)
-        h = gcn_forward(L, h, layer)
+        h = gcn_forward(L, h, layer, LX if i == 0 else None)
         if stack.pairnorm is not None:
             h = pairnorm(h, stack.pairnorm)
         hidden.append(h.data)

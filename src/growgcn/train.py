@@ -16,7 +16,8 @@ from .sparse import normalized_laplacian
 VARIANTS = ("gcn", "sgc", "gcn+pairnorm")
 TRAINERS = ("standard", "lgt")
 
-# per-trainer dropout defaults, applied when TrainConfig.dropout_p is None
+# per-trainer dropout defaults, applied when TrainConfig.dropout_p is None; the
+# propagation-only baseline has a bare linear head and defaults to no dropout
 DROPOUT_DEFAULTS = {"standard": 0.5, "lgt": 0.0}
 
 
@@ -63,10 +64,10 @@ class TrainConfig:
             raise ValueError("new_layer_init must be 'identity' or 'glorot'")
         return self
 
-    def resolved_dropout(self, trainer):
+    def resolved_dropout(self, trainer, variant="gcn"):
         if self.dropout_p is not None:
             return self.dropout_p
-        return DROPOUT_DEFAULTS[trainer]
+        return 0.0 if variant == "sgc" else DROPOUT_DEFAULTS[trainer]
 
     def resolved_lora_lr(self):
         return self.lr if self.lora_lr is None else self.lora_lr
@@ -296,11 +297,7 @@ def train_standard(data, cfg, variant="gcn"):
         raise ValueError(f"unknown variant {variant!r}")
     rng = np.random.default_rng(cfg.seed)
     L = normalized_laplacian(data.adjacency)
-    if cfg.dropout_p is not None:
-        dropout_p = cfg.dropout_p
-    else:
-        # the propagation-only baseline has a bare linear head, no dropout
-        dropout_p = 0.0 if variant == "sgc" else DROPOUT_DEFAULTS["standard"]
+    dropout_p = cfg.resolved_dropout("standard", variant)
     stack = _build_standard_stack(data, cfg, variant, rng, dropout_p)
     Xp = ly.prepare_features(stack, data.X)
 
@@ -312,8 +309,12 @@ def train_standard(data, cfg, variant="gcn"):
             h = ly.dropout(Tensor(P), stack.dropout_p, training, rng)
             return ad.matmul(h, stack.head)
     else:
+        # without dropout the input layer's propagation is the same every epoch
+        LX = ad.spmm(L, Tensor(Xp)).data if dropout_p == 0.0 else None
+
         def forward(training):
-            return ly.stack_forward(stack, L, Xp, training=training, rng=rng, prepared=True)
+            return ly.stack_forward(stack, L, Xp, training=training, rng=rng, prepared=True,
+                                    LX=LX)
 
     params = stack.trainable_parameters()
     groups = [{"params": params, "lr": cfg.lr, "weight_decay": cfg.weight_decay}]
@@ -330,14 +331,16 @@ def train_standard(data, cfg, variant="gcn"):
     )
 
 
-def _stage_caches(stack, L, Xp):
+def _stage_caches(stack, L, Xp, LX=None):
     """Constant work that can be hoisted out of a stage's epoch loop.
 
     With dropout off, every leading layer that is frozen *without* an adapter
     produces the same features all stage long, and for the first frozen layer
     *with* an adapter both S = L @ H and C = S @ W0 are constant, leaving only
     the low-rank path S @ A @ B to rebuild per epoch. Invalid (and skipped)
-    when dropout is active.
+    when dropout is active. ``LX``, if given, is ``L @ Xp`` computed once per
+    training call, as in ``stack_forward``; it is valid only at dropout 0, and
+    stands in for layer 0's propagation.
     """
     layers = stack.conv_layers()
     if stack.dropout_p > 0.0:
@@ -345,19 +348,20 @@ def _stage_caches(stack, L, Xp):
     h = Tensor(Xp)
     i = 0
     while i < len(layers) and layers[i].mode is ly.LayerMode.FROZEN:
-        h = ly.gcn_forward(L, h, layers[i])
+        h = ly.gcn_forward(L, h, layers[i], LX if i == 0 else None)
         if stack.pairnorm is not None:
             h = ly.pairnorm(h, stack.pairnorm)
         i += 1
     split = None
     if i < len(layers) and layers[i].mode is ly.LayerMode.FROZEN_LORA:
-        S = ad.spmm(L, h).data
+        S = LX if i == 0 and LX is not None else ad.spmm(L, h).data
         split = {"layer": i, "S": S, "C": S @ layers[i].W.data}
         i += 1
     return {"prefix_out": h.data, "start": i, "split": split}
 
 
-def _stage_forward(stack, L, caches, training, rng):
+def _stage_forward(stack, L, caches, training, rng, LX=None):
+    """The stage's forward from ``_stage_caches``; ``LX`` as there, for layer 0."""
     layers = stack.conv_layers()
     h = Tensor(caches["prefix_out"])
     if caches["split"] is not None:
@@ -370,9 +374,9 @@ def _stage_forward(stack, L, caches, training, rng):
         h = ad.relu(ad.add(Tensor(sp["C"]), delta))
         if stack.pairnorm is not None:
             h = ly.pairnorm(h, stack.pairnorm)
-    for layer in layers[caches["start"]:]:
+    for i, layer in enumerate(layers[caches["start"]:], caches["start"]):
         h = ly.dropout(h, stack.dropout_p, training, rng)
-        h = ly.gcn_forward(L, h, layer)
+        h = ly.gcn_forward(L, h, layer, LX if i == 0 else None)
         if stack.pairnorm is not None:
             h = ly.pairnorm(h, stack.pairnorm)
     h = ly.dropout(h, stack.dropout_p, training, rng)
@@ -416,6 +420,8 @@ def train_lgt(data, cfg, variant="gcn", on_stage_start=None, on_stage_end=None):
         row_normalize=cfg.row_normalize_features,
     ).check()
     Xp = ly.prepare_features(stack, data.X)
+    # every stage starts from the same L @ Xp while no dropout precedes layer 0
+    LX = ad.spmm(L, Tensor(Xp)).data if dropout_p == 0.0 else None
 
     stages = []
     t_total = time.perf_counter()
@@ -449,10 +455,10 @@ def train_lgt(data, cfg, variant="gcn", on_stage_start=None, on_stage_end=None):
             groups.append({"params": adapters, "lr": cfg.resolved_lora_lr(),
                            "weight_decay": 0.0})
 
-        caches = _stage_caches(stack, L, Xp)
+        caches = _stage_caches(stack, L, Xp, LX)
 
         def forward(training):
-            return _stage_forward(stack, L, caches, training, rng)
+            return _stage_forward(stack, L, caches, training, rng, LX)
 
         t0 = time.perf_counter()
         stage = _fit(forward, main + adapters, groups, data, cfg, stack.dropout_p)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,23 @@ class TestBackward:
         loss.backward()
         assert frozen.grad is None
         assert live.grad is not None
+
+    def test_matmul_skips_gradient_of_constant_input(self):
+        # the backward must not form g @ W.T, an n x f array, for features
+        # that do not require grad
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((1000, 300))
+        W = t64(rng.standard_normal((300, 4)) * 0.01, grad=True)
+        loss = ad.masked_cross_entropy(ad.log_softmax_rows(ad.matmul(t64(X), W)),
+                                       np.zeros(1000, dtype=np.int64), np.arange(1000))
+        tracemalloc.start()
+        try:
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert W.grad.shape == (300, 4)
+        assert peak < X.nbytes
 
     def test_constant_graph_backward_noop(self):
         a = t64([[1.0, 2.0]])

@@ -273,6 +273,29 @@ class TestEvalAndExport:
         assert "truncated" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("variant", ["gcn", "sgc"])
+    @pytest.mark.parametrize("command", ["eval", "export-embeddings"])
+    def test_feature_width_mismatch_is_data_error(self, trained, tmp_path, capsys,
+                                                  command, variant):
+        # an SGC checkpoint has no input layer; its head reads the features
+        bundle, _ = trained
+        run = tmp_path / "run_width"
+        assert main(["train", "--data", str(bundle), "--fixed-splits", "--trainer",
+                     "standard", "--variant", variant, "--out", str(run), *FAST]) == 0
+        narrow = tmp_path / "narrow"
+        assert main(["prepare", "sbm", "--classes", "2", "--per-class", "25",
+                     "--p-in", "0.3", "--p-out", "0.05", "--f", "6",
+                     "--out", str(narrow)]) == 0
+        extra = ["--layer", "1", "--out", str(tmp_path / "e.csv")] \
+            if command == "export-embeddings" else []
+        capsys.readouterr()
+        rc = main([command, "--checkpoint", str(run / "model_seed0.ckpt"),
+                   "--data", str(narrow), *extra])
+        assert rc == 2
+        assert "bundle has 6 features" in capsys.readouterr().err
+        assert not (tmp_path / "e.csv").exists()
+
+
 class TestSweep:
     def test_depth_axis(self, tmp_path):
         out = tmp_path / "sweep"

@@ -18,6 +18,7 @@ from growgcn import (
     TrainConfig,
     TrainReport,
     evaluate,
+    generate_sbm,
     glorot_init,
     make_adapter,
     normalized_laplacian,
@@ -27,6 +28,7 @@ from growgcn import (
 )
 from growgcn import autodiff as ad
 from growgcn import layers as ly
+from conftest import random_graph
 from growgcn.train import (
     StageReport,
     _accuracy,
@@ -152,6 +154,9 @@ class TestConfig:
         assert TrainConfig().resolved_dropout("lgt") == 0.0
         assert TrainConfig(dropout_p=0.2).resolved_dropout("standard") == 0.2
         assert TrainConfig(dropout_p=0.2).resolved_dropout("lgt") == 0.2
+        assert TrainConfig().resolved_dropout("standard", "gcn+pairnorm") == 0.5
+        assert TrainConfig().resolved_dropout("standard", "sgc") == 0.0
+        assert TrainConfig(dropout_p=0.2).resolved_dropout("standard", "sgc") == 0.2
 
     def test_lora_lr_resolution(self):
         assert TrainConfig(lr=0.03).resolved_lora_lr() == 0.03
@@ -381,6 +386,93 @@ class TestStageCaches:
         assert caches["start"] == 0 and caches["split"] is None
 
 
+def _random_stage_stack(rng, f, d, c, stage, pairnorm, lora, merged):
+    """A float64 stack as train_lgt holds it at ``stage``, with trained-looking adapters.
+
+    ``merged[i]`` folds frozen layer i's adapter into its weight, as a stage end does.
+    """
+    frozen = []
+    for i in range(stage - 1):
+        layer = GcnLayer(Tensor(glorot_init(f if i == 0 else d, d, rng, np.float64)),
+                         mode=LayerMode.FROZEN)
+        if lora:
+            layer.attach_adapter(make_adapter(layer.d_in, d, 2, None, rng, np.float64))
+            layer.adapter.B.data = rng.standard_normal((2, d)) * 0.1
+            if merged[i]:
+                layer.merge_adapter()
+        frozen.append(layer)
+    d_in = f if stage == 1 else d
+    new = GcnLayer(Tensor(glorot_init(d_in, d, rng, np.float64), requires_grad=True))
+    layers = frozen + [new]
+    return LayerStack(
+        input_layer=layers[0], hidden_layers=layers[1:],
+        head=Tensor(glorot_init(d, c, rng, np.float64), requires_grad=True),
+        pairnorm=ly.PairNormConfig(1.5) if pairnorm else None, row_normalize=False,
+    ).check()
+
+
+def _loss_and_grads(stack, logits, labels, train_idx):
+    params = stack.trainable_parameters()
+    for p in params:
+        p.grad = None
+    loss = ad.masked_cross_entropy(ad.log_softmax_rows(logits), labels, train_idx)
+    loss.backward()
+    return float(loss.data), [p.grad for p in params]
+
+
+class TestCachedForwardOracle:
+    """The stage caches and the hoisted L @ Xp against plain ``stack_forward``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        stage=st.integers(1, 4),
+        pairnorm=st.booleans(),
+        lora=st.booleans(),
+        merged=st.lists(st.booleans(), min_size=3, max_size=3),
+    )
+    def test_loss_and_gradients_match_plain_forward(self, seed, stage, pairnorm, lora,
+                                                    merged):
+        rng = np.random.default_rng(seed)
+        n, f, d, c = 14, 9, 5, 3
+        L = normalized_laplacian(random_graph(rng, n))
+        Xp = rng.standard_normal((n, f))
+        labels = rng.integers(0, c, n)
+        train_idx = rng.choice(n, 6, replace=False)
+        stack = _random_stage_stack(rng, f, d, c, stage, pairnorm, lora, merged)
+        LX = ad.spmm(L, Tensor(Xp)).data
+
+        plain = _loss_and_grads(
+            stack, ly.stack_forward(stack, L, Xp, training=True, prepared=True),
+            labels, train_idx)
+        caches = _stage_caches(stack, L, Xp, LX)
+        # from stage 2 on, layer 0 is frozen and leaves the per-epoch forward
+        assert (caches["start"] > 0) == (stage > 1)
+        fast = {
+            "cached": _stage_forward(stack, L, caches, True, None, LX),
+            "standard": ly.stack_forward(stack, L, Xp, training=True, prepared=True, LX=LX),
+        }
+        for name, logits in fast.items():
+            loss, grads = _loss_and_grads(stack, logits, labels, train_idx)
+            assert loss == pytest.approx(plain[0], rel=1e-12, abs=1e-12), name
+            for g, g_ref in zip(grads, plain[1], strict=True):
+                np.testing.assert_allclose(g, g_ref, rtol=1e-9, atol=1e-12, err_msg=name)
+
+    def test_lx_rejected_where_dropout_precedes_input_layer(self, tiny_dataset):
+        rng = np.random.default_rng(0)
+        stack = _random_stage_stack(rng, tiny_dataset.f, 4, 2, 1, False, False, [])
+        stack.dropout_p = 0.5
+        L = normalized_laplacian(tiny_dataset.adjacency)
+        Xp = ly.prepare_features(stack, tiny_dataset.X)
+        LX = ad.spmm(L, Tensor(Xp)).data
+        with pytest.raises(ValueError, match="LX"):
+            ly.stack_forward(stack, L, Xp, training=True, rng=rng, prepared=True, LX=LX)
+        # an eval forward applies no dropout, so LX stands in exactly
+        assert np.array_equal(
+            ly.stack_forward(stack, L, Xp, prepared=True, LX=LX).data,
+            ly.stack_forward(stack, L, Xp, prepared=True).data)
+
+
 class TestReportSerialization:
     def test_json_roundtrip(self, tiny_dataset):
         _, report = train_standard(tiny_dataset, make_cfg(depth=2, max_epochs=4,
@@ -500,3 +592,52 @@ class TestOneForwardPerEpoch:
         # graph holds several float32 n x d activations per layer
         activation = small_sbm.n * cfg.hidden_dim * 4
         assert peaks["new"] <= peaks["oracle"] + activation
+
+
+class TestInputPropagationOnce:
+    """At dropout 0, L @ Xp is formed once per training call and the results stay bitwise."""
+
+    @staticmethod
+    def _run(monkeypatch, data, cfg, trainer, variant, hoist):
+        spmm_calls = [0]
+        spmm = ad.spmm
+
+        def counting_spmm(s, x):
+            spmm_calls[0] += 1
+            return spmm(s, x)
+
+        with monkeypatch.context() as m:
+            m.setattr(ad, "spmm", counting_spmm)
+            if not hoist:
+                # the oracle recomputes L @ Xp on every forward
+                caches, stage_fwd, stack_fwd = (gtrain._stage_caches, gtrain._stage_forward,
+                                                ly.stack_forward)
+                m.setattr(gtrain, "_stage_caches",
+                          lambda stack, L, Xp, LX=None: caches(stack, L, Xp))
+                m.setattr(gtrain, "_stage_forward",
+                          lambda stack, L, caches_, training, rng, LX=None:
+                          stage_fwd(stack, L, caches_, training, rng))
+                m.setattr(ly, "stack_forward", lambda *a, LX=None, **kw: stack_fwd(*a, **kw))
+            stack, report = train(data, cfg, trainer=trainer, variant=variant)
+        return stack, report, spmm_calls[0]
+
+    @pytest.mark.parametrize("trainer, variant, use_lora", [
+        ("lgt", "gcn", True),
+        ("lgt", "gcn+pairnorm", False),
+        ("standard", "gcn+pairnorm", True),
+    ])
+    def test_matches_recomputing_oracle(self, monkeypatch, trainer, variant, use_lora):
+        wide = generate_sbm(3, 30, 0.2, 0.02, f=120, signal=2.0, seed=4)
+        cfg = TrainConfig(depth=4, hidden_dim=8, lora_rank=2, max_epochs=12, patience=5,
+                          dropout_p=0.0, use_lora=use_lora, seed=2)
+        s_new, r_new, calls_new = self._run(monkeypatch, wide, cfg, trainer, variant, True)
+        s_ref, r_ref, calls_ref = self._run(monkeypatch, wide, cfg, trainer, variant, False)
+        r_new.total_wall_clock = r_ref.total_wall_clock = 0.0
+        for st_new, st_ref in zip(r_new.stages, r_ref.stages, strict=True):
+            st_new.wall_clock_seconds = st_ref.wall_clock_seconds = 0.0
+        assert r_new == r_ref
+        for a, b in zip(s_new.parameters(), s_ref.parameters(), strict=True):
+            assert np.array_equal(a.data, b.data)
+        # the oracle forms L @ Xp in stage 1's every forward and at every stage's
+        # cache; the hoist forms it once
+        assert calls_new < calls_ref
