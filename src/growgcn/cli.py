@@ -283,12 +283,11 @@ def cmd_train(args):
         raise UsageError("--repeats must be >= 1")
 
     data = _load_dataset(args)
-    if trainer == "lgt" and cfg.use_lora and cfg.depth > 1:
-        max_rank = min(data.f, cfg.hidden_dim)
-        if cfg.lora_rank > max_rank:
-            raise UsageError(
-                f"lora rank {cfg.lora_rank} exceeds min(feature dim, hidden dim)"
-                f" = {max_rank}; lower --rank or raise --hidden-dim")
+    if trainer == "lgt":
+        try:
+            cfg.check_lora_rank(data.f)
+        except ValueError as e:
+            raise UsageError(f"{e}; lower --rank or raise --hidden-dim") from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stacks, reports = run_repeats(data, cfg, trainer, variant, repeats, fixed)

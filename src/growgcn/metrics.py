@@ -67,15 +67,20 @@ def collapse_report(stack, data, L=None, per_layer=False):
     if L is None:
         L = normalized_laplacian(data.adjacency)
     _, hidden = ly.stack_forward(stack, L, data.X, return_hidden=True)
+    return collapse_from_hidden(hidden, data.adjacency, per_layer)
+
+
+def collapse_from_hidden(hidden, adjacency, per_layer=False):
+    """``collapse_report`` of the features a ``stack_forward(return_hidden=True)`` gave."""
     rep = CollapseReport(
         distance_to_constant=distance_to_constant(hidden[-1]),
-        dirichlet_energy=dirichlet_energy(hidden[-1], data.adjacency),
+        dirichlet_energy=dirichlet_energy(hidden[-1], adjacency),
     )
     if per_layer:
         rep.per_layer = [
             {
                 "distance_to_constant": distance_to_constant(h),
-                "dirichlet_energy": dirichlet_energy(h, data.adjacency),
+                "dirichlet_energy": dirichlet_energy(h, adjacency),
             }
             for h in hidden[1:]
         ]

@@ -98,6 +98,17 @@ class SparseMatrix:
             self._cache[key] = m
         return self._cache[key]
 
+    def submatrix(self, rows, cols=None):
+        """The stored entries on sorted ``rows`` (and sorted ``cols``) as a new matrix.
+
+        Each row keeps its entries in their stored order. So when ``cols``
+        holds every column that ``rows`` store, a product with the submatrix
+        rounds each of its rows exactly as the product with this matrix does.
+        """
+        m = sp.csr_matrix((self.values, self.col_indices, self.row_offsets),
+                          shape=self.shape)[rows]
+        return SparseMatrix.from_scipy(m if cols is None else m[:, cols])
+
     def is_symmetric(self):
         if self.n_rows != self.n_cols:
             return False

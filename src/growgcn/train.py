@@ -10,7 +10,7 @@ from . import autodiff as ad
 from . import layers as ly
 from .autodiff import Tensor
 from .errors import NumericalAbort
-from .metrics import CollapseReport, collapse_report
+from .metrics import CollapseReport, collapse_from_hidden
 from .sparse import normalized_laplacian
 
 VARIANTS = ("gcn", "sgc", "gcn+pairnorm")
@@ -63,6 +63,19 @@ class TrainConfig:
         if self.new_layer_init not in ("identity", "glorot"):
             raise ValueError("new_layer_init must be 'identity' or 'glorot'")
         return self
+
+    def check_lora_rank(self, f):
+        """Raise ValueError when staged training's LoRA rank exceeds min(f, hidden_dim).
+
+        Adapters attach to the f×d input layer too, so the feature width f
+        bounds the rank as well as the hidden width does.
+        """
+        if self.use_lora and self.depth > 1:
+            max_rank = min(f, self.hidden_dim)
+            if self.lora_rank > max_rank:
+                raise ValueError(
+                    f"lora rank {self.lora_rank} exceeds min(feature dim, hidden dim)"
+                    f" = {max_rank}")
 
     def resolved_dropout(self, trainer, variant="gcn"):
         if self.dropout_p is not None:
@@ -202,6 +215,31 @@ def evaluate(stack, data, mask, L=None):
     return _accuracy(logits.data, data.labels, np.asarray(mask, dtype=np.int64))
 
 
+def _target(data, rows=None):
+    """``_fit``'s (labels, train_idx, val_idx) for logits on sorted ``rows``.
+
+    ``rows=None`` means logits on every node; otherwise ``rows`` must hold
+    the train and val nodes, which map to their positions in ``rows``.
+    """
+    splits = data.splits
+    if rows is None:
+        return data.labels, splits.train, splits.val
+    return (data.labels[rows], np.searchsorted(rows, splits.train),
+            np.searchsorted(rows, splits.val))
+
+
+def _test_and_collapse(stack, data, L, Xp, LX=None):
+    """Test accuracy and collapse report of the final model, from one forward.
+
+    ``Xp`` is the prepared input and ``LX`` is as in ``stack_forward``, so
+    both match ``evaluate`` and ``collapse_report`` bitwise.
+    """
+    logits, hidden = ly.stack_forward(stack, L, Xp, prepared=True, LX=LX,
+                                      return_hidden=True)
+    return (_accuracy(logits.data, data.labels, data.splits.test),
+            collapse_from_hidden(hidden, data.adjacency))
+
+
 def _snapshot(tensors):
     return [t.data.copy() for t in tensors]
 
@@ -211,30 +249,31 @@ def _restore(tensors, snap):
         t.data = s.copy()
 
 
-def _fit(forward, mutable, groups, data, cfg, dropout_p):
+def _fit(forward, mutable, groups, target, cfg, dropout_p):
     """Shared epoch loop: optimize, track val accuracy, restore the best weights.
 
-    ``forward(training)`` builds the graph and returns logits. Every epoch
-    ends with an eval forward on the updated weights, which gives the val
-    accuracy. With ``dropout_p == 0`` the training and eval forwards compute
-    the same graph (it is built because the parameters require grad), so the
-    eval forward's logits are reused as the next epoch's training logits and
-    a stage of E epochs runs E + 1 forwards instead of 2E. Under dropout the
-    eval graph is dropped at once and each epoch runs its own training forward.
+    ``forward(training)`` builds the graph and returns logits, and ``target``
+    is ``(labels, train_idx, val_idx)`` for the rows those logits have (see
+    ``_target``). Every epoch ends with an eval forward on the updated
+    weights, which gives the val accuracy. With ``dropout_p == 0`` the
+    training and eval forwards compute the same graph (it is built because
+    the parameters require grad), so the eval forward's logits are reused as
+    the next epoch's training logits and a stage of E epochs runs E + 1
+    forwards instead of 2E. Under dropout the eval graph is dropped at once
+    and each epoch runs its own training forward.
     Returns a StageReport (wall clock filled in by the caller's timer).
     """
     adam = Adam(groups)
     stopper = EarlyStopper(cfg.patience)
     best_snap = None
     curve = []
-    train_idx = data.splits.train
-    val_idx = data.splits.val
+    labels, train_idx, val_idx = target
     logits = None
     for _ in range(cfg.max_epochs):
         if logits is None:
             logits = forward(True)
         loss = ad.masked_cross_entropy(
-            ad.log_softmax_rows(logits), data.labels, train_idx, cfg.loss_reduction
+            ad.log_softmax_rows(logits), labels, train_idx, cfg.loss_reduction
         )
         if not np.isfinite(loss.data):
             raise NumericalAbort(f"non-finite training loss at epoch {len(curve) + 1}")
@@ -247,11 +286,11 @@ def _fit(forward, mutable, groups, data, cfg, dropout_p):
             # in a two-forward loop; freeing it first lowered peak RSS but slowed
             # training on a 10k-node graph by about a sixth
             logits = forward(False)
-            val_acc = _accuracy(logits.data, data.labels, val_idx)
+            val_acc = _accuracy(logits.data, labels, val_idx)
         else:
             # bind nothing to the eval graph, so it is freed before the next epoch
             logits = None
-            val_acc = _accuracy(forward(False).data, data.labels, val_idx)
+            val_acc = _accuracy(forward(False).data, labels, val_idx)
         if val_acc > stopper.best:
             best_snap = _snapshot(mutable)
         if stopper.update(val_acc):
@@ -304,6 +343,7 @@ def train_standard(data, cfg, variant="gcn"):
     if variant == "sgc":
         # propagation is parameter-free, so hoist it out of the epoch loop
         P = ly.sgc_propagate(L, Xp, cfg.depth)
+        LX = None
 
         def forward(training):
             h = ly.dropout(Tensor(P), stack.dropout_p, training, rng)
@@ -319,19 +359,76 @@ def train_standard(data, cfg, variant="gcn"):
     params = stack.trainable_parameters()
     groups = [{"params": params, "lr": cfg.lr, "weight_decay": cfg.weight_decay}]
     t0 = time.perf_counter()
-    stage = _fit(forward, params, groups, data, cfg, stack.dropout_p)
+    stage = _fit(forward, params, groups, _target(data), cfg, stack.dropout_p)
     stage.wall_clock_seconds = time.perf_counter() - t0
 
-    test_acc = _accuracy(forward(False).data, data.labels, data.splits.test)
+    test_acc, collapse = _test_and_collapse(stack, data, L, Xp, LX)
     return stack, TrainReport(
         stages=[stage],
         test_acc=test_acc,
-        collapse=collapse_report(stack, data, L),
+        collapse=collapse,
         total_wall_clock=stage.wall_clock_seconds,
     )
 
 
-def _stage_caches(stack, L, Xp, LX=None):
+class RowCone:
+    """The rows each layer must compute so the top layer's output is exact on some rows.
+
+    ``rows(0)`` is the sorted set the loss and the metric read, and
+    ``rows(j + 1)`` holds every column that ``L`` stores on ``rows(j)``. So
+    the layer j hops below the output needs its output only on ``rows(j)``,
+    from its input on ``rows(j + 1)``, through ``op(j) = L[rows(j)][:,
+    rows(j + 1)]``, which is ``L`` itself once both cover every node. L has
+    self-loops, so each set contains the one before it; the sets stop growing
+    at every node or at a closed set (a part of the graph the start rows
+    cannot reach is never computed), and are built for at most ``hops`` hops.
+    This is the computation subgraph of Cluster-GCN without sampling: the
+    forward on ``rows(0)`` computes the full forward's rows there, and the
+    backward reaches only rows whose gradient is not zero.
+    """
+
+    def __init__(self, L, rows, hops):
+        self._rows = [np.asarray(rows, dtype=np.int64)]
+        self._ops = []
+        row_sizes = np.diff(L.row_offsets)
+        while len(self._ops) < hops:
+            r = self._rows[-1]
+            in_r = np.zeros(L.n_rows, dtype=bool)
+            in_r[r] = True
+            nxt = np.unique(L.col_indices[np.repeat(in_r, row_sizes)])
+            if nxt.size < L.n_cols:
+                op = L.submatrix(r, nxt)
+            else:
+                op = L if r.size == L.n_rows else L.submatrix(r)
+            self._ops.append(op)
+            self._rows.append(nxt)
+            if np.array_equal(nxt, r):
+                break
+
+    def rows(self, j):
+        return self._rows[min(j, len(self._rows) - 1)]
+
+    def op(self, j):
+        return self._ops[min(j, len(self._ops) - 1)]
+
+
+def _row_cone(stack, L, data, hops):
+    """The ``RowCone`` of the train and val rows where a stage may use one, else None.
+
+    Dropout draws a mask over every row and PairNorm centres over every
+    row, so either one keeps the full forward.
+    """
+    if stack.dropout_p > 0.0 or stack.pairnorm is not None:
+        return None
+    return RowCone(L, np.union1d(data.splits.train, data.splits.val), hops)
+
+
+def _take_rows(a, rows):
+    """``a[rows]``, or ``a`` itself when ``rows`` covers every row."""
+    return a if rows.size == a.shape[0] else a[rows]
+
+
+def _stage_caches(stack, L, Xp, LX=None, cone=None):
     """Constant work that can be hoisted out of a stage's epoch loop.
 
     With dropout off, every leading layer that is frozen *without* an adapter
@@ -341,10 +438,17 @@ def _stage_caches(stack, L, Xp, LX=None):
     when dropout is active. ``LX``, if given, is ``L @ Xp`` computed once per
     training call, as in ``stack_forward``; it is valid only at dropout 0, and
     stands in for layer 0's propagation.
+
+    ``cone``, a ``RowCone``, restricts the stage's forward to the cone's rows
+    (dropout 0 and no PairNorm only, since PairNorm centres over every row).
+    The constants are sliced to those rows here, once per stage: the frozen
+    prefix's output, S and C, and LX while layer 0 still trains.
     """
     layers = stack.conv_layers()
+    if cone is not None and stack.pairnorm is not None:
+        raise ValueError("a row cone cannot restrict a stack with PairNorm")
     if stack.dropout_p > 0.0:
-        return {"prefix_out": Xp, "start": 0, "split": None}
+        return {"prefix_out": Xp, "start": 0, "split": None, "LX": None, "cone": None}
     h = Tensor(Xp)
     i = 0
     while i < len(layers) and layers[i].mode is ly.LayerMode.FROZEN:
@@ -352,20 +456,40 @@ def _stage_caches(stack, L, Xp, LX=None):
         if stack.pairnorm is not None:
             h = ly.pairnorm(h, stack.pairnorm)
         i += 1
+    # the layer k hops below the output writes rows(k) and reads rows(k + 1)
+    top = len(layers) - 1
+
+    def rows(a, hop):
+        return a if cone is None else _take_rows(a, cone.rows(hop))
+
     split = None
     if i < len(layers) and layers[i].mode is ly.LayerMode.FROZEN_LORA:
-        S = LX if i == 0 and LX is not None else ad.spmm(L, h).data
+        S = rows(LX if i == 0 and LX is not None else ad.spmm(L, h).data, top - i)
         split = {"layer": i, "S": S, "C": S @ layers[i].W.data}
         i += 1
-    return {"prefix_out": h.data, "start": i, "split": split}
+    # each epoch reads one of these: the split, layer 0's LX, or the prefix's output
+    caches = {"prefix_out": None, "start": i, "split": split, "LX": None, "cone": cone}
+    if split is None:
+        if i == 0 and LX is not None:
+            caches["LX"] = rows(LX, top)
+        else:
+            caches["prefix_out"] = rows(h.data, top - i + 1)
+    return caches
 
 
-def _stage_forward(stack, L, caches, training, rng, LX=None):
-    """The stage's forward from ``_stage_caches``; ``LX`` as there, for layer 0."""
+def _stage_forward(stack, L, caches, training, rng):
+    """The stage's forward from ``_stage_caches``, on the cone's rows if it has one.
+
+    Without a cone the logits cover every node; with one they cover
+    ``cone.rows(0)``, and the layer k hops below the output multiplies by
+    ``cone.op(k)`` in place of ``L``.
+    """
     layers = stack.conv_layers()
-    h = Tensor(caches["prefix_out"])
-    if caches["split"] is not None:
-        sp = caches["split"]
+    cone, top = caches["cone"], len(layers) - 1
+    sp = caches["split"]
+    if sp is None:
+        h = None if caches["prefix_out"] is None else Tensor(caches["prefix_out"])
+    else:
         layer = layers[sp["layer"]]
         delta = ad.scale(
             ad.matmul(ad.matmul(Tensor(sp["S"]), layer.adapter.A), layer.adapter.B),
@@ -376,7 +500,8 @@ def _stage_forward(stack, L, caches, training, rng, LX=None):
             h = ly.pairnorm(h, stack.pairnorm)
     for i, layer in enumerate(layers[caches["start"]:], caches["start"]):
         h = ly.dropout(h, stack.dropout_p, training, rng)
-        h = ly.gcn_forward(L, h, layer, LX if i == 0 else None)
+        op = L if cone is None else cone.op(top - i)
+        h = ly.gcn_forward(op, h, layer, caches["LX"] if i == 0 else None)
         if stack.pairnorm is not None:
             h = ly.pairnorm(h, stack.pairnorm)
     h = ly.dropout(h, stack.dropout_p, training, rng)
@@ -392,6 +517,14 @@ def train_lgt(data, cfg, variant="gcn", on_stage_start=None, on_stage_end=None):
     head, and the adapters. Adapters are folded into their frozen weights at
     stage end when cfg.merge_adapters is set.
 
+    At dropout 0 and without PairNorm, each stage computes only the rows its
+    loss and val accuracy read: a ``RowCone`` built once per call from the
+    train and val nodes gives the rows each layer needs, and ``_stage_caches``
+    slices the stage's constants to them. The results equal the full
+    forward's up to rounding: weight gradients sum over fewer rows, and BLAS
+    may round a dense product's rows differently for a shorter matrix. The
+    final test accuracy and collapse report come from one full forward.
+
     Callbacks, both optional, fire inside each stage: ``on_stage_start(stage,
     stack, L, Xp)`` after growth but before any optimizer step, and
     ``on_stage_end(stage, stack)`` after best-weight restore but before
@@ -400,13 +533,7 @@ def train_lgt(data, cfg, variant="gcn", on_stage_start=None, on_stage_end=None):
     cfg.validate()
     if variant not in ("gcn", "gcn+pairnorm"):
         raise ValueError(f"staged training supports gcn variants, not {variant!r}")
-    if cfg.use_lora and cfg.depth > 1:
-        # adapters attach to the f×d input layer too, so f bounds the rank
-        max_rank = min(data.f, cfg.hidden_dim)
-        if cfg.lora_rank > max_rank:
-            raise ValueError(
-                f"lora rank {cfg.lora_rank} exceeds min(feature dim, hidden dim)"
-                f" = {max_rank}")
+    cfg.check_lora_rank(data.f)
     rng = np.random.default_rng(cfg.seed)
     L = normalized_laplacian(data.adjacency)
     d, dtype = cfg.hidden_dim, np.float32
@@ -422,6 +549,8 @@ def train_lgt(data, cfg, variant="gcn", on_stage_start=None, on_stage_end=None):
     Xp = ly.prepare_features(stack, data.X)
     # every stage starts from the same L @ Xp while no dropout precedes layer 0
     LX = ad.spmm(L, Tensor(Xp)).data if dropout_p == 0.0 else None
+    cone = _row_cone(stack, L, data, cfg.depth)
+    target = _target(data, None if cone is None else cone.rows(0))
 
     stages = []
     t_total = time.perf_counter()
@@ -455,13 +584,13 @@ def train_lgt(data, cfg, variant="gcn", on_stage_start=None, on_stage_end=None):
             groups.append({"params": adapters, "lr": cfg.resolved_lora_lr(),
                            "weight_decay": 0.0})
 
-        caches = _stage_caches(stack, L, Xp, LX)
+        caches = _stage_caches(stack, L, Xp, LX, cone)
 
         def forward(training):
-            return _stage_forward(stack, L, caches, training, rng, LX)
+            return _stage_forward(stack, L, caches, training, rng)
 
         t0 = time.perf_counter()
-        stage = _fit(forward, main + adapters, groups, data, cfg, stack.dropout_p)
+        stage = _fit(forward, main + adapters, groups, target, cfg, stack.dropout_p)
         stage.wall_clock_seconds = time.perf_counter() - t0
         stages.append(stage)
 
@@ -474,11 +603,11 @@ def train_lgt(data, cfg, variant="gcn", on_stage_start=None, on_stage_end=None):
         new_layer.freeze()
 
     total = time.perf_counter() - t_total
-    test_acc = evaluate(stack, data, data.splits.test, L)
+    test_acc, collapse = _test_and_collapse(stack, data, L, Xp, LX)
     return stack, TrainReport(
         stages=stages,
         test_acc=test_acc,
-        collapse=collapse_report(stack, data, L),
+        collapse=collapse,
         total_wall_clock=total,
     )
 

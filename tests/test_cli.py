@@ -219,6 +219,16 @@ class TestTrainCommand:
         rc = main(["train", "--sbm", "blobs=3", "--out", str(tmp_path / "x"), *FAST])
         assert rc == 1
 
+    def test_lora_rank_above_feature_width_is_usage_error(self, tmp_path, capsys):
+        # f=8 bounds the rank of the input layer's adapter
+        rc = main(["train", "--sbm", SBM, "--trainer", "lgt", "--rank", "9",
+                   "--out", str(tmp_path / "x"), *FAST])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "lora rank 9 exceeds min(feature dim, hidden dim) = 8" in err
+        assert "lower --rank or raise --hidden-dim" in err
+        assert not (tmp_path / "x").exists()
+
 
 class TestEvalAndExport:
     @pytest.fixture()

@@ -58,6 +58,16 @@ class TestSparseMatrix:
         back = SparseMatrix.from_scipy(adj.to_scipy())
         assert np.array_equal(back.to_dense(), adj.to_dense())
 
+    def test_submatrix_matches_oracle_and_caches_nothing(self):
+        rng = np.random.default_rng(5)
+        L = normalized_laplacian(random_graph(rng, 9))
+        rows, cols = np.array([1, 4, 5]), np.array([0, 1, 3, 4, 5, 6, 8])
+        dense = L.to_dense()
+        assert np.array_equal(L.submatrix(rows).to_dense(), dense[rows])
+        assert np.array_equal(L.submatrix(rows, cols).to_dense(), dense[np.ix_(rows, cols)])
+        # slicing adds no scipy copy to the matrix's cache
+        assert L._cache == {}
+
 
 class TestBuildAdjacency:
     def test_drops_self_loops_and_duplicates(self):

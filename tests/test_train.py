@@ -14,9 +14,12 @@ from growgcn import (
     LayerMode,
     LayerStack,
     NumericalAbort,
+    Splits,
     Tensor,
     TrainConfig,
     TrainReport,
+    build_adjacency,
+    collapse_report,
     evaluate,
     generate_sbm,
     glorot_init,
@@ -30,6 +33,7 @@ from growgcn import autodiff as ad
 from growgcn import layers as ly
 from conftest import random_graph
 from growgcn.train import (
+    RowCone,
     StageReport,
     _accuracy,
     _restore,
@@ -157,6 +161,16 @@ class TestConfig:
         assert TrainConfig().resolved_dropout("standard", "gcn+pairnorm") == 0.5
         assert TrainConfig().resolved_dropout("standard", "sgc") == 0.0
         assert TrainConfig(dropout_p=0.2).resolved_dropout("standard", "sgc") == 0.2
+
+    def test_lora_rank_bound(self, tiny_dataset):
+        # the bound is min(f, hidden_dim) = min(5, 8), checked once for every caller
+        TrainConfig(depth=3, hidden_dim=8, lora_rank=5).check_lora_rank(5)
+        TrainConfig(depth=1, hidden_dim=8, lora_rank=6).check_lora_rank(5)
+        TrainConfig(depth=3, hidden_dim=8, lora_rank=6, use_lora=False).check_lora_rank(5)
+        with pytest.raises(ValueError, match="= 5"):
+            TrainConfig(depth=3, hidden_dim=8, lora_rank=6).check_lora_rank(5)
+        with pytest.raises(ValueError, match="lora rank 6 exceeds"):
+            train_lgt(tiny_dataset, lgt_cfg(hidden_dim=8, lora_rank=6))
 
     def test_lora_lr_resolution(self):
         assert TrainConfig(lr=0.03).resolved_lora_lr() == 0.03
@@ -449,7 +463,7 @@ class TestCachedForwardOracle:
         # from stage 2 on, layer 0 is frozen and leaves the per-epoch forward
         assert (caches["start"] > 0) == (stage > 1)
         fast = {
-            "cached": _stage_forward(stack, L, caches, True, None, LX),
+            "cached": _stage_forward(stack, L, caches, True, None),
             "standard": ly.stack_forward(stack, L, Xp, training=True, prepared=True, LX=LX),
         }
         for name, logits in fast.items():
@@ -491,18 +505,17 @@ class TestReportSerialization:
             train(tiny_dataset, cfg, trainer="sgd")
 
 
-def _fit_two_forwards(forward, mutable, groups, data, cfg, dropout_p):
+def _fit_two_forwards(forward, mutable, groups, target, cfg, dropout_p):
     """Reference epoch loop: a training and an eval forward every epoch, at any dropout."""
     adam = Adam(groups)
     stopper = EarlyStopper(cfg.patience)
     best_snap = None
     curve = []
-    train_idx = data.splits.train
-    val_idx = data.splits.val
+    labels, train_idx, val_idx = target
     for _ in range(cfg.max_epochs):
         logits = forward(True)
         loss = ad.masked_cross_entropy(
-            ad.log_softmax_rows(logits), data.labels, train_idx, cfg.loss_reduction
+            ad.log_softmax_rows(logits), labels, train_idx, cfg.loss_reduction
         )
         if not np.isfinite(loss.data):
             raise NumericalAbort(f"non-finite training loss at epoch {len(curve) + 1}")
@@ -510,7 +523,7 @@ def _fit_two_forwards(forward, mutable, groups, data, cfg, dropout_p):
         loss.backward()
         adam.step()
         curve.append(float(loss.data))
-        val_acc = _accuracy(forward(False).data, data.labels, val_idx)
+        val_acc = _accuracy(forward(False).data, labels, val_idx)
         if val_acc > stopper.best:
             best_snap = _snapshot(mutable)
         if stopper.update(val_acc):
@@ -610,13 +623,10 @@ class TestInputPropagationOnce:
             m.setattr(ad, "spmm", counting_spmm)
             if not hoist:
                 # the oracle recomputes L @ Xp on every forward
-                caches, stage_fwd, stack_fwd = (gtrain._stage_caches, gtrain._stage_forward,
-                                                ly.stack_forward)
+                caches, stack_fwd = gtrain._stage_caches, ly.stack_forward
                 m.setattr(gtrain, "_stage_caches",
-                          lambda stack, L, Xp, LX=None: caches(stack, L, Xp))
-                m.setattr(gtrain, "_stage_forward",
-                          lambda stack, L, caches_, training, rng, LX=None:
-                          stage_fwd(stack, L, caches_, training, rng))
+                          lambda stack, L, Xp, LX=None, cone=None:
+                          caches(stack, L, Xp, None, cone))
                 m.setattr(ly, "stack_forward", lambda *a, LX=None, **kw: stack_fwd(*a, **kw))
             stack, report = train(data, cfg, trainer=trainer, variant=variant)
         return stack, report, spmm_calls[0]
@@ -641,3 +651,171 @@ class TestInputPropagationOnce:
         # the oracle forms L @ Xp in stage 1's every forward and at every stage's
         # cache; the hoist forms it once
         assert calls_new < calls_ref
+
+
+def _graph_with_components(rng, n, isolated):
+    """Two random components and ``isolated`` nodes without edges, in shuffled order."""
+    perm = rng.permutation(n)
+    cut = int(rng.integers(2, n - isolated - 1))
+    pairs = []
+    for block in (perm[:cut], perm[cut:n - isolated]):
+        pairs += [(int(a), int(b)) for i, a in enumerate(block) for b in block[i + 1:]
+                  if rng.random() < 0.35]
+    return build_adjacency(pairs, n), perm[n - isolated:]
+
+
+class TestRowConeOracle:
+    """The cone-restricted stage forward against plain ``stack_forward``, in float64."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        stage=st.integers(1, 4),
+        lora=st.booleans(),
+        merged=st.lists(st.booleans(), min_size=3, max_size=3),
+        every_row=st.booleans(),
+        use_lx=st.booleans(),
+    )
+    def test_rows_loss_and_gradients_match_plain_forward(self, seed, stage, lora, merged,
+                                                         every_row, use_lx):
+        rng = np.random.default_rng(seed)
+        n, f, d, c = 16, 7, 5, 3
+        adjacency, isolated = _graph_with_components(rng, n, int(rng.integers(1, 4)))
+        L = normalized_laplacian(adjacency)
+        Xp = rng.standard_normal((n, f))
+        labels = rng.integers(0, c, n)
+        start = np.arange(n) if every_row else np.sort(rng.choice(n, int(rng.integers(1, 5)),
+                                                                  replace=False))
+        train_idx = np.sort(rng.choice(start, max(1, start.size // 2), replace=False))
+        stack = _random_stage_stack(rng, f, d, c, stage, False, lora, merged)
+        cone = RowCone(L, start, 4)
+
+        dense = L.to_dense()
+        for j in range(stage):
+            rows, nxt = cone.rows(j), cone.rows(j + 1)
+            assert np.array_equal(nxt, np.flatnonzero(dense[rows].any(axis=0)))
+            np.testing.assert_array_equal(cone.op(j).to_dense(), dense[np.ix_(rows, nxt)])
+        unreached = np.setdiff1d(isolated, start)
+        # an isolated node outside the start rows is never reached: the cone closes early
+        assert not np.isin(unreached, cone.rows(4)).any()
+
+        plain_logits = ly.stack_forward(stack, L, Xp, training=True, prepared=True)
+        plain = _loss_and_grads(stack, plain_logits, labels, train_idx)
+        LX = ad.spmm(L, Tensor(Xp)).data if use_lx else None
+        logits = _stage_forward(stack, L, _stage_caches(stack, L, Xp, LX, cone), True, None)
+        assert logits.data.shape == (start.size, c)
+        np.testing.assert_allclose(logits.data, plain_logits.data[start], rtol=1e-12,
+                                   atol=1e-12)
+        loss, grads = _loss_and_grads(stack, logits, labels[start],
+                                      np.searchsorted(start, train_idx))
+        assert loss == pytest.approx(plain[0], rel=1e-12, abs=1e-12)
+        for g, g_ref in zip(grads, plain[1], strict=True):
+            np.testing.assert_allclose(g, g_ref, rtol=1e-9, atol=1e-12)
+
+
+    def test_pairnorm_stack_refuses_a_cone(self, tiny_dataset):
+        rng = np.random.default_rng(0)
+        stack = _random_stage_stack(rng, tiny_dataset.f, 4, 2, 2, True, True, [False])
+        L = normalized_laplacian(tiny_dataset.adjacency)
+        Xp = ly.prepare_features(stack, tiny_dataset.X)
+        with pytest.raises(ValueError, match="PairNorm"):
+            _stage_caches(stack, L, Xp, None, RowCone(L, [0], 2))
+
+
+def _sparse_split_bundle():
+    """A low-degree SBM whose train and val nodes are 35 of its 300 nodes."""
+    data = generate_sbm(3, 100, 0.03, 0.003, f=12, signal=2.0, seed=5)
+    s = data.splits
+    return dataclasses.replace(data, splits=Splits(train=s.train[::4], val=s.val[::6],
+                                                   test=s.test))
+
+
+class TestRestrictedTrainer:
+    """``train_lgt`` on the row cone against the full-forward ``train_lgt``."""
+
+    @staticmethod
+    def _run(monkeypatch, data, cfg, variant, restrict):
+        flops = [0]
+        spmm = ad.spmm
+
+        def counting_spmm(s, x):
+            flops[0] += 2 * s.nnz * x.data.shape[1]
+            return spmm(s, x)
+
+        with monkeypatch.context() as m:
+            m.setattr(ad, "spmm", counting_spmm)
+            if not restrict:
+                # the oracle: every stage runs the forward over every node
+                m.setattr(gtrain, "_row_cone", lambda *a: None)
+            stack, report = train_lgt(data, cfg, variant)
+        return stack, report, flops[0]
+
+    @pytest.mark.parametrize("variant, dropout_p, use_lora, merge", [
+        ("gcn", None, True, True),
+        ("gcn", None, True, False),
+        ("gcn", None, False, True),
+        ("gcn+pairnorm", None, True, True),
+        ("gcn", 0.3, True, True),
+    ])
+    def test_matches_full_forward_oracle(self, monkeypatch, variant, dropout_p, use_lora,
+                                         merge):
+        data = _sparse_split_bundle()
+        cfg = TrainConfig(depth=5, hidden_dim=8, lora_rank=2, max_epochs=30, patience=8,
+                          dropout_p=dropout_p, use_lora=use_lora, merge_adapters=merge,
+                          seed=1)
+        s_new, r_new, flops_new = self._run(monkeypatch, data, cfg, variant, True)
+        s_ref, r_ref, flops_ref = self._run(monkeypatch, data, cfg, variant, False)
+        assert [st.epochs_run for st in r_new.stages] == [st.epochs_run for st in r_ref.stages]
+        assert any(st.epochs_run < cfg.max_epochs for st in r_ref.stages)
+        assert r_new.test_acc == r_ref.test_acc
+        full_path = variant == "gcn+pairnorm" or dropout_p
+        for a, b in zip(s_new.parameters(), s_ref.parameters(), strict=True):
+            if full_path:
+                assert np.array_equal(a.data, b.data)
+            else:
+                np.testing.assert_allclose(a.data, b.data, rtol=1e-4, atol=1e-6)
+        if full_path:
+            # dropout and PairNorm read every row: the cone is not used at all
+            r_new.total_wall_clock = r_ref.total_wall_clock = 0.0
+            for st_new, st_ref in zip(r_new.stages, r_ref.stages):
+                st_new.wall_clock_seconds = st_ref.wall_clock_seconds = 0.0
+            assert r_new == r_ref
+            assert flops_new == flops_ref
+        else:
+            assert flops_new < flops_ref
+
+
+class TestFinalForward:
+    """The final test accuracy and collapse report come from one ``stack_forward``."""
+
+    @pytest.mark.parametrize("trainer, variant, dropout_p", [
+        ("lgt", "gcn", None),
+        ("lgt", "gcn+pairnorm", 0.3),
+        ("standard", "gcn", 0.0),
+        ("standard", "gcn+pairnorm", 0.5),
+        ("standard", "sgc", None),
+    ])
+    def test_matches_evaluate_and_collapse_report(self, monkeypatch, small_sbm, trainer,
+                                                  variant, dropout_p):
+        cfg = TrainConfig(depth=3, hidden_dim=8, lora_rank=2, max_epochs=10, patience=4,
+                          dropout_p=dropout_p, seed=2)
+        calls = [0]
+        stack_fwd = ly.stack_forward
+
+        def counting_forward(*a, **kw):
+            calls[0] += 1
+            return stack_fwd(*a, **kw)
+
+        with monkeypatch.context() as m:
+            m.setattr(ly, "stack_forward", counting_forward)
+            stack, report = train(small_sbm, cfg, trainer=trainer, variant=variant)
+        # the parent's two final forwards, run after training
+        assert report.test_acc == evaluate(stack, small_sbm, small_sbm.splits.test)
+        assert report.collapse == collapse_report(stack, small_sbm)
+        epochs = report.total_epochs
+        if trainer == "lgt" or variant == "sgc":
+            assert calls[0] == 1
+        elif stack.dropout_p == 0.0:
+            assert calls[0] == epochs + 2
+        else:
+            assert calls[0] == 2 * epochs + 1
