@@ -12,7 +12,6 @@ from .data import GraphDataset, Splits, generate_sbm, load_bundle, save_bundle, 
 from .errors import DataError, NumericalAbort
 from .layers import (
     GcnLayer,
-    LayerMode,
     LayerStack,
     LoraAdapter,
     PairNormConfig,

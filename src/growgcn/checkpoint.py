@@ -21,13 +21,15 @@ from .errors import DataError
 from . import layers as ly
 
 MAGIC = b"GCNSTCK1"
+# GcnLayer.mode's values: the state of each conv layer
+MODES = ("trainable", "frozen", "frozen_lora")
 
 
 def _header(stack):
     layers = []
     arrays = []
     for i, layer in enumerate(stack.conv_layers()):
-        entry = {"mode": layer.mode.value, "d_in": layer.d_in, "d_out": layer.d_out}
+        entry = {"mode": layer.mode, "d_in": layer.d_in, "d_out": layer.d_out}
         arrays.append([f"layer{i}.W", [layer.d_in, layer.d_out]])
         if layer.adapter is not None:
             entry["rank"] = layer.adapter.rank
@@ -104,17 +106,19 @@ def _stack_from(header, blob, offset, path):
 
     conv = []
     for i, entry in enumerate(header["layers"]):
-        mode = ly.LayerMode(entry["mode"])
-        w = Tensor(data[f"layer{i}.W"], requires_grad=(mode is ly.LayerMode.TRAINABLE))
+        mode = entry["mode"]
+        if mode not in MODES:
+            raise DataError(f"unknown layer mode {mode!r}", file=path)
+        w = Tensor(data[f"layer{i}.W"], requires_grad=(mode == "trainable"))
         adapter = None
-        if mode is ly.LayerMode.FROZEN_LORA:
+        if mode == "frozen_lora":
             adapter = ly.LoraAdapter(
                 A=Tensor(data[f"layer{i}.A"], requires_grad=True),
                 B=Tensor(data[f"layer{i}.B"], requires_grad=True),
                 rank=entry["rank"],
                 alpha=entry["alpha"],
             )
-        conv.append(ly.GcnLayer(w, mode=mode, adapter=adapter))
+        conv.append(ly.GcnLayer(w, adapter=adapter))
 
     stack = ly.LayerStack(
         input_layer=conv[0] if conv else None,

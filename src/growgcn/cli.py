@@ -27,11 +27,7 @@ from . import data as gdata
 from . import gradcheck as gc
 from . import metrics as gmetrics
 from .errors import DataError, NumericalAbort
-from .train import TrainConfig
-
-# the package __init__ rebinds the `train` attribute to the train() function,
-# so `from . import train` is unreliable; fetch the module itself instead
-gtrain = sys.modules["growgcn.train"]
+from .train import TRAINERS, VARIANTS, TrainConfig, evaluate, train
 
 
 class UsageError(Exception):
@@ -78,8 +74,8 @@ def read_config_file(path):
     """Parse ``key = value`` lines; '#' starts a comment, blank lines ignored."""
     out = {}
     try:
-        text = Path(path).read_text()
-    except OSError as e:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise DataError(str(e), file=path) from e
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -109,7 +105,17 @@ def build_train_config(args, cfg_file):
     kwargs = {}
     for f in fields(TrainConfig):
         kwargs[f.name] = _resolve(args, cfg_file, f.name, getattr(base, f.name))
-    return TrainConfig(**kwargs).validate()
+    try:
+        return TrainConfig(**kwargs).validate()
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+
+
+def _repeats(args, cfg_file, default):
+    repeats = _resolve(args, cfg_file, "repeats", default)
+    if type(repeats) is not int or repeats < 1:
+        raise UsageError("--repeats must be an integer >= 1")
+    return repeats
 
 
 # ---------------------------------------------------------------- data access
@@ -173,7 +179,7 @@ def run_repeats(data, cfg, trainer, variant, repeats, fixed_splits):
         seed = cfg.seed + k
         run_cfg = replace(cfg, seed=seed)
         run_data = data if fixed_splits else _resplit(data, seed)
-        stack, report = gtrain.train(run_data, run_cfg, trainer=trainer, variant=variant)
+        stack, report = train(run_data, run_cfg, trainer=trainer, variant=variant)
         stacks.append(stack)
         reports.append(report)
     return stacks, reports
@@ -189,76 +195,21 @@ def _mean_std(values):
 
 def cmd_prepare(args):
     if args.kind == "sbm":
-        if not 0.0 <= args.p_out <= args.p_in <= 1.0:
-            raise UsageError("require 0 <= p_out <= p_in <= 1")
-        ds = gdata.generate_sbm(
-            classes=args.classes, nodes_per_class=args.per_class,
-            p_in=args.p_in, p_out=args.p_out, f=args.f, signal=args.signal,
-            seed=args.seed,
-        )
+        try:
+            ds = gdata.generate_sbm(
+                classes=args.classes, nodes_per_class=args.per_class,
+                p_in=args.p_in, p_out=args.p_out, f=args.f, signal=args.signal,
+                seed=args.seed,
+            )
+        except ValueError as e:
+            raise UsageError(str(e)) from e
     else:
-        ds = load_planetoid(args.content, args.cites, name=args.name,
-                            split_seed=args.split_seed)
+        ds = gdata.load_planetoid(args.content, args.cites, name=args.name,
+                                  split_seed=args.split_seed)
     gdata.save_bundle(ds, args.out)
     print(f"wrote bundle {ds.name}: n={ds.n} f={ds.f} c={ds.C} "
           f"edges={ds.adjacency.nnz // 2} -> {args.out}")
     return 0
-
-
-def load_planetoid(content_path, cites_path, name="cora", split_seed=0):
-    """Convert the classic citation-network distribution to a bundle.
-
-    ``.content`` lines: <paper_id> <f binary features> <class_name>;
-    ``.cites`` lines: <cited> <citing>. Unknown ids in .cites are skipped
-    (the public files contain a handful).
-    """
-    ids, rows, class_names = [], [], []
-    for lineno, line in enumerate(gdata._read_lines(content_path), 1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) < 3:
-            raise DataError("expected <id> <features...> <label>",
-                            file=content_path, line=lineno)
-        ids.append(parts[0])
-        try:
-            rows.append([float(x) for x in parts[1:-1]])
-        except ValueError:
-            raise DataError("non-numeric feature field", file=content_path,
-                            line=lineno) from None
-        class_names.append(parts[-1])
-    if not ids:
-        raise DataError("no rows", file=content_path)
-    f = len(rows[0])
-    for lineno, row in enumerate(rows, 1):
-        if len(row) != f:
-            raise DataError(f"row has {len(row)} features, first row has {f}",
-                            file=content_path, line=lineno)
-    index = {pid: i for i, pid in enumerate(ids)}
-    classes = sorted(set(class_names))
-    labels = np.array([classes.index(c) for c in class_names], dtype=np.int64)
-
-    edges = []
-    for lineno, line in enumerate(gdata._read_lines(cites_path), 1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise DataError("expected '<cited> <citing>'", file=cites_path, line=lineno)
-        a, b = index.get(parts[0]), index.get(parts[1])
-        if a is None or b is None or a == b:
-            continue
-        edges.append((a, b))
-
-    n = len(ids)
-    X = np.asarray(rows, dtype=np.float64)
-    held = min(1000, (n - 20 * len(classes)) // 2)
-    splits = gdata.split_per_class(labels, 20, held, held, split_seed)
-    ds = gdata.GraphDataset(
-        n=n, f=f, C=len(classes), X=X, labels=labels,
-        adjacency=gdata.build_adjacency(edges, n), splits=splits, name=name,
-    )
-    return ds.validate()
 
 
 def _write_summary_csv(path, rows, header):
@@ -273,14 +224,12 @@ def cmd_train(args):
     cfg = build_train_config(args, cfg_file)
     trainer = _resolve(args, cfg_file, "trainer", "standard")
     variant = _resolve(args, cfg_file, "variant", "gcn")
-    repeats = int(_resolve(args, cfg_file, "repeats", 1))
+    repeats = _repeats(args, cfg_file, 1)
     fixed = bool(_resolve(args, cfg_file, "fixed_splits", False))
-    if trainer not in gtrain.TRAINERS:
+    if trainer not in TRAINERS:
         raise UsageError(f"unknown trainer {trainer!r}")
-    if variant not in gtrain.VARIANTS:
+    if variant not in VARIANTS:
         raise UsageError(f"unknown variant {variant!r}")
-    if repeats < 1:
-        raise UsageError("--repeats must be >= 1")
 
     data = _load_dataset(args)
     if trainer == "lgt":
@@ -356,10 +305,8 @@ def cmd_sweep(args):
     cfg = build_train_config(args, cfg_file)
     trainer = _resolve(args, cfg_file, "trainer", "lgt")
     variant = _resolve(args, cfg_file, "variant", "gcn")
-    repeats = int(_resolve(args, cfg_file, "repeats", 5))
+    repeats = _repeats(args, cfg_file, 5)
     fixed = bool(_resolve(args, cfg_file, "fixed_splits", False))
-    if repeats < 1:
-        raise UsageError("--repeats must be >= 1")
 
     if args.axis in ("depth", "rank"):
         if not args.values:
@@ -454,7 +401,7 @@ def _load_checkpoint_and_bundle(args):
 def cmd_eval(args):
     stack, data = _load_checkpoint_and_bundle(args)
     mask = getattr(data.splits, args.split)
-    acc = gtrain.evaluate(stack, data, mask)
+    acc = evaluate(stack, data, mask)
     print(f"{args.split} accuracy: {acc:.4f}")
     return 0
 
@@ -476,8 +423,8 @@ def _add_train_flags(p):
     p.add_argument("--sbm", help="inline block-model spec, e.g. "
                    "'classes=4,per_class=100,p_in=0.1,p_out=0.01,f=32,signal=2,seed=0'")
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--trainer", choices=gtrain.TRAINERS)
-    p.add_argument("--variant", choices=gtrain.VARIANTS)
+    p.add_argument("--trainer", choices=TRAINERS)
+    p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--depth", type=int)
     p.add_argument("--hidden-dim", dest="hidden_dim", type=int)
     p.add_argument("--lr", type=float)

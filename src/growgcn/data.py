@@ -1,4 +1,6 @@
-"""Datasets: node-classification bundles on disk, splits, and a block-model generator.
+"""Datasets: bundles on disk, the citation-network converter, splits, a block-model generator.
+
+Every text file is read as UTF-8.
 
 Bundle layout (one directory per dataset):
 
@@ -27,7 +29,13 @@ class Splits:
 
     def __post_init__(self):
         for name in ("train", "val", "test"):
-            idx = np.asarray(getattr(self, name), dtype=np.int64)
+            try:
+                idx = np.asarray(getattr(self, name))
+            except ValueError:
+                raise DataError(f"{name} split is not an index list") from None
+            if idx.size and idx.dtype.kind not in "iu":
+                raise DataError(f"{name} split holds non-integer indices")
+            idx = idx.astype(np.int64)
             if idx.ndim != 1:
                 raise DataError(f"{name} split must be a flat index list")
             if idx.size and np.unique(idx).size != idx.size:
@@ -84,17 +92,28 @@ def row_normalize(X):
     return X / s
 
 
-def _read_lines(path):
+def _read_text(path):
+    """A UTF-8 text file's contents; an unreadable or undecodable file raises DataError."""
     try:
-        return Path(path).read_text().splitlines()
-    except OSError as e:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise DataError(str(e), file=path) from e
+
+
+def _read_json_object(path):
+    try:
+        obj = json.loads(_read_text(path))
+    except json.JSONDecodeError as e:
+        raise DataError(f"invalid JSON: {e}", file=path) from e
+    if not isinstance(obj, dict):
+        raise DataError("expected a JSON object", file=path)
+    return obj
 
 
 def _data_line(path, row):
     """1-based file line of data row ``row``, skipping lines np.loadtxt skips."""
     seen = -1
-    for lineno, line in enumerate(_read_lines(path), 1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), 1):
         if line.split("#", 1)[0].strip():
             seen += 1
             if seen == row:
@@ -110,18 +129,15 @@ def load_bundle(path):
         if not (path / fname).is_file():
             raise DataError(f"missing bundle file {fname}", file=path)
 
-    try:
-        meta = json.loads((path / "meta.json").read_text())
-    except json.JSONDecodeError as e:
-        raise DataError(f"invalid JSON: {e}", file=path / "meta.json") from e
+    meta = _read_json_object(path / "meta.json")
     for key in ("n", "f", "c"):
-        if not isinstance(meta.get(key), int) or meta[key] < 1:
+        if type(meta.get(key)) is not int or meta[key] < 1:
             raise DataError(f"meta key '{key}' must be a positive integer", file=path / "meta.json")
     n, f, c = meta["n"], meta["f"], meta["c"]
 
     edges = []
     epath = path / "edges.tsv"
-    for lineno, line in enumerate(_read_lines(epath), 1):
+    for lineno, line in enumerate(_read_text(epath).splitlines(), 1):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -150,7 +166,7 @@ def load_bundle(path):
         raise DataError("non-finite feature value", file=fpath, line=_data_line(fpath, row))
 
     lpath = path / "labels.txt"
-    lines = [ln for ln in _read_lines(lpath) if ln.strip()]
+    lines = [ln for ln in _read_text(lpath).splitlines() if ln.strip()]
     if len(lines) != n:
         raise DataError(f"expected {n} labels, found {len(lines)}", file=lpath)
     labels = np.empty(n, dtype=np.int64)
@@ -164,10 +180,7 @@ def load_bundle(path):
         labels[lineno - 1] = v
 
     spath = path / "splits.json"
-    try:
-        raw = json.loads(spath.read_text())
-    except json.JSONDecodeError as e:
-        raise DataError(f"invalid JSON: {e}", file=spath) from e
+    raw = _read_json_object(spath)
     try:
         splits = Splits(raw["train"], raw["val"], raw["test"])
     except KeyError as e:
@@ -198,6 +211,62 @@ def save_bundle(dataset, path):
     splits = {k: getattr(dataset.splits, k).tolist() for k in ("train", "val", "test")}
     (path / "splits.json").write_text(json.dumps(splits) + "\n")
     return path
+
+
+def load_planetoid(content_path, cites_path, name="cora", split_seed=0):
+    """Convert the classic citation-network distribution to a bundle.
+
+    ``.content`` lines: <paper_id> <f binary features> <class_name>;
+    ``.cites`` lines: <cited> <citing>. Unknown ids in .cites are skipped
+    (the public files contain a handful).
+    """
+    ids, rows, class_names = [], [], []
+    for lineno, line in enumerate(_read_text(content_path).splitlines(), 1):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) < 3:
+            raise DataError("expected <id> <features...> <label>",
+                            file=content_path, line=lineno)
+        ids.append(parts[0])
+        try:
+            rows.append([float(x) for x in parts[1:-1]])
+        except ValueError:
+            raise DataError("non-numeric feature field", file=content_path,
+                            line=lineno) from None
+        class_names.append(parts[-1])
+    if not ids:
+        raise DataError("no rows", file=content_path)
+    f = len(rows[0])
+    for lineno, row in enumerate(rows, 1):
+        if len(row) != f:
+            raise DataError(f"row has {len(row)} features, first row has {f}",
+                            file=content_path, line=lineno)
+    index = {pid: i for i, pid in enumerate(ids)}
+    classes = sorted(set(class_names))
+    labels = np.array([classes.index(c) for c in class_names], dtype=np.int64)
+
+    edges = []
+    for lineno, line in enumerate(_read_text(cites_path).splitlines(), 1):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise DataError("expected '<cited> <citing>'", file=cites_path, line=lineno)
+        a, b = index.get(parts[0]), index.get(parts[1])
+        if a is None or b is None or a == b:
+            continue
+        edges.append((a, b))
+
+    n = len(ids)
+    X = np.asarray(rows, dtype=np.float64)
+    held = min(1000, (n - 20 * len(classes)) // 2)
+    splits = split_per_class(labels, 20, held, held, split_seed)
+    ds = GraphDataset(
+        n=n, f=f, C=len(classes), X=X, labels=labels,
+        adjacency=build_adjacency(edges, n), splits=splits, name=name,
+    )
+    return ds.validate()
 
 
 def split_per_class(labels, per_class, val_size, test_size, seed):

@@ -2,19 +2,12 @@
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import row_normalize
-
-
-class LayerMode(str, Enum):
-    TRAINABLE = "trainable"
-    FROZEN = "frozen"
-    FROZEN_LORA = "frozen_lora"
 
 
 def identity_init(d, dtype=np.float32):
@@ -75,25 +68,29 @@ def lora_effective_weight(w0, adapter):
 
 @dataclass(eq=False)
 class GcnLayer:
+    """A graph convolution's weight: trainable while ``W.requires_grad``, else frozen."""
+
     W: Tensor
-    mode: LayerMode = LayerMode.TRAINABLE
     adapter: LoraAdapter | None = None
 
     def __post_init__(self):
         self.check()
 
     def check(self):
-        if (self.adapter is not None) != (self.mode is LayerMode.FROZEN_LORA):
-            raise ValueError("adapter present iff mode is frozen_lora")
-        if self.mode is LayerMode.TRAINABLE and not self.W.requires_grad:
-            raise ValueError("trainable layer weight must require grad")
-        if self.mode is not LayerMode.TRAINABLE and self.W.requires_grad:
-            raise ValueError("frozen layer weight must not require grad")
         if self.adapter is not None:
+            if self.W.requires_grad:
+                raise ValueError("a layer with an adapter must be frozen")
             d_in, d_out = self.W.data.shape
             if self.adapter.A.data.shape[0] != d_in or self.adapter.B.data.shape[1] != d_out:
                 raise ValueError("adapter shape does not match weight")
         return self
+
+    @property
+    def mode(self):
+        """The checkpoint's name for the layer's state."""
+        if self.adapter is not None:
+            return "frozen_lora"
+        return "trainable" if self.W.requires_grad else "frozen"
 
     @property
     def d_in(self):
@@ -110,12 +107,10 @@ class GcnLayer:
 
     def freeze(self):
         self.W.requires_grad = False
-        self.mode = LayerMode.FROZEN_LORA if self.adapter is not None else LayerMode.FROZEN
 
     def attach_adapter(self, adapter):
         self.freeze()
         self.adapter = adapter
-        self.mode = LayerMode.FROZEN_LORA
         return self.check()
 
     def merge_adapter(self):
@@ -126,7 +121,6 @@ class GcnLayer:
         w = self.W.data
         w += np.asarray(a.scaling * (a.A.data @ a.B.data), dtype=w.dtype)
         self.adapter = None
-        self.mode = LayerMode.FROZEN
 
 
 @dataclass
@@ -179,15 +173,6 @@ def dropout(h, p, training, rng=None):
         ad._accum(h, g * mask)
 
     return ad._compose(out, (h,), bwd)
-
-
-def gcn_forward(L, h, layer, Lh=None):
-    """One graph convolution: relu(L @ H @ W_eff).
-
-    ``Lh``, if given, is the array L @ H computed beforehand; ``h`` is then unused.
-    """
-    Lh = ad.spmm(L, h) if Lh is None else Tensor(Lh)
-    return ad.relu(ad.matmul(Lh, layer.effective_weight()))
 
 
 def sgc_propagate(L, X, steps):
@@ -282,30 +267,56 @@ def prepare_features(stack, X):
     return Xp.astype(stack.head.data.dtype, copy=False)
 
 
+@dataclass(eq=False)
+class ForwardPlan:
+    """Constant work that ``stack_forward`` skips, valid while no dropout precedes ``start``.
+
+    The forward starts at conv layer ``start`` from ``inp``, that layer's
+    propagated input ``L @ H`` (past the last conv layer, the head's input,
+    e.g. ``L^K @ X``). ``C = inp @ W0`` for a start layer with an adapter
+    leaves only ``(inp @ A) @ B * alpha/rank`` per call. With a ``cone`` (a
+    ``RowCone``), ``inp`` and ``C`` hold its rows, the layer k hops below the
+    output multiplies by ``cone.op(k)``, and the logits cover ``cone.rows(0)``.
+    """
+
+    start: int = 0
+    inp: np.ndarray | None = None
+    C: np.ndarray | None = None
+    cone: object = None
+
+
 def stack_forward(stack, L, X, *, training=False, rng=None, return_hidden=False,
-                  prepared=False, LX=None):
-    """Full forward pass; returns logits (and per-layer features if asked).
+                  prepared=False, plan=None):
+    """The forward pass; returns logits (and per-layer features if asked).
 
     ``hidden[0]`` is the prepared input; ``hidden[k]`` is the output of layer k
-    (or of the k-th propagation hop for a propagation-only stack).
-
-    ``LX``, if given, is the array ``L @ Xp`` for the prepared input ``Xp``,
-    computed once so that repeated forwards skip the input layer's
-    propagation. It is valid only when no dropout comes before the input
-    layer, that is at ``dropout_p == 0`` or outside training, and only for a
-    stack without propagation steps.
+    (or of the k-th propagation hop for a propagation-only stack). A ``plan``
+    (see ``ForwardPlan``) skips the work below its start layer, and then
+    ``hidden`` lists only the layers that ran.
     """
-    if LX is not None and (stack.sgc_steps or (training and stack.dropout_p > 0.0)):
-        raise ValueError("LX replaces L @ X only for a conv input layer without dropout")
+    plan = ForwardPlan() if plan is None else plan
     Xp = X if prepared else prepare_features(stack, X)
     h = Tensor(Xp)
     hidden = [h.data]
-    for _ in range(stack.sgc_steps):
-        h = ad.spmm(L, h)
-        hidden.append(h.data)
-    for i, layer in enumerate(stack.conv_layers()):
-        h = dropout(h, stack.dropout_p, training, rng)
-        h = gcn_forward(L, h, layer, LX if i == 0 else None)
+    layers = stack.conv_layers()
+    if plan.inp is None:
+        for _ in range(stack.sgc_steps):
+            h = ad.spmm(L, h)
+            hidden.append(h.data)
+    elif plan.start >= len(layers):
+        h = Tensor(plan.inp)
+    for i, layer in enumerate(layers[plan.start:], plan.start):
+        if i == plan.start and plan.inp is not None:
+            Lh = Tensor(plan.inp)
+        else:
+            h = dropout(h, stack.dropout_p, training, rng)
+            Lh = ad.spmm(L if plan.cone is None else plan.cone.op(len(layers) - 1 - i), h)
+        if i == plan.start and plan.C is not None:
+            a = layer.adapter
+            delta = ad.scale(ad.matmul(ad.matmul(Lh, a.A), a.B), a.scaling)
+            h = ad.relu(ad.add(Tensor(plan.C), delta))
+        else:
+            h = ad.relu(ad.matmul(Lh, layer.effective_weight()))
         if stack.pairnorm is not None:
             h = pairnorm(h, stack.pairnorm)
         hidden.append(h.data)

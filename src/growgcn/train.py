@@ -1,6 +1,8 @@
 """Training: configs, Adam, early stopping, the standard and staged trainers."""
 
 import json
+import math
+import numbers
 import time
 from dataclasses import dataclass, asdict
 
@@ -42,22 +44,36 @@ class TrainConfig:
     row_normalize_features: bool = True
 
     def validate(self):
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
-        if self.hidden_dim < 1:
-            raise ValueError("hidden_dim must be >= 1")
+        """Raise ValueError unless every field has its type and range.
+
+        Counts must be integers, and rates and scales finite numbers.
+        """
+        for name, low in (("depth", 1), ("hidden_dim", 1), ("max_epochs", 1), ("patience", 1),
+                          ("lora_rank", 1), ("seed", 0)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low:
+                raise ValueError(f"{name} must be an integer >= {low}, not {v!r}")
+        for name in ("lr", "weight_decay", "dropout_p", "lora_alpha", "lora_lr", "pairnorm_s"):
+            v = getattr(self, name)
+            if v is None and name in ("dropout_p", "lora_alpha", "lora_lr"):
+                continue
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+                raise ValueError(f"{name} must be a finite number, not {v!r}")
+        for name in ("merge_adapters", "use_lora", "row_normalize_features"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be >= 0")
         if self.dropout_p is not None and not 0.0 <= self.dropout_p < 1.0:
             raise ValueError("dropout_p outside [0, 1)")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
-        if not 1 <= self.patience <= self.max_epochs:
+        if self.patience > self.max_epochs:
             raise ValueError("patience must be in [1, max_epochs]")
-        if self.lora_rank < 1:
-            raise ValueError("lora_rank must be >= 1")
+        if self.lora_lr is not None and self.lora_lr <= 0:
+            raise ValueError("lora_lr must be positive")
+        if self.pairnorm_s <= 0:
+            raise ValueError("pairnorm_s must be positive")
         if self.loss_reduction not in ("mean", "sum"):
             raise ValueError("loss_reduction must be 'mean' or 'sum'")
         if self.new_layer_init not in ("identity", "glorot"):
@@ -228,13 +244,13 @@ def _target(data, rows=None):
             np.searchsorted(rows, splits.val))
 
 
-def _test_and_collapse(stack, data, L, Xp, LX=None):
+def _test_and_collapse(stack, data, L, Xp, plan=None):
     """Test accuracy and collapse report of the final model, from one forward.
 
-    ``Xp`` is the prepared input and ``LX`` is as in ``stack_forward``, so
-    both match ``evaluate`` and ``collapse_report`` bitwise.
+    ``Xp`` is the prepared input and ``plan`` may only hoist layer 0's
+    propagation, so both match ``evaluate`` and ``collapse_report`` bitwise.
     """
-    logits, hidden = ly.stack_forward(stack, L, Xp, prepared=True, LX=LX,
+    logits, hidden = ly.stack_forward(stack, L, Xp, prepared=True, plan=plan,
                                       return_hidden=True)
     return (_accuracy(logits.data, data.labels, data.splits.test),
             collapse_from_hidden(hidden, data.adjacency))
@@ -305,21 +321,22 @@ def _fit(forward, mutable, groups, target, cfg, dropout_p):
     )
 
 
-def _build_standard_stack(data, cfg, variant, rng, dropout_p):
+def _build_standard_stack(data, cfg, variant, rng, dropout_p, depth):
+    """A freshly initialised depth-``depth`` stack; draws the input layer, then the head."""
     d, dtype = cfg.hidden_dim, np.float32
     if variant == "sgc":
         return ly.LayerStack(
             input_layer=None,
             head=Tensor(ly.glorot_init(data.f, data.C, rng, dtype), requires_grad=True),
             dropout_p=dropout_p,
-            sgc_steps=cfg.depth,
+            sgc_steps=depth,
             row_normalize=cfg.row_normalize_features,
         ).check()
     stack = ly.LayerStack(
         input_layer=ly.GcnLayer(Tensor(ly.glorot_init(data.f, d, rng, dtype), requires_grad=True)),
         hidden_layers=[
             ly.GcnLayer(Tensor(ly.glorot_init(d, d, rng, dtype), requires_grad=True))
-            for _ in range(cfg.depth - 1)
+            for _ in range(depth - 1)
         ],
         head=Tensor(ly.glorot_init(d, data.C, rng, dtype), requires_grad=True),
         dropout_p=dropout_p,
@@ -330,31 +347,29 @@ def _build_standard_stack(data, cfg, variant, rng, dropout_p):
 
 
 def train_standard(data, cfg, variant="gcn"):
-    """Train the whole depth-K model jointly, with early stopping on val accuracy."""
+    """Train the whole depth-K model jointly, with early stopping on val accuracy.
+
+    The propagation-only baseline propagates its features once per call; a
+    GCN at dropout 0 computes its input layer's ``L @ X`` once per call.
+    """
     cfg.validate()
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     rng = np.random.default_rng(cfg.seed)
     L = normalized_laplacian(data.adjacency)
     dropout_p = cfg.resolved_dropout("standard", variant)
-    stack = _build_standard_stack(data, cfg, variant, rng, dropout_p)
+    stack = _build_standard_stack(data, cfg, variant, rng, dropout_p, cfg.depth)
     Xp = ly.prepare_features(stack, data.X)
-
     if variant == "sgc":
-        # propagation is parameter-free, so hoist it out of the epoch loop
-        P = ly.sgc_propagate(L, Xp, cfg.depth)
-        LX = None
-
-        def forward(training):
-            h = ly.dropout(Tensor(P), stack.dropout_p, training, rng)
-            return ad.matmul(h, stack.head)
+        plan = ly.ForwardPlan(inp=ly.sgc_propagate(L, Xp, cfg.depth))
+    elif dropout_p == 0.0:
+        plan = ly.ForwardPlan(inp=ad.spmm(L, Tensor(Xp)).data)
     else:
-        # without dropout the input layer's propagation is the same every epoch
-        LX = ad.spmm(L, Tensor(Xp)).data if dropout_p == 0.0 else None
+        plan = None
 
-        def forward(training):
-            return ly.stack_forward(stack, L, Xp, training=training, rng=rng, prepared=True,
-                                    LX=LX)
+    def forward(training):
+        return ly.stack_forward(stack, L, Xp, training=training, rng=rng, prepared=True,
+                                plan=plan)
 
     params = stack.trainable_parameters()
     groups = [{"params": params, "lr": cfg.lr, "weight_decay": cfg.weight_decay}]
@@ -362,7 +377,9 @@ def train_standard(data, cfg, variant="gcn"):
     stage = _fit(forward, params, groups, _target(data), cfg, stack.dropout_p)
     stage.wall_clock_seconds = time.perf_counter() - t0
 
-    test_acc, collapse = _test_and_collapse(stack, data, L, Xp, LX)
+    # the collapse report reads every propagation hop, which the SGC plan skips
+    test_acc, collapse = _test_and_collapse(stack, data, L, Xp,
+                                            None if variant == "sgc" else plan)
     return stack, TrainReport(
         stages=[stage],
         test_acc=test_acc,
@@ -423,89 +440,36 @@ def _row_cone(stack, L, data, hops):
     return RowCone(L, np.union1d(data.splits.train, data.splits.val), hops)
 
 
-def _take_rows(a, rows):
-    """``a[rows]``, or ``a`` itself when ``rows`` covers every row."""
-    return a if rows.size == a.shape[0] else a[rows]
+def _stage_plan(stack, L, Xp, LX, cone):
+    """The ``ForwardPlan`` of one stage, or None under dropout (which redraws its masks).
 
-
-def _stage_caches(stack, L, Xp, LX=None, cone=None):
-    """Constant work that can be hoisted out of a stage's epoch loop.
-
-    With dropout off, every leading layer that is frozen *without* an adapter
-    produces the same features all stage long, and for the first frozen layer
-    *with* an adapter both S = L @ H and C = S @ W0 are constant, leaving only
-    the low-rank path S @ A @ B to rebuild per epoch. Invalid (and skipped)
-    when dropout is active. ``LX``, if given, is ``L @ Xp`` computed once per
-    training call, as in ``stack_forward``; it is valid only at dropout 0, and
-    stands in for layer 0's propagation.
-
-    ``cone``, a ``RowCone``, restricts the stage's forward to the cone's rows
-    (dropout 0 and no PairNorm only, since PairNorm centres over every row).
-    The constants are sliced to those rows here, once per stage: the frozen
-    prefix's output, S and C, and LX while layer 0 still trains.
+    The leading layers that are frozen without an adapter give the same
+    features all stage long, so the plan starts at the first layer that
+    trains or has an adapter, from its input ``L @ H`` formed here once per
+    stage (``LX = L @ Xp`` is formed once per call, or here when None), plus
+    ``C`` for an adapter. A ``cone`` (not for PairNorm, which centres over
+    every row) restricts the plan's constants and forward to its rows.
     """
-    layers = stack.conv_layers()
     if cone is not None and stack.pairnorm is not None:
         raise ValueError("a row cone cannot restrict a stack with PairNorm")
     if stack.dropout_p > 0.0:
-        return {"prefix_out": Xp, "start": 0, "split": None, "LX": None, "cone": None}
-    h = Tensor(Xp)
-    i = 0
-    while i < len(layers) and layers[i].mode is ly.LayerMode.FROZEN:
-        h = ly.gcn_forward(L, h, layers[i], LX if i == 0 else None)
-        if stack.pairnorm is not None:
-            h = ly.pairnorm(h, stack.pairnorm)
-        i += 1
-    # the layer k hops below the output writes rows(k) and reads rows(k + 1)
-    top = len(layers) - 1
-
-    def rows(a, hop):
-        return a if cone is None else _take_rows(a, cone.rows(hop))
-
-    split = None
-    if i < len(layers) and layers[i].mode is ly.LayerMode.FROZEN_LORA:
-        S = rows(LX if i == 0 and LX is not None else ad.spmm(L, h).data, top - i)
-        split = {"layer": i, "S": S, "C": S @ layers[i].W.data}
-        i += 1
-    # each epoch reads one of these: the split, layer 0's LX, or the prefix's output
-    caches = {"prefix_out": None, "start": i, "split": split, "LX": None, "cone": cone}
-    if split is None:
-        if i == 0 and LX is not None:
-            caches["LX"] = rows(LX, top)
-        else:
-            caches["prefix_out"] = rows(h.data, top - i + 1)
-    return caches
-
-
-def _stage_forward(stack, L, caches, training, rng):
-    """The stage's forward from ``_stage_caches``, on the cone's rows if it has one.
-
-    Without a cone the logits cover every node; with one they cover
-    ``cone.rows(0)``, and the layer k hops below the output multiplies by
-    ``cone.op(k)`` in place of ``L``.
-    """
+        return None
     layers = stack.conv_layers()
-    cone, top = caches["cone"], len(layers) - 1
-    sp = caches["split"]
-    if sp is None:
-        h = None if caches["prefix_out"] is None else Tensor(caches["prefix_out"])
-    else:
-        layer = layers[sp["layer"]]
-        delta = ad.scale(
-            ad.matmul(ad.matmul(Tensor(sp["S"]), layer.adapter.A), layer.adapter.B),
-            layer.adapter.scaling,
-        )
-        h = ad.relu(ad.add(Tensor(sp["C"]), delta))
+    inp = ad.spmm(L, Tensor(Xp)).data if LX is None else LX
+    start = 0
+    while start < len(layers) - 1 and layers[start].mode == "frozen":
+        h = ad.relu(ad.matmul(Tensor(inp), layers[start].W))
         if stack.pairnorm is not None:
             h = ly.pairnorm(h, stack.pairnorm)
-    for i, layer in enumerate(layers[caches["start"]:], caches["start"]):
-        h = ly.dropout(h, stack.dropout_p, training, rng)
-        op = L if cone is None else cone.op(top - i)
-        h = ly.gcn_forward(op, h, layer, caches["LX"] if i == 0 else None)
-        if stack.pairnorm is not None:
-            h = ly.pairnorm(h, stack.pairnorm)
-    h = ly.dropout(h, stack.dropout_p, training, rng)
-    return ad.matmul(h, stack.head)
+        inp = ad.spmm(L, h).data
+        start += 1
+    if cone is not None:
+        # the layer k hops below the output writes cone.rows(k)
+        rows = cone.rows(len(layers) - 1 - start)
+        inp = inp if rows.size == inp.shape[0] else inp[rows]
+    layer = layers[start]
+    C = None if layer.adapter is None else inp @ layer.W.data
+    return ly.ForwardPlan(start, inp, C, cone)
 
 
 def train_lgt(data, cfg, variant="gcn", on_stage_start=None, on_stage_end=None):
@@ -517,13 +481,16 @@ def train_lgt(data, cfg, variant="gcn", on_stage_start=None, on_stage_end=None):
     head, and the adapters. Adapters are folded into their frozen weights at
     stage end when cfg.merge_adapters is set.
 
-    At dropout 0 and without PairNorm, each stage computes only the rows its
-    loss and val accuracy read: a ``RowCone`` built once per call from the
-    train and val nodes gives the rows each layer needs, and ``_stage_caches``
-    slices the stage's constants to them. The results equal the full
-    forward's up to rounding: weight gradients sum over fewer rows, and BLAS
-    may round a dense product's rows differently for a shorter matrix. The
-    final test accuracy and collapse report come from one full forward.
+    At dropout 0 each stage runs ``stack_forward`` with the plan of
+    ``_stage_plan``: it starts at the first layer that trains or has an
+    adapter, from that layer's propagated input, computed once per stage.
+    Without PairNorm it also computes only the rows its loss and val
+    accuracy read: a ``RowCone`` built once per call from the train and val
+    nodes gives the rows each layer needs, and the plan holds its constants
+    on those rows. The results equal the full forward's up to rounding:
+    weight gradients sum over fewer rows, and BLAS may round a dense
+    product's rows differently for a shorter matrix. The final test accuracy
+    and collapse report come from one full forward.
 
     Callbacks, both optional, fire inside each stage: ``on_stage_start(stage,
     stack, L, Xp)`` after growth but before any optimizer step, and
@@ -539,13 +506,7 @@ def train_lgt(data, cfg, variant="gcn", on_stage_start=None, on_stage_end=None):
     d, dtype = cfg.hidden_dim, np.float32
     dropout_p = cfg.resolved_dropout("lgt")
 
-    stack = ly.LayerStack(
-        input_layer=ly.GcnLayer(Tensor(ly.glorot_init(data.f, d, rng, dtype), requires_grad=True)),
-        head=Tensor(ly.glorot_init(d, data.C, rng, dtype), requires_grad=True),
-        dropout_p=dropout_p,
-        pairnorm=ly.PairNormConfig(cfg.pairnorm_s) if variant == "gcn+pairnorm" else None,
-        row_normalize=cfg.row_normalize_features,
-    ).check()
+    stack = _build_standard_stack(data, cfg, variant, rng, dropout_p, 1)
     Xp = ly.prepare_features(stack, data.X)
     # every stage starts from the same L @ Xp while no dropout precedes layer 0
     LX = ad.spmm(L, Tensor(Xp)).data if dropout_p == 0.0 else None
@@ -584,10 +545,11 @@ def train_lgt(data, cfg, variant="gcn", on_stage_start=None, on_stage_end=None):
             groups.append({"params": adapters, "lr": cfg.resolved_lora_lr(),
                            "weight_decay": 0.0})
 
-        caches = _stage_caches(stack, L, Xp, LX, cone)
+        plan = _stage_plan(stack, L, Xp, LX, cone)
 
         def forward(training):
-            return _stage_forward(stack, L, caches, training, rng)
+            return ly.stack_forward(stack, L, Xp, training=training, rng=rng, prepared=True,
+                                    plan=plan)
 
         t0 = time.perf_counter()
         stage = _fit(forward, main + adapters, groups, target, cfg, stack.dropout_p)
@@ -603,7 +565,8 @@ def train_lgt(data, cfg, variant="gcn", on_stage_start=None, on_stage_end=None):
         new_layer.freeze()
 
     total = time.perf_counter() - t_total
-    test_acc, collapse = _test_and_collapse(stack, data, L, Xp, LX)
+    test_acc, collapse = _test_and_collapse(stack, data, L, Xp,
+                                            None if LX is None else ly.ForwardPlan(inp=LX))
     return stack, TrainReport(
         stages=stages,
         test_acc=test_acc,

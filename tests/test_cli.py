@@ -5,12 +5,12 @@ from argparse import Namespace
 import numpy as np
 import pytest
 
-from growgcn import DataError, load_bundle, load_checkpoint
+from growgcn import DataError, generate_sbm, load_bundle, load_checkpoint, save_bundle
+from growgcn.data import load_planetoid
 from growgcn.cli import (
     UsageError,
     _parse_sbm_spec,
     build_train_config,
-    load_planetoid,
     main,
     read_config_file,
 )
@@ -97,6 +97,15 @@ class TestPrepare:
                    "--out", str(tmp_path / "x")])
         assert rc == 1
         assert "p_out <= p_in" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, match", [
+        (["--classes", "1"], "at least 2 classes"),
+        (["--classes", "4", "--f", "3"], "need f >= classes"),
+    ])
+    def test_sbm_bad_shape_is_usage_error(self, tmp_path, capsys, flags, match):
+        rc = main(["prepare", "sbm", *flags, "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert match in capsys.readouterr().err
 
 
 def write_planetoid_files(tmp_path):
@@ -228,6 +237,61 @@ class TestTrainCommand:
         assert "lora rank 9 exceeds min(feature dim, hidden dim) = 8" in err
         assert "lower --rank or raise --hidden-dim" in err
         assert not (tmp_path / "x").exists()
+
+
+def _prefix(raw):
+    """An edit that puts a byte which is not UTF-8 before a file's contents."""
+    return lambda old: raw + old
+
+
+# id: (exit code, extra train flags, {file under tmp_path: bytes or edit of old bytes})
+EXIT_CASES = {
+    "depth-0": (1, ["--depth", "0"], {}),
+    "rank-negative": (1, ["--rank", "-1"], {}),
+    "hidden-dim-0": (1, ["--hidden-dim", "0"], {}),
+    "config-rank-negative": (1, ["--config", "run.cfg"], {"run.cfg": b"lora_rank = -1\n"}),
+    "config-hidden-dim-inf": (1, ["--config", "run.cfg", "--rank", "2"],
+                              {"run.cfg": b"hidden_dim = 1e999\n"}),
+    "lr-nan": (1, ["--lr", "nan", "--rank", "2"], {}),
+    "pairnorm-s-0": (1, ["--variant", "gcn+pairnorm", "--pairnorm-s", "0", "--rank", "2"], {}),
+    "seed-negative": (1, ["--seed", "-1", "--rank", "2"], {}),
+    "config-repeats-text": (1, ["--config", "run.cfg"], {"run.cfg": b"repeats = many\n"}),
+    "config-not-utf8": (2, ["--config", "run.cfg"], {"run.cfg": b"depth = \xff2\n"}),
+    **{f"{name}-not-utf8": (2, [], {f"bundle/{name}": _prefix(b"\xff")})
+       for name in ("meta.json", "edges.tsv", "features.csv", "labels.txt", "splits.json")},
+    "meta-json-list": (2, [], {"bundle/meta.json": b"[120, 8, 3]"}),
+    "splits-json-list": (2, [], {"bundle/splits.json": b"[[0], [1], [2]]"}),
+    "split-index-infinite": (2, [], {"bundle/splits.json":
+                                     b'{"train": [1e999], "val": [1], "test": [2]}'}),
+    "split-index-fraction": (2, [], {"bundle/splits.json":
+                                     b'{"train": [0.5], "val": [1], "test": [2]}'}),
+}
+
+
+class TestExitCodes:
+    """Bad hyperparameters exit 1 and bad input files exit 2, never a traceback."""
+
+    @pytest.mark.parametrize("case", list(EXIT_CASES))
+    def test_train_exit_code(self, tmp_path, capsys, case):
+        code, flags, files = EXIT_CASES[case]
+        save_bundle(generate_sbm(3, 40, 0.1, 0.01, f=8, signal=2.0, seed=0),
+                    tmp_path / "bundle")
+        for name, content in files.items():
+            path = tmp_path / name
+            path.write_bytes(content(path.read_bytes()) if callable(content) else content)
+        flags = [str(tmp_path / f) if f == "run.cfg" else f for f in flags]
+        rc = main(["train", "--data", str(tmp_path / "bundle"), "--trainer", "lgt",
+                   "--max-epochs", "4", "--patience", "4", "--out", str(tmp_path / "x"),
+                   *flags])
+        assert rc == code
+        assert capsys.readouterr().err.startswith(("error:", "data error:")[code - 1])
+
+    def test_planetoid_not_utf8(self, tmp_path):
+        content, cites = write_planetoid_files(tmp_path)
+        content.write_bytes(b"\xff" + content.read_bytes())
+        rc = main(["prepare", "planetoid", "--content", str(content), "--cites", str(cites),
+                   "--out", str(tmp_path / "bundle")])
+        assert rc == 2
 
 
 class TestEvalAndExport:

@@ -3,7 +3,6 @@ import pytest
 
 from growgcn import (
     GcnLayer,
-    LayerMode,
     LayerStack,
     PairNormConfig,
     Tensor,
@@ -87,12 +86,6 @@ class TestLoraAdapter:
 
 
 class TestGcnLayer:
-    def test_mode_weight_consistency(self):
-        with pytest.raises(ValueError, match="must require grad"):
-            GcnLayer(Tensor(np.eye(3), requires_grad=False))
-        with pytest.raises(ValueError, match="must not require grad"):
-            GcnLayer(Tensor(np.eye(3), requires_grad=True), mode=LayerMode.FROZEN)
-
     def test_adapter_mode_consistency(self):
         adp = make_adapter(3, 3, 1, None, np.random.default_rng(0))
         with pytest.raises(ValueError, match="adapter"):
@@ -106,13 +99,13 @@ class TestGcnLayer:
         layer.adapter.B.data = rng.standard_normal((2, 5)).astype(np.float32) * 0.3
         eff = layer.effective_weight().data.copy()
         layer.merge_adapter()
-        assert layer.adapter is None and layer.mode is LayerMode.FROZEN
+        assert layer.adapter is None and layer.mode == "frozen"
         assert np.array_equal(layer.W.data, eff)
 
     def test_freeze_drops_grad_flag(self):
         layer = GcnLayer(Tensor(np.eye(3, dtype=np.float32), requires_grad=True))
         layer.freeze()
-        assert layer.mode is LayerMode.FROZEN and not layer.W.requires_grad
+        assert layer.mode == "frozen" and not layer.W.requires_grad
 
 
 class TestPairNorm:
@@ -279,7 +272,7 @@ class TestLayerStack:
         L = normalized_laplacian(path3)
         rng = np.random.default_rng(9)
         w_in = Tensor(glorot_init(3, 4, rng, np.float64), requires_grad=True)
-        frozen = GcnLayer(Tensor(glorot_init(4, 4, rng, np.float64)), mode=LayerMode.FROZEN)
+        frozen = GcnLayer(Tensor(glorot_init(4, 4, rng, np.float64)))
         frozen.attach_adapter(make_adapter(4, 4, 2, None, rng, np.float64))
         frozen.adapter.B.data = rng.standard_normal((2, 4)) * 0.2
         head = Tensor(glorot_init(4, 3, rng, np.float64), requires_grad=True)

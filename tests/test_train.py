@@ -11,7 +11,6 @@ from growgcn import (
     Adam,
     EarlyStopper,
     GcnLayer,
-    LayerMode,
     LayerStack,
     NumericalAbort,
     Splits,
@@ -38,8 +37,7 @@ from growgcn.train import (
     _accuracy,
     _restore,
     _snapshot,
-    _stage_caches,
-    _stage_forward,
+    _stage_plan,
     adam_step,
 )
 
@@ -147,6 +145,11 @@ class TestConfig:
             dict(dropout_p=1.0), dict(max_epochs=0), dict(patience=0),
             dict(max_epochs=10, patience=11), dict(lora_rank=0),
             dict(loss_reduction="median"), dict(new_layer_init="zeros"),
+            # counts are integers, rates and scales finite, switches booleans
+            dict(depth=2.0), dict(depth=True), dict(hidden_dim=float("inf")),
+            dict(seed=-1), dict(lr=float("nan")), dict(weight_decay=float("inf")),
+            dict(lora_alpha=float("nan")), dict(lora_lr=0.0), dict(pairnorm_s=0.0),
+            dict(lr=None), dict(use_lora=3),
         ]
         for kw in bad:
             with pytest.raises(ValueError):
@@ -255,7 +258,7 @@ class TestLgtTrainer:
         assert len(report.stages) == 3
         assert report.total_epochs == sum(s.epochs_run for s in report.stages)
         # merge on: every layer is plain frozen, only the head stays trainable
-        assert all(l.mode is LayerMode.FROZEN for l in stack.conv_layers())
+        assert all(l.mode == "frozen" for l in stack.conv_layers())
         assert stack.trainable_parameters() == [stack.head]
 
     def test_trainable_counts_per_stage(self, tiny_dataset):
@@ -298,7 +301,7 @@ class TestLgtTrainer:
         for i, layer in enumerate(stack.conv_layers()):
             assert np.array_equal(layer.W.data, frozen_at[i])
         # adapters persist on every layer that ever got one
-        assert all(l.mode is LayerMode.FROZEN_LORA for l in stack.conv_layers()[:-1])
+        assert all(l.mode == "frozen_lora" for l in stack.conv_layers()[:-1])
         assert stack.conv_layers()[-1].adapter is None
 
     def test_merge_accounting_bitwise(self, tiny_dataset):
@@ -359,9 +362,9 @@ class TestLgtTrainer:
 
 class TestStageCaches:
     def _lora_stack(self, f, d, c, rng, zero_b):
-        inp = GcnLayer(Tensor(glorot_init(f, d, rng, np.float64)), mode=LayerMode.FROZEN)
-        mid = GcnLayer(Tensor(glorot_init(d, d, rng, np.float64)), mode=LayerMode.FROZEN)
-        mid.attach_adapter(make_adapter(d, d, 2, None, rng, np.float64))
+        inp = GcnLayer(Tensor(glorot_init(f, d, rng, np.float64)))
+        mid = GcnLayer(Tensor(glorot_init(d, d, rng, np.float64)))
+        mid.attach_adapter(make_adapter(d, d, 2, 3.0, rng, np.float64))
         if not zero_b:
             mid.adapter.B.data = rng.standard_normal((2, d)) * 0.1
         new = GcnLayer(Tensor(ly.identity_init(d, np.float64), requires_grad=True))
@@ -374,9 +377,10 @@ class TestStageCaches:
         stack = self._lora_stack(tiny_dataset.f, 6, tiny_dataset.C, rng, zero_b=True)
         L = normalized_laplacian(tiny_dataset.adjacency)
         Xp = ly.prepare_features(stack, tiny_dataset.X)
-        caches = _stage_caches(stack, L, Xp)
-        assert caches["start"] == 2 and caches["split"]["layer"] == 1
-        fast = _stage_forward(stack, L, caches, False, None).data
+        plan = _stage_plan(stack, L, Xp, None, None)
+        # the frozen input layer is folded into the plan; layer 1 starts from S and C
+        assert plan.start == 1 and plan.C is not None
+        fast = ly.stack_forward(stack, L, Xp, prepared=True, plan=plan).data
         plain = ly.stack_forward(stack, L, Xp, prepared=True).data
         assert np.array_equal(fast, plain)
 
@@ -385,8 +389,8 @@ class TestStageCaches:
         stack = self._lora_stack(tiny_dataset.f, 6, tiny_dataset.C, rng, zero_b=False)
         L = normalized_laplacian(tiny_dataset.adjacency)
         Xp = ly.prepare_features(stack, tiny_dataset.X)
-        caches = _stage_caches(stack, L, Xp)
-        fast = _stage_forward(stack, L, caches, False, None).data
+        plan = _stage_plan(stack, L, Xp, None, None)
+        fast = ly.stack_forward(stack, L, Xp, prepared=True, plan=plan).data
         plain = ly.stack_forward(stack, L, Xp, prepared=True).data
         assert np.allclose(fast, plain, rtol=1e-9, atol=1e-12)
 
@@ -396,8 +400,7 @@ class TestStageCaches:
         stack.dropout_p = 0.4
         L = normalized_laplacian(tiny_dataset.adjacency)
         Xp = ly.prepare_features(stack, tiny_dataset.X)
-        caches = _stage_caches(stack, L, Xp)
-        assert caches["start"] == 0 and caches["split"] is None
+        assert _stage_plan(stack, L, Xp, None, None) is None
 
 
 def _random_stage_stack(rng, f, d, c, stage, pairnorm, lora, merged):
@@ -407,10 +410,9 @@ def _random_stage_stack(rng, f, d, c, stage, pairnorm, lora, merged):
     """
     frozen = []
     for i in range(stage - 1):
-        layer = GcnLayer(Tensor(glorot_init(f if i == 0 else d, d, rng, np.float64)),
-                         mode=LayerMode.FROZEN)
+        layer = GcnLayer(Tensor(glorot_init(f if i == 0 else d, d, rng, np.float64)))
         if lora:
-            layer.attach_adapter(make_adapter(layer.d_in, d, 2, None, rng, np.float64))
+            layer.attach_adapter(make_adapter(layer.d_in, d, 2, 3.0, rng, np.float64))
             layer.adapter.B.data = rng.standard_normal((2, d)) * 0.1
             if merged[i]:
                 layer.merge_adapter()
@@ -435,7 +437,7 @@ def _loss_and_grads(stack, logits, labels, train_idx):
 
 
 class TestCachedForwardOracle:
-    """The stage caches and the hoisted L @ Xp against plain ``stack_forward``."""
+    """The stage plan and the hoisted L @ Xp against plain ``stack_forward``."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -459,12 +461,14 @@ class TestCachedForwardOracle:
         plain = _loss_and_grads(
             stack, ly.stack_forward(stack, L, Xp, training=True, prepared=True),
             labels, train_idx)
-        caches = _stage_caches(stack, L, Xp, LX)
-        # from stage 2 on, layer 0 is frozen and leaves the per-epoch forward
-        assert (caches["start"] > 0) == (stage > 1)
+        plan = _stage_plan(stack, L, Xp, LX, None)
+        # from stage 2 on, layer 0 is frozen and leaves the per-epoch forward:
+        # the plan starts past it, or its product with W0 is the plan's C
+        assert (plan.start > 0 or plan.C is not None) == (stage > 1)
         fast = {
-            "cached": _stage_forward(stack, L, caches, True, None),
-            "standard": ly.stack_forward(stack, L, Xp, training=True, prepared=True, LX=LX),
+            "cached": ly.stack_forward(stack, L, Xp, training=True, prepared=True, plan=plan),
+            "standard": ly.stack_forward(stack, L, Xp, training=True, prepared=True,
+                                         plan=ly.ForwardPlan(inp=LX)),
         }
         for name, logits in fast.items():
             loss, grads = _loss_and_grads(stack, logits, labels, train_idx)
@@ -472,18 +476,17 @@ class TestCachedForwardOracle:
             for g, g_ref in zip(grads, plain[1], strict=True):
                 np.testing.assert_allclose(g, g_ref, rtol=1e-9, atol=1e-12, err_msg=name)
 
-    def test_lx_rejected_where_dropout_precedes_input_layer(self, tiny_dataset):
+    def test_input_plan_matches_plain_eval_forward(self, tiny_dataset):
         rng = np.random.default_rng(0)
         stack = _random_stage_stack(rng, tiny_dataset.f, 4, 2, 1, False, False, [])
         stack.dropout_p = 0.5
         L = normalized_laplacian(tiny_dataset.adjacency)
         Xp = ly.prepare_features(stack, tiny_dataset.X)
-        LX = ad.spmm(L, Tensor(Xp)).data
-        with pytest.raises(ValueError, match="LX"):
-            ly.stack_forward(stack, L, Xp, training=True, rng=rng, prepared=True, LX=LX)
-        # an eval forward applies no dropout, so LX stands in exactly
+        plan = ly.ForwardPlan(inp=ad.spmm(L, Tensor(Xp)).data)
+        # an eval forward applies no dropout, so L @ Xp stands in exactly; the
+        # trainers pass no plan under training dropout
         assert np.array_equal(
-            ly.stack_forward(stack, L, Xp, prepared=True, LX=LX).data,
+            ly.stack_forward(stack, L, Xp, prepared=True, plan=plan).data,
             ly.stack_forward(stack, L, Xp, prepared=True).data)
 
 
@@ -619,15 +622,23 @@ class TestInputPropagationOnce:
             spmm_calls[0] += 1
             return spmm(s, x)
 
+        stack_fwd = ly.stack_forward
+
+        def recomputing_forward(stack, L, Xp, *, plan=None, **kw):
+            # a plan that starts at layer 0 holds L @ Xp (on the cone's rows, and
+            # with C = (L @ Xp) @ W0 for an adapter); form both anew on every call
+            if plan is not None and plan.start == 0 and stack.conv_layers():
+                inp = ad.spmm(L, Tensor(Xp)).data
+                if plan.cone is not None:
+                    inp = inp[plan.cone.rows(len(stack.conv_layers()) - 1)]
+                C = None if plan.C is None else inp @ stack.input_layer.W.data
+                plan = ly.ForwardPlan(0, inp, C, plan.cone)
+            return stack_fwd(stack, L, Xp, plan=plan, **kw)
+
         with monkeypatch.context() as m:
             m.setattr(ad, "spmm", counting_spmm)
             if not hoist:
-                # the oracle recomputes L @ Xp on every forward
-                caches, stack_fwd = gtrain._stage_caches, ly.stack_forward
-                m.setattr(gtrain, "_stage_caches",
-                          lambda stack, L, Xp, LX=None, cone=None:
-                          caches(stack, L, Xp, None, cone))
-                m.setattr(ly, "stack_forward", lambda *a, LX=None, **kw: stack_fwd(*a, **kw))
+                m.setattr(ly, "stack_forward", recomputing_forward)
             stack, report = train(data, cfg, trainer=trainer, variant=variant)
         return stack, report, spmm_calls[0]
 
@@ -648,8 +659,8 @@ class TestInputPropagationOnce:
         assert r_new == r_ref
         for a, b in zip(s_new.parameters(), s_ref.parameters(), strict=True):
             assert np.array_equal(a.data, b.data)
-        # the oracle forms L @ Xp in stage 1's every forward and at every stage's
-        # cache; the hoist forms it once
+        # the oracle forms L @ Xp in every forward that starts at layer 0; the
+        # hoist forms it once per call
         assert calls_new < calls_ref
 
 
@@ -702,7 +713,8 @@ class TestRowConeOracle:
         plain_logits = ly.stack_forward(stack, L, Xp, training=True, prepared=True)
         plain = _loss_and_grads(stack, plain_logits, labels, train_idx)
         LX = ad.spmm(L, Tensor(Xp)).data if use_lx else None
-        logits = _stage_forward(stack, L, _stage_caches(stack, L, Xp, LX, cone), True, None)
+        logits = ly.stack_forward(stack, L, Xp, training=True, prepared=True,
+                                  plan=_stage_plan(stack, L, Xp, LX, cone))
         assert logits.data.shape == (start.size, c)
         np.testing.assert_allclose(logits.data, plain_logits.data[start], rtol=1e-12,
                                    atol=1e-12)
@@ -719,7 +731,7 @@ class TestRowConeOracle:
         L = normalized_laplacian(tiny_dataset.adjacency)
         Xp = ly.prepare_features(stack, tiny_dataset.X)
         with pytest.raises(ValueError, match="PairNorm"):
-            _stage_caches(stack, L, Xp, None, RowCone(L, [0], 2))
+            _stage_plan(stack, L, Xp, None, RowCone(L, [0], 2))
 
 
 def _sparse_split_bundle():
@@ -735,20 +747,25 @@ class TestRestrictedTrainer:
 
     @staticmethod
     def _run(monkeypatch, data, cfg, variant, restrict):
-        flops = [0]
-        spmm = ad.spmm
+        flops = {"spmm": 0, "matmul": 0}
+        spmm, matmul = ad.spmm, ad.matmul
 
         def counting_spmm(s, x):
-            flops[0] += 2 * s.nnz * x.data.shape[1]
+            flops["spmm"] += 2 * s.nnz * x.data.shape[1]
             return spmm(s, x)
+
+        def counting_matmul(x, w):
+            flops["matmul"] += 2 * x.data.shape[0] * x.data.shape[1] * w.data.shape[1]
+            return matmul(x, w)
 
         with monkeypatch.context() as m:
             m.setattr(ad, "spmm", counting_spmm)
+            m.setattr(ad, "matmul", counting_matmul)
             if not restrict:
                 # the oracle: every stage runs the forward over every node
                 m.setattr(gtrain, "_row_cone", lambda *a: None)
             stack, report = train_lgt(data, cfg, variant)
-        return stack, report, flops[0]
+        return stack, report, flops
 
     @pytest.mark.parametrize("variant, dropout_p, use_lora, merge", [
         ("gcn", None, True, True),
@@ -782,11 +799,20 @@ class TestRestrictedTrainer:
             assert r_new == r_ref
             assert flops_new == flops_ref
         else:
-            assert flops_new < flops_ref
+            # without LoRA each stage starts at its new layer from a propagated
+            # input, so neither side runs a per-epoch spmm; the cone still
+            # shortens every dense product
+            assert flops_new["matmul"] < flops_ref["matmul"]
+            if use_lora:
+                assert flops_new["spmm"] < flops_ref["spmm"]
 
 
 class TestFinalForward:
-    """The final test accuracy and collapse report come from one ``stack_forward``."""
+    """The final test accuracy and collapse report come from one ``stack_forward``.
+
+    Training forwards go through ``stack_forward`` too: with a plan at dropout
+    0, and without one under dropout.
+    """
 
     @pytest.mark.parametrize("trainer, variant, dropout_p", [
         ("lgt", "gcn", None),
@@ -799,11 +825,13 @@ class TestFinalForward:
                                                   variant, dropout_p):
         cfg = TrainConfig(depth=3, hidden_dim=8, lora_rank=2, max_epochs=10, patience=4,
                           dropout_p=dropout_p, seed=2)
-        calls = [0]
+        calls = {"all": 0, "plan-less": 0, "return_hidden": 0}
         stack_fwd = ly.stack_forward
 
         def counting_forward(*a, **kw):
-            calls[0] += 1
+            calls["all"] += 1
+            calls["plan-less"] += kw.get("plan") is None
+            calls["return_hidden"] += bool(kw.get("return_hidden"))
             return stack_fwd(*a, **kw)
 
         with monkeypatch.context() as m:
@@ -813,9 +841,11 @@ class TestFinalForward:
         assert report.test_acc == evaluate(stack, small_sbm, small_sbm.splits.test)
         assert report.collapse == collapse_report(stack, small_sbm)
         epochs = report.total_epochs
-        if trainer == "lgt" or variant == "sgc":
-            assert calls[0] == 1
-        elif stack.dropout_p == 0.0:
-            assert calls[0] == epochs + 2
+        assert calls["return_hidden"] == 1
+        if stack.dropout_p == 0.0:
+            # one training forward per stage plus one per epoch, then the final one
+            assert calls["all"] == epochs + len(report.stages) + 1
+            # the final forward of the propagation-only stack reads every hop
+            assert calls["plan-less"] == (variant == "sgc")
         else:
-            assert calls[0] == 2 * epochs + 1
+            assert calls["all"] == calls["plan-less"] == 2 * epochs + 1
