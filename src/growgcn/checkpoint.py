@@ -21,8 +21,6 @@ from .errors import DataError
 from . import layers as ly
 
 MAGIC = b"GCNSTCK1"
-# GcnLayer.mode's values: the state of each conv layer
-MODES = ("trainable", "frozen", "frozen_lora")
 
 
 def _header(stack):
@@ -107,7 +105,7 @@ def _stack_from(header, blob, offset, path):
     conv = []
     for i, entry in enumerate(header["layers"]):
         mode = entry["mode"]
-        if mode not in MODES:
+        if mode not in ly.MODES:
             raise DataError(f"unknown layer mode {mode!r}", file=path)
         w = Tensor(data[f"layer{i}.W"], requires_grad=(mode == "trainable"))
         adapter = None

@@ -48,14 +48,16 @@ CONFIG_KEYS = {f.name for f in fields(TrainConfig)} | {
 }
 
 _BOOLS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
+BOOL_KEYS = {f.name for f in fields(TrainConfig) if f.type is bool} | {"fixed_splits"}
 
 
 def _coerce(key, raw):
+    """A config value: a bool for a bool key, else None, an int, a float or the text."""
     raw = raw.strip()
     if key in ("trainer", "variant", "loss_reduction", "new_layer_init"):
         return raw
     low = raw.lower()
-    if low in _BOOLS:
+    if key in BOOL_KEYS and low in _BOOLS:
         return _BOOLS[low]
     if low in ("none", "null"):
         return None

@@ -66,6 +66,10 @@ def lora_effective_weight(w0, adapter):
     return ad.add(w0, adapter.delta())
 
 
+# the values of GcnLayer.mode, which name a conv layer's state in a checkpoint
+MODES = ("trainable", "frozen", "frozen_lora")
+
+
 @dataclass(eq=False)
 class GcnLayer:
     """A graph convolution's weight: trainable while ``W.requires_grad``, else frozen."""
@@ -295,10 +299,12 @@ def stack_forward(stack, L, X, *, training=False, rng=None, return_hidden=False,
     ``hidden`` lists only the layers that ran.
     """
     plan = ForwardPlan() if plan is None else plan
+    layers = stack.conv_layers()
+    if plan.inp is not None and plan.start < len(layers) and training and stack.dropout_p > 0:
+        raise ValueError("a plan's input skips the dropout before its start layer")
     Xp = X if prepared else prepare_features(stack, X)
     h = Tensor(Xp)
     hidden = [h.data]
-    layers = stack.conv_layers()
     if plan.inp is None:
         for _ in range(stack.sgc_steps):
             h = ad.spmm(L, h)

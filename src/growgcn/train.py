@@ -457,7 +457,8 @@ def _stage_plan(stack, L, Xp, LX, cone):
     layers = stack.conv_layers()
     inp = ad.spmm(L, Tensor(Xp)).data if LX is None else LX
     start = 0
-    while start < len(layers) - 1 and layers[start].mode == "frozen":
+    while (start < len(layers) - 1 and not layers[start].W.requires_grad
+           and layers[start].adapter is None):
         h = ad.relu(ad.matmul(Tensor(inp), layers[start].W))
         if stack.pairnorm is not None:
             h = ly.pairnorm(h, stack.pairnorm)

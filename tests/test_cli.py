@@ -52,6 +52,16 @@ class TestConfigFile:
         with pytest.raises(DataError, match="key = value"):
             read_config_file(p)
 
+    def test_zero_and_one_are_numbers_except_for_bool_keys(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text("seed = 0\ndropout_p = 0\nrepeats = 1\npairnorm_s = 1\n"
+                     "use_lora = 0\nfixed_splits = 1\n")
+        cfg = read_config_file(p)
+        assert cfg == {"seed": 0, "dropout_p": 0, "repeats": 1, "pairnorm_s": 1,
+                       "use_lora": False, "fixed_splits": True}
+        assert all(type(cfg[k]) is int for k in ("seed", "dropout_p", "repeats", "pairnorm_s"))
+        build_train_config(Namespace(), cfg)
+
     def test_precedence_flag_over_file_over_default(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("depth = 6\nlr = 0.5\n")
@@ -256,6 +266,11 @@ EXIT_CASES = {
     "pairnorm-s-0": (1, ["--variant", "gcn+pairnorm", "--pairnorm-s", "0", "--rank", "2"], {}),
     "seed-negative": (1, ["--seed", "-1", "--rank", "2"], {}),
     "config-repeats-text": (1, ["--config", "run.cfg"], {"run.cfg": b"repeats = many\n"}),
+    "config-zeros-and-ones": (0, ["--config", "run.cfg", "--rank", "2"],
+                              {"run.cfg": b"seed = 0\ndropout_p = 0\nrepeats = 1\n"
+                                          b"pairnorm_s = 1\nweight_decay = 0\ndepth = 1\n"
+                                          b"lora_rank = 1\npatience = 1\nlora_alpha = 1\n"}),
+    "config-depth-true": (1, ["--config", "run.cfg"], {"run.cfg": b"depth = true\n"}),
     "config-not-utf8": (2, ["--config", "run.cfg"], {"run.cfg": b"depth = \xff2\n"}),
     **{f"{name}-not-utf8": (2, [], {f"bundle/{name}": _prefix(b"\xff")})
        for name in ("meta.json", "edges.tsv", "features.csv", "labels.txt", "splits.json")},
@@ -284,7 +299,8 @@ class TestExitCodes:
                    "--max-epochs", "4", "--patience", "4", "--out", str(tmp_path / "x"),
                    *flags])
         assert rc == code
-        assert capsys.readouterr().err.startswith(("error:", "data error:")[code - 1])
+        if code:
+            assert capsys.readouterr().err.startswith(("error:", "data error:")[code - 1])
 
     def test_planetoid_not_utf8(self, tmp_path):
         content, cites = write_planetoid_files(tmp_path)

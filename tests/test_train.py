@@ -476,15 +476,16 @@ class TestCachedForwardOracle:
             for g, g_ref in zip(grads, plain[1], strict=True):
                 np.testing.assert_allclose(g, g_ref, rtol=1e-9, atol=1e-12, err_msg=name)
 
-    def test_input_plan_matches_plain_eval_forward(self, tiny_dataset):
+    def test_lx_rejected_where_dropout_precedes_input_layer(self, tiny_dataset):
         rng = np.random.default_rng(0)
         stack = _random_stage_stack(rng, tiny_dataset.f, 4, 2, 1, False, False, [])
         stack.dropout_p = 0.5
         L = normalized_laplacian(tiny_dataset.adjacency)
         Xp = ly.prepare_features(stack, tiny_dataset.X)
         plan = ly.ForwardPlan(inp=ad.spmm(L, Tensor(Xp)).data)
-        # an eval forward applies no dropout, so L @ Xp stands in exactly; the
-        # trainers pass no plan under training dropout
+        with pytest.raises(ValueError, match="dropout"):
+            ly.stack_forward(stack, L, Xp, training=True, rng=rng, prepared=True, plan=plan)
+        # an eval forward applies no dropout, so L @ Xp stands in exactly
         assert np.array_equal(
             ly.stack_forward(stack, L, Xp, prepared=True, plan=plan).data,
             ly.stack_forward(stack, L, Xp, prepared=True).data)
