@@ -12,6 +12,7 @@ Bundle layout (one directory per dataset):
 """
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -230,18 +231,20 @@ def load_planetoid(content_path, cites_path, name="cora", split_seed=0):
                             file=content_path, line=lineno)
         ids.append(parts[0])
         try:
-            rows.append([float(x) for x in parts[1:-1]])
+            row = [float(x) for x in parts[1:-1]]
         except ValueError:
             raise DataError("non-numeric feature field", file=content_path,
                             line=lineno) from None
+        if not all(math.isfinite(v) for v in row):
+            raise DataError("non-finite feature value", file=content_path, line=lineno)
+        if rows and len(row) != len(rows[0]):
+            raise DataError(f"row has {len(row)} features, first row has {len(rows[0])}",
+                            file=content_path, line=lineno)
+        rows.append(row)
         class_names.append(parts[-1])
     if not ids:
         raise DataError("no rows", file=content_path)
     f = len(rows[0])
-    for lineno, row in enumerate(rows, 1):
-        if len(row) != f:
-            raise DataError(f"row has {len(row)} features, first row has {f}",
-                            file=content_path, line=lineno)
     index = {pid: i for i, pid in enumerate(ids)}
     classes = sorted(set(class_names))
     labels = np.array([classes.index(c) for c in class_names], dtype=np.int64)

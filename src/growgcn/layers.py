@@ -290,13 +290,15 @@ class ForwardPlan:
 
 
 def stack_forward(stack, L, X, *, training=False, rng=None, return_hidden=False,
-                  prepared=False, plan=None):
+                  prepared=False, plan=None, ws=None):
     """The forward pass; returns logits (and per-layer features if asked).
 
     ``hidden[0]`` is the prepared input; ``hidden[k]`` is the output of layer k
     (or of the k-th propagation hop for a propagation-only stack). A ``plan``
     (see ``ForwardPlan``) skips the work below its start layer, and then
-    ``hidden`` lists only the layers that ran.
+    ``hidden`` lists only the layers that ran. With an ``autodiff.Workspace``
+    ``ws``, the propagations, products and activations, and their gradients,
+    live in its buffers, which the next cycle through ``ws`` overwrites.
     """
     plan = ForwardPlan() if plan is None else plan
     layers = stack.conv_layers()
@@ -307,7 +309,7 @@ def stack_forward(stack, L, X, *, training=False, rng=None, return_hidden=False,
     hidden = [h.data]
     if plan.inp is None:
         for _ in range(stack.sgc_steps):
-            h = ad.spmm(L, h)
+            h = ad.spmm(L, h, ws=ws)
             hidden.append(h.data)
     elif plan.start >= len(layers):
         h = Tensor(plan.inp)
@@ -316,18 +318,20 @@ def stack_forward(stack, L, X, *, training=False, rng=None, return_hidden=False,
             Lh = Tensor(plan.inp)
         else:
             h = dropout(h, stack.dropout_p, training, rng)
-            Lh = ad.spmm(L if plan.cone is None else plan.cone.op(len(layers) - 1 - i), h)
+            Lh = ad.spmm(L if plan.cone is None else plan.cone.op(len(layers) - 1 - i), h,
+                         ws=ws)
         if i == plan.start and plan.C is not None:
             a = layer.adapter
-            delta = ad.scale(ad.matmul(ad.matmul(Lh, a.A), a.B), a.scaling)
-            h = ad.relu(ad.add(Tensor(plan.C), delta))
+            delta = ad.scale(ad.matmul(ad.matmul(Lh, a.A, ws=ws), a.B, ws=ws), a.scaling,
+                             ws=ws)
+            h = ad.relu(ad.add(Tensor(plan.C), delta, ws=ws), ws=ws)
         else:
-            h = ad.relu(ad.matmul(Lh, layer.effective_weight()))
+            h = ad.relu(ad.matmul(Lh, layer.effective_weight(), ws=ws), ws=ws)
         if stack.pairnorm is not None:
             h = pairnorm(h, stack.pairnorm)
         hidden.append(h.data)
     h = dropout(h, stack.dropout_p, training, rng)
-    logits = ad.matmul(h, stack.head)
+    logits = ad.matmul(h, stack.head, ws=ws)
     if return_hidden:
         return logits, hidden
     return logits

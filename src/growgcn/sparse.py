@@ -91,11 +91,20 @@ class SparseMatrix:
         return self._cache[key]
 
     def transpose_scipy(self, dtype=np.float64):
+        """The transpose as a scipy CSR matrix; ``to_scipy(dtype)`` itself when equal.
+
+        A matrix that equals its transpose exactly (the normalized ``L``,
+        whose entries are ``s_i * s_j``) keeps one copy, and a product with
+        it rounds as a product with its transpose would.
+        """
         key = ("csr_t", np.dtype(dtype).str)
         if key not in self._cache:
-            m = self.to_scipy(dtype).T.tocsr()
-            m.sort_indices()
-            self._cache[key] = m
+            m = self.to_scipy(dtype)
+            t = m.T.tocsr()
+            t.sort_indices()
+            same = (np.array_equal(t.indptr, m.indptr) and np.array_equal(t.indices, m.indices)
+                    and np.array_equal(t.data, m.data))
+            self._cache[key] = m if same else t
         return self._cache[key]
 
     def submatrix(self, rows, cols=None):

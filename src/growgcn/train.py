@@ -276,7 +276,9 @@ def _fit(forward, mutable, groups, target, cfg, dropout_p):
     the parameters require grad), so the eval forward's logits are reused as
     the next epoch's training logits and a stage of E epochs runs E + 1
     forwards instead of 2E. Under dropout the eval graph is dropped at once
-    and each epoch runs its own training forward.
+    and each epoch runs its own training forward. Nothing of a graph is read
+    after the next ``forward`` call, which may overwrite its arrays and
+    gradients (the trainers' workspace does).
     Returns a StageReport (wall clock filled in by the caller's timer).
     """
     adam = Adam(groups)
@@ -313,6 +315,7 @@ def _fit(forward, mutable, groups, target, cfg, dropout_p):
             break
     if best_snap is not None:
         _restore(mutable, best_snap)
+    adam.zero_grad()  # the last gradients may sit in buffers that later forwards reuse
     return StageReport(
         epochs_run=len(curve),
         best_val_acc=float(stopper.best),
@@ -350,7 +353,8 @@ def train_standard(data, cfg, variant="gcn"):
     """Train the whole depth-K model jointly, with early stopping on val accuracy.
 
     The propagation-only baseline propagates its features once per call; a
-    GCN at dropout 0 computes its input layer's ``L @ X`` once per call.
+    GCN at dropout 0 computes its input layer's ``L @ X`` once per call. The
+    epochs' forwards and backwards reuse the buffers of one workspace.
     """
     cfg.validate()
     if variant not in VARIANTS:
@@ -367,15 +371,19 @@ def train_standard(data, cfg, variant="gcn"):
     else:
         plan = None
 
+    ws = ad.Workspace()
+
     def forward(training):
+        ws.reset()
         return ly.stack_forward(stack, L, Xp, training=training, rng=rng, prepared=True,
-                                plan=plan)
+                                plan=plan, ws=ws)
 
     params = stack.trainable_parameters()
     groups = [{"params": params, "lr": cfg.lr, "weight_decay": cfg.weight_decay}]
     t0 = time.perf_counter()
     stage = _fit(forward, params, groups, _target(data), cfg, stack.dropout_p)
     stage.wall_clock_seconds = time.perf_counter() - t0
+    del ws  # free the buffers before the final forward, whose arrays escape
 
     # the collapse report reads every propagation hop, which the SGC plan skips
     test_acc, collapse = _test_and_collapse(stack, data, L, Xp,
@@ -490,8 +498,9 @@ def train_lgt(data, cfg, variant="gcn", on_stage_start=None, on_stage_end=None):
     nodes gives the rows each layer needs, and the plan holds its constants
     on those rows. The results equal the full forward's up to rounding:
     weight gradients sum over fewer rows, and BLAS may round a dense
-    product's rows differently for a shorter matrix. The final test accuracy
-    and collapse report come from one full forward.
+    product's rows differently for a shorter matrix. Every epoch's forward
+    and backward reuse the buffers of one workspace per call. The final
+    test accuracy and collapse report come from one full forward.
 
     Callbacks, both optional, fire inside each stage: ``on_stage_start(stage,
     stack, L, Xp)`` after growth but before any optimizer step, and
@@ -515,6 +524,7 @@ def train_lgt(data, cfg, variant="gcn", on_stage_start=None, on_stage_end=None):
     target = _target(data, None if cone is None else cone.rows(0))
 
     stages = []
+    ws = ad.Workspace()
     t_total = time.perf_counter()
     for stage_idx in range(1, cfg.depth + 1):
         if stage_idx > 1:
@@ -549,8 +559,9 @@ def train_lgt(data, cfg, variant="gcn", on_stage_start=None, on_stage_end=None):
         plan = _stage_plan(stack, L, Xp, LX, cone)
 
         def forward(training):
+            ws.reset()
             return ly.stack_forward(stack, L, Xp, training=training, rng=rng, prepared=True,
-                                    plan=plan)
+                                    plan=plan, ws=ws)
 
         t0 = time.perf_counter()
         stage = _fit(forward, main + adapters, groups, target, cfg, stack.dropout_p)
@@ -566,6 +577,7 @@ def train_lgt(data, cfg, variant="gcn", on_stage_start=None, on_stage_end=None):
         new_layer.freeze()
 
     total = time.perf_counter() - t_total
+    del ws  # free the buffers before the final forward, whose arrays escape
     test_acc, collapse = _test_and_collapse(stack, data, L, Xp,
                                             None if LX is None else ly.ForwardPlan(inp=LX))
     return stack, TrainReport(

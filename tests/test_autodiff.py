@@ -91,6 +91,19 @@ class TestBackward:
         loss2.backward()
         assert np.allclose(x.grad, 2 * direct.grad)
 
+    @pytest.mark.parametrize("with_ws", [False, True])
+    def test_shared_gradient_is_never_written_in_place(self, with_ws):
+        # out = (a + b) + a: the outer add hands one array to (a + b) and to a, the
+        # inner add hands it on to b, and a's second contribution must not land in it
+        ws = ad.Workspace() if with_ws else None
+        a = t64([[1.0, -2.0, 0.5]], grad=True)
+        b = t64([[0.0, 3.0, 1.0]], grad=True)
+        out = ad.add(ad.add(a, b, ws=ws), a, ws=ws)
+        loss = ad.masked_cross_entropy(ad.log_softmax_rows(out), [1], [0])
+        loss.backward()
+        assert b.grad is out.grad
+        assert np.array_equal(a.grad, 2 * b.grad)
+
     def test_requires_grad_gating(self):
         frozen = t64(np.ones((2, 2)), grad=False)
         live = t64(np.ones((2, 2)), grad=True)

@@ -162,10 +162,11 @@ class TestPlanetoid:
 
     def test_ragged_content_rejected(self, tmp_path):
         content = tmp_path / "bad.content"
-        content.write_text("a\t1\t0\ttheory\nb\t1\tsystems\n")
+        content.write_text("a\t1\t0\ttheory\n\nb\t1\tsystems\n")
         cites = tmp_path / "bad.cites"
         cites.write_text("a\tb\n")
-        with pytest.raises(DataError, match="features"):
+        # the blank line is skipped but still counted
+        with pytest.raises(DataError, match=r"bad.content:3: row has 1 features"):
             load_planetoid(content, cites)
 
 
@@ -308,6 +309,20 @@ class TestExitCodes:
         rc = main(["prepare", "planetoid", "--content", str(content), "--cites", str(cites),
                    "--out", str(tmp_path / "bundle")])
         assert rc == 2
+
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+    def test_planetoid_non_finite_feature(self, tmp_path, capsys, field):
+        content, cites = write_planetoid_files(tmp_path)
+        lines = content.read_text().splitlines()
+        parts = lines[3].split("\t")
+        parts[1] = field
+        lines[3] = "\t".join(parts)
+        content.write_text("\n".join(lines) + "\n")
+        rc = main(["prepare", "planetoid", "--content", str(content), "--cites", str(cites),
+                   "--out", str(tmp_path / "bundle")])
+        assert rc == 2
+        assert f"{content}:4: non-finite feature value" in capsys.readouterr().err
+        assert not (tmp_path / "bundle").exists()
 
 
 class TestEvalAndExport:

@@ -68,6 +68,30 @@ class TestSparseMatrix:
         # slicing adds no scipy copy to the matrix's cache
         assert L._cache == {}
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_symmetric_laplacian_is_its_own_transpose(self, dtype):
+        rng = np.random.default_rng(6)
+        L = normalized_laplacian(random_graph(rng, 12))
+        t = L.transpose_scipy(dtype)
+        # L's entries are s_i * s_j, so it equals its transpose exactly and keeps one copy
+        assert t is L.to_scipy(dtype)
+        assert t.dtype == dtype
+        assert np.array_equal(t.toarray(), L.to_dense().T.astype(dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cone_submatrix_keeps_a_real_transpose(self, dtype):
+        rng = np.random.default_rng(7)
+        L = normalized_laplacian(random_graph(rng, 12))
+        sub = L.submatrix(np.array([1, 4, 5]), np.array([0, 1, 3, 4, 5, 6, 8]))
+        t = sub.transpose_scipy(dtype)
+        assert t is not sub.to_scipy(dtype) and t.shape == (7, 3)
+        assert np.array_equal(t.toarray(), sub.to_dense().T.astype(dtype))
+        # a square matrix that is not symmetric keeps its own transpose too
+        asym = SparseMatrix(2, 2, [0, 1, 2], [1, 0], [1.0, 2.0])
+        t = asym.transpose_scipy(dtype)
+        assert t is not asym.to_scipy(dtype)
+        assert np.array_equal(t.toarray(), asym.to_dense().T.astype(dtype))
+
 
 class TestBuildAdjacency:
     def test_drops_self_loops_and_duplicates(self):

@@ -619,9 +619,9 @@ class TestInputPropagationOnce:
         spmm_calls = [0]
         spmm = ad.spmm
 
-        def counting_spmm(s, x):
+        def counting_spmm(s, x, **kw):
             spmm_calls[0] += 1
-            return spmm(s, x)
+            return spmm(s, x, **kw)
 
         stack_fwd = ly.stack_forward
 
@@ -735,6 +735,150 @@ class TestRowConeOracle:
             _stage_plan(stack, L, Xp, None, RowCone(L, [0], 2))
 
 
+def _graph_arrays(loss):
+    """Every distinct array on a backward-ed graph: each node's value and gradient."""
+    arrays, seen, todo = {}, set(), [loss]
+    while todo:
+        node = todo.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        for a in (node.data, node.grad):
+            if a is not None:
+                arrays[id(a)] = a
+        todo.extend(node._parents)
+    return list(arrays.values())
+
+
+class TestWorkspaceOracle:
+    """Forward/backward cycles through one ``autodiff.Workspace`` against ``ws=None``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        stage=st.integers(1, 4),
+        lora=st.booleans(),
+        use_cone=st.booleans(),
+        pairnorm=st.booleans(),
+        dropout=st.booleans(),
+        merged=st.lists(st.booleans(), min_size=3, max_size=3),
+    )
+    def test_two_cycles_match_allocating_ops(self, seed, stage, lora, use_cone, pairnorm,
+                                             dropout, merged):
+        rng = np.random.default_rng(seed)
+        n, f, d, c = 16, 7, 5, 3
+        L = normalized_laplacian(random_graph(rng, n))
+        Xp = rng.standard_normal((n, f))
+        labels = rng.integers(0, c, n)
+        rows = np.sort(rng.choice(n, 6, replace=False))
+        train_idx = rows[::2]
+        stack = _random_stage_stack(rng, f, d, c, stage, pairnorm, lora, merged)
+        stack.dropout_p = 0.3 if dropout else 0.0
+        # a cone needs dropout 0 and no PairNorm; under dropout the plan is None
+        cone = RowCone(L, rows, 4) if use_cone and not (pairnorm or dropout) else None
+        plan = _stage_plan(stack, L, Xp, None, cone)
+        if cone is not None:
+            labels, train_idx = labels[rows], np.searchsorted(rows, train_idx)
+        params = stack.trainable_parameters()
+
+        def cycle(ws):
+            if ws is not None:
+                ws.reset()
+            logits = ly.stack_forward(stack, L, Xp, training=True,
+                                      rng=np.random.default_rng(seed), prepared=True,
+                                      plan=plan, ws=ws)
+            for p in params:
+                p.grad = None
+            loss = ad.masked_cross_entropy(ad.log_softmax_rows(logits), labels, train_idx)
+            loss.backward()
+            # copies: the next cycle through ws overwrites the gradients
+            return loss, [p.grad.copy() for p in params]
+
+        ref_loss, ref_grads = cycle(None)
+        ws = ad.Workspace()
+        loss1, grads1 = cycle(ws)
+        n_buffers = len(ws)
+        logits1 = loss1._parents[0]._parents[0].data
+        loss2, grads2 = cycle(ws)
+        assert n_buffers > 0 and len(ws) == n_buffers
+        # the second cycle wrote into the first one's arrays
+        assert loss2._parents[0]._parents[0].data is logits1
+        for loss, grads in ((loss1, grads1), (loss2, grads2)):
+            assert float(loss.data) == float(ref_loss.data)
+            for g, g_ref in zip(grads, ref_grads, strict=True):
+                assert np.array_equal(g, g_ref)
+        arrays = _graph_arrays(loss2)
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("kernel", [True, False])
+    @pytest.mark.parametrize("cols", [1, 4])
+    def test_spmm_into_buffers_matches_scipy(self, monkeypatch, kernel, cols):
+        rng = np.random.default_rng(3)
+        L = normalized_laplacian(random_graph(rng, 11))
+        x = Tensor(rng.standard_normal((11, cols)).astype(np.float32), requires_grad=True)
+        if not kernel:
+            monkeypatch.setattr(ad, "_CSR_MATVECS", None)
+        ws = ad.Workspace()
+        ws.take((11, cols), np.float32).fill(np.nan)  # stale contents the op must clear
+        ws.reset()
+        out = ad.spmm(L, x, ws=ws)
+        assert np.array_equal(out.data, L.to_scipy(np.float32) @ x.data)
+        g = rng.standard_normal((11, cols)).astype(np.float32)
+        out._backward(g)
+        assert np.array_equal(x.grad, L.to_scipy(np.float32).T @ g)
+
+    @pytest.mark.parametrize("trainer, variant, dropout_p", [
+        ("lgt", "gcn", None),
+        ("lgt", "gcn", 0.3),
+        ("lgt", "gcn+pairnorm", None),
+        ("standard", "gcn", 0.0),
+        ("standard", "gcn+pairnorm", 0.5),
+        ("standard", "sgc", 0.5),
+    ])
+    def test_trainers_match_fresh_buffers(self, monkeypatch, small_sbm, trainer, variant,
+                                          dropout_p):
+        # the oracle never reuses a buffer, and it fills each one with NaN, so an
+        # array read after the next forward or before its write shows up
+        cfg = TrainConfig(depth=3, hidden_dim=8, lora_rank=2, max_epochs=10, patience=4,
+                          dropout_p=dropout_p, seed=2)
+        s_new, r_new = train(small_sbm, cfg, trainer=trainer, variant=variant)
+        with monkeypatch.context() as m:
+            m.setattr(ad.Workspace, "take", lambda self, shape, dtype:
+                      np.full(shape, np.nan, dtype))
+            s_ref, r_ref = train(small_sbm, cfg, trainer=trainer, variant=variant)
+        r_new.total_wall_clock = r_ref.total_wall_clock = 0.0
+        for st_new, st_ref in zip(r_new.stages, r_ref.stages, strict=True):
+            st_new.wall_clock_seconds = st_ref.wall_clock_seconds = 0.0
+        assert r_new == r_ref
+        for a, b in zip(s_new.parameters(), s_ref.parameters(), strict=True):
+            assert np.array_equal(a.data, b.data)
+        # no parameter keeps a gradient that lives in a released buffer
+        assert all(p.grad is None for p in s_new.parameters())
+
+    @pytest.mark.parametrize("trainer, dropout_p", [("lgt", None), ("standard", 0.5)])
+    def test_trainer_buffers_do_not_grow_with_epochs(self, monkeypatch, small_sbm, trainer,
+                                                     dropout_p):
+        made = []
+
+        class Recorded(ad.Workspace):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        sizes = []
+        for epochs in (3, 7):
+            cfg = TrainConfig(depth=2, hidden_dim=8, lora_rank=2, max_epochs=epochs,
+                              patience=epochs, dropout_p=dropout_p, seed=2)
+            with monkeypatch.context() as m:
+                m.setattr(ad, "Workspace", Recorded)
+                train(small_sbm, cfg, trainer=trainer)
+            sizes.append(len(made[-1]))
+        # one workspace per call, and each forward reuses the previous cycle's buffers
+        assert len(made) == 2 and sizes[0] == sizes[1] > 0
+
+
 def _sparse_split_bundle():
     """A low-degree SBM whose train and val nodes are 35 of its 300 nodes."""
     data = generate_sbm(3, 100, 0.03, 0.003, f=12, signal=2.0, seed=5)
@@ -751,13 +895,13 @@ class TestRestrictedTrainer:
         flops = {"spmm": 0, "matmul": 0}
         spmm, matmul = ad.spmm, ad.matmul
 
-        def counting_spmm(s, x):
+        def counting_spmm(s, x, **kw):
             flops["spmm"] += 2 * s.nnz * x.data.shape[1]
-            return spmm(s, x)
+            return spmm(s, x, **kw)
 
-        def counting_matmul(x, w):
+        def counting_matmul(x, w, **kw):
             flops["matmul"] += 2 * x.data.shape[0] * x.data.shape[1] * w.data.shape[1]
-            return matmul(x, w)
+            return matmul(x, w, **kw)
 
         with monkeypatch.context() as m:
             m.setattr(ad, "spmm", counting_spmm)
