@@ -158,6 +158,13 @@ def _load_dataset(args):
     return gdata.load_bundle(args.data)
 
 
+def _require_splits(data, names, bundle):
+    """Raise DataError, naming the bundle's splits.json, for an empty split in ``names``."""
+    for name in names:
+        if getattr(data.splits, name).size == 0:
+            raise DataError(f"the {name} split is empty", file=Path(bundle) / "splits.json")
+
+
 def _resplit(data, seed):
     """Fresh evaluation split: 20/class train, val/test capped at 1000 each."""
     per_class = min(20, int(np.bincount(data.labels).min()))
@@ -234,6 +241,8 @@ def cmd_train(args):
         raise UsageError(f"unknown variant {variant!r}")
 
     data = _load_dataset(args)
+    if fixed and not getattr(args, "sbm", None):
+        _require_splits(data, ("train", "val", "test"), args.data)
     if trainer == "lgt":
         try:
             cfg.check_lora_rank(data.f)
@@ -274,6 +283,8 @@ def _run_cell(payload):
     """One sweep grid cell; module-level so process pools can pickle it."""
     if payload.get("bundle"):
         data = gdata.load_bundle(payload["bundle"])
+        if payload["fixed_splits"]:
+            _require_splits(data, ("train", "val", "test"), payload["bundle"])
     else:
         data = gdata.generate_sbm(**payload["sbm"])
     cfg = TrainConfig(**payload["cfg"])
@@ -402,8 +413,8 @@ def _load_checkpoint_and_bundle(args):
 
 def cmd_eval(args):
     stack, data = _load_checkpoint_and_bundle(args)
-    mask = getattr(data.splits, args.split)
-    acc = evaluate(stack, data, mask)
+    _require_splits(data, (args.split,), args.data)
+    acc = evaluate(stack, data, getattr(data.splits, args.split))
     print(f"{args.split} accuracy: {acc:.4f}")
     return 0
 

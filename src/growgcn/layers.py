@@ -161,15 +161,27 @@ def pairnorm(h, cfg):
     return ad._compose(out, (h,), bwd)
 
 
-def dropout(h, p, training, rng=None):
-    """Inverted dropout; identity when not training or p == 0."""
+def dropout(h, p, training, rng=None, rows=None, n_rows=None):
+    """Inverted dropout; identity when not training or p == 0.
+
+    With ``rows`` (sorted), ``h`` holds those rows of an ``n_rows``-row
+    input. The mask is still drawn over all ``n_rows`` rows, and only its
+    ``rows`` apply, so the rng stream and every kept row's mask are those of
+    the full input's dropout.
+    """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout p={p} outside [0, 1)")
     if not training or p == 0.0:
         return h
     if rng is None:
         raise ValueError("training-mode dropout needs an rng")
-    keep = (rng.random(h.data.shape) >= p).astype(h.data.dtype)
+    if rows is None:
+        draw = rng.random(h.data.shape)
+    else:
+        draw = rng.random((n_rows, h.data.shape[1]))
+        if len(rows) < n_rows:
+            draw = draw[rows]
+    keep = (draw >= p).astype(h.data.dtype)
     mask = keep * (1.0 / (1.0 - p))
     out = h.data * mask
 
@@ -273,14 +285,18 @@ def prepare_features(stack, X):
 
 @dataclass(eq=False)
 class ForwardPlan:
-    """Constant work that ``stack_forward`` skips, valid while no dropout precedes ``start``.
+    """Constant work that ``stack_forward`` skips, and the rows it computes.
 
     The forward starts at conv layer ``start`` from ``inp``, that layer's
     propagated input ``L @ H`` (past the last conv layer, the head's input,
-    e.g. ``L^K @ X``). ``C = inp @ W0`` for a start layer with an adapter
-    leaves only ``(inp @ A) @ B * alpha/rank`` per call. With a ``cone`` (a
-    ``RowCone``), ``inp`` and ``C`` hold its rows, the layer k hops below the
-    output multiplies by ``cone.op(k)``, and the logits cover ``cone.rows(0)``.
+    e.g. ``L^K @ X``); an ``inp`` is valid while no dropout precedes
+    ``start``. ``C = inp @ W0`` for a start layer with an adapter leaves
+    only ``(inp @ A) @ B * alpha/rank`` per call. With a ``cone`` (a
+    ``RowCone``), the layer k hops below the output multiplies by
+    ``cone.op(k)``, ``inp`` and ``C`` hold the cone's rows, and the logits
+    cover ``cone.rows(0)``. A cone with no ``inp`` starts from the input's
+    ``cone.rows(K)`` for a depth-K stack, and its dropouts draw the full
+    forward's masks (see ``dropout``).
     """
 
     start: int = 0
@@ -295,31 +311,46 @@ def stack_forward(stack, L, X, *, training=False, rng=None, return_hidden=False,
 
     ``hidden[0]`` is the prepared input; ``hidden[k]`` is the output of layer k
     (or of the k-th propagation hop for a propagation-only stack). A ``plan``
-    (see ``ForwardPlan``) skips the work below its start layer, and then
-    ``hidden`` lists only the layers that ran. With an ``autodiff.Workspace``
-    ``ws``, the propagations, products and activations, and their gradients,
-    live in its buffers, which the next cycle through ``ws`` overwrites.
+    (see ``ForwardPlan``) skips the work below its start layer: then
+    ``hidden`` lists the input, the outputs of the layers that ran, and a
+    plan's ``inp`` that is the head's input, so ``hidden[-1]`` is always the
+    head's input. Under a cone each entry holds only the rows computed. With
+    an ``autodiff.Workspace`` ``ws``, the propagations, products and
+    activations, and their gradients, live in its buffers, which the next
+    cycle through ``ws`` overwrites.
     """
     plan = ForwardPlan() if plan is None else plan
     layers = stack.conv_layers()
+    cone = plan.cone
     if plan.inp is not None and plan.start < len(layers) and training and stack.dropout_p > 0:
         raise ValueError("a plan's input skips the dropout before its start layer")
+
+    def op(k):  # the propagation k hops below the output
+        return L if cone is None else cone.op(k)
+
+    def drop(h, k):  # dropout on features that a cone holds on its rows(k)
+        rows = None if cone is None else cone.rows(k)
+        return dropout(h, stack.dropout_p, training, rng, rows, L.n_rows)
+
     Xp = X if prepared else prepare_features(stack, X)
+    if cone is not None and plan.inp is None:
+        rows = cone.rows(stack.depth)
+        Xp = Xp if rows.size == Xp.shape[0] else Xp[rows]
     h = Tensor(Xp)
     hidden = [h.data]
     if plan.inp is None:
-        for _ in range(stack.sgc_steps):
-            h = ad.spmm(L, h, ws=ws)
+        for j in range(stack.sgc_steps):
+            h = ad.spmm(op(stack.sgc_steps - 1 - j), h, ws=ws)
             hidden.append(h.data)
     elif plan.start >= len(layers):
         h = Tensor(plan.inp)
+        hidden.append(h.data)
     for i, layer in enumerate(layers[plan.start:], plan.start):
+        k = len(layers) - 1 - i
         if i == plan.start and plan.inp is not None:
             Lh = Tensor(plan.inp)
         else:
-            h = dropout(h, stack.dropout_p, training, rng)
-            Lh = ad.spmm(L if plan.cone is None else plan.cone.op(len(layers) - 1 - i), h,
-                         ws=ws)
+            Lh = ad.spmm(op(k), drop(h, k + 1), ws=ws)
         if i == plan.start and plan.C is not None:
             a = layer.adapter
             delta = ad.scale(ad.matmul(ad.matmul(Lh, a.A, ws=ws), a.B, ws=ws), a.scaling,
@@ -330,8 +361,7 @@ def stack_forward(stack, L, X, *, training=False, rng=None, return_hidden=False,
         if stack.pairnorm is not None:
             h = pairnorm(h, stack.pairnorm)
         hidden.append(h.data)
-    h = dropout(h, stack.dropout_p, training, rng)
-    logits = ad.matmul(h, stack.head, ws=ws)
+    logits = ad.matmul(drop(h, 0), stack.head, ws=ws)
     if return_hidden:
         return logits, hidden
     return logits

@@ -247,8 +247,10 @@ def _target(data, rows=None):
 def _test_and_collapse(stack, data, L, Xp, plan=None):
     """Test accuracy and collapse report of the final model, from one forward.
 
-    ``Xp`` is the prepared input and ``plan`` may only hoist layer 0's
-    propagation, so both match ``evaluate`` and ``collapse_report`` bitwise.
+    ``Xp`` is the prepared input, and ``plan`` may only hoist layer 0's
+    propagation or hold the propagation-only stack's head input ``L^K X``.
+    The report reads only the head's input, ``hidden[-1]``, so both match
+    ``evaluate`` and ``collapse_report`` bitwise.
     """
     logits, hidden = ly.stack_forward(stack, L, Xp, prepared=True, plan=plan,
                                       return_hidden=True)
@@ -353,8 +355,13 @@ def train_standard(data, cfg, variant="gcn"):
     """Train the whole depth-K model jointly, with early stopping on val accuracy.
 
     The propagation-only baseline propagates its features once per call; a
-    GCN at dropout 0 computes its input layer's ``L @ X`` once per call. The
-    epochs' forwards and backwards reuse the buffers of one workspace.
+    GCN at dropout 0 computes its input layer's ``L @ X`` once per call.
+    Without PairNorm, and at any dropout, the epochs compute only the rows
+    the loss and val accuracy read, as ``train_lgt`` does: a ``RowCone`` of
+    the train and val nodes over ``depth`` hops (none for the propagation-only
+    baseline, whose head reads ``(L^K X)[rows(0)]``). The epochs' forwards
+    and backwards reuse the buffers of one workspace. The test accuracy and
+    collapse report come from one full forward.
     """
     cfg.validate()
     if variant not in VARIANTS:
@@ -364,12 +371,16 @@ def train_standard(data, cfg, variant="gcn"):
     dropout_p = cfg.resolved_dropout("standard", variant)
     stack = _build_standard_stack(data, cfg, variant, rng, dropout_p, cfg.depth)
     Xp = ly.prepare_features(stack, data.X)
+    cone = _row_cone(stack, L, data, 0 if variant == "sgc" else cfg.depth)
+    rows = None if cone is None else cone.rows(0)
     if variant == "sgc":
-        plan = ly.ForwardPlan(inp=ly.sgc_propagate(L, Xp, cfg.depth))
-    elif dropout_p == 0.0:
-        plan = ly.ForwardPlan(inp=ad.spmm(L, Tensor(Xp)).data)
+        LKX = ly.sgc_propagate(L, Xp, cfg.depth)
+        plan = ly.ForwardPlan(inp=LKX if rows is None else LKX[rows], cone=cone)
+        final = ly.ForwardPlan(inp=LKX)
     else:
-        plan = None
+        LX = ad.spmm(L, Tensor(Xp)).data if dropout_p == 0.0 else None
+        plan = _stage_plan(stack, L, Xp, LX, cone)
+        final = None if LX is None else ly.ForwardPlan(inp=LX)
 
     ws = ad.Workspace()
 
@@ -381,13 +392,11 @@ def train_standard(data, cfg, variant="gcn"):
     params = stack.trainable_parameters()
     groups = [{"params": params, "lr": cfg.lr, "weight_decay": cfg.weight_decay}]
     t0 = time.perf_counter()
-    stage = _fit(forward, params, groups, _target(data), cfg, stack.dropout_p)
+    stage = _fit(forward, params, groups, _target(data, rows), cfg, stack.dropout_p)
     stage.wall_clock_seconds = time.perf_counter() - t0
     del ws  # free the buffers before the final forward, whose arrays escape
 
-    # the collapse report reads every propagation hop, which the SGC plan skips
-    test_acc, collapse = _test_and_collapse(stack, data, L, Xp,
-                                            None if variant == "sgc" else plan)
+    test_acc, collapse = _test_and_collapse(stack, data, L, Xp, final)
     return stack, TrainReport(
         stages=[stage],
         test_acc=test_acc,
@@ -438,18 +447,19 @@ class RowCone:
 
 
 def _row_cone(stack, L, data, hops):
-    """The ``RowCone`` of the train and val rows where a stage may use one, else None.
+    """The ``RowCone`` of the train and val rows where a forward may use one, else None.
 
-    Dropout draws a mask over every row and PairNorm centres over every
-    row, so either one keeps the full forward.
+    PairNorm centres over every row, so it keeps the full forward. Dropout
+    does not: it draws its mask over every row and applies the cone's rows
+    of it (see ``layers.dropout``).
     """
-    if stack.dropout_p > 0.0 or stack.pairnorm is not None:
+    if stack.pairnorm is not None:
         return None
     return RowCone(L, np.union1d(data.splits.train, data.splits.val), hops)
 
 
 def _stage_plan(stack, L, Xp, LX, cone):
-    """The ``ForwardPlan`` of one stage, or None under dropout (which redraws its masks).
+    """The ``ForwardPlan`` of one stage; None under dropout without a cone.
 
     The leading layers that are frozen without an adapter give the same
     features all stage long, so the plan starts at the first layer that
@@ -457,11 +467,13 @@ def _stage_plan(stack, L, Xp, LX, cone):
     stage (``LX = L @ Xp`` is formed once per call, or here when None), plus
     ``C`` for an adapter. A ``cone`` (not for PairNorm, which centres over
     every row) restricts the plan's constants and forward to its rows.
+    Dropout redraws its masks before every layer, so under dropout the plan
+    holds only the cone, and the forward starts from the input's rows.
     """
     if cone is not None and stack.pairnorm is not None:
         raise ValueError("a row cone cannot restrict a stack with PairNorm")
     if stack.dropout_p > 0.0:
-        return None
+        return None if cone is None else ly.ForwardPlan(cone=cone)
     layers = stack.conv_layers()
     inp = ad.spmm(L, Tensor(Xp)).data if LX is None else LX
     start = 0
@@ -490,15 +502,15 @@ def train_lgt(data, cfg, variant="gcn", on_stage_start=None, on_stage_end=None):
     head, and the adapters. Adapters are folded into their frozen weights at
     stage end when cfg.merge_adapters is set.
 
-    At dropout 0 each stage runs ``stack_forward`` with the plan of
-    ``_stage_plan``: it starts at the first layer that trains or has an
-    adapter, from that layer's propagated input, computed once per stage.
-    Without PairNorm it also computes only the rows its loss and val
-    accuracy read: a ``RowCone`` built once per call from the train and val
-    nodes gives the rows each layer needs, and the plan holds its constants
-    on those rows. The results equal the full forward's up to rounding:
-    weight gradients sum over fewer rows, and BLAS may round a dense
-    product's rows differently for a shorter matrix. Every epoch's forward
+    Each stage runs ``stack_forward`` with the plan of ``_stage_plan``. At
+    dropout 0 it starts at the first layer that trains or has an adapter,
+    from that layer's propagated input, computed once per stage. Without
+    PairNorm, and at any dropout, it also computes only the rows its loss
+    and val accuracy read: a ``RowCone`` built once per call from the train
+    and val nodes gives the rows each layer needs, and the plan holds its
+    constants on those rows. The results equal the full forward's up to
+    rounding: weight gradients sum over fewer rows, and BLAS may round a
+    dense product's rows differently for a shorter matrix. Every epoch's forward
     and backward reuse the buffers of one workspace per call. The final
     test accuracy and collapse report come from one full forward.
 

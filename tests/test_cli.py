@@ -1,9 +1,13 @@
 import csv
 import json
+import tempfile
 from argparse import Namespace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growgcn import DataError, generate_sbm, load_bundle, load_checkpoint, save_bundle
 from growgcn.data import load_planetoid
@@ -255,6 +259,17 @@ def _prefix(raw):
     return lambda old: raw + old
 
 
+def _empty_split(name):
+    """An edit of splits.json that leaves the ``name`` split empty."""
+    def edit(old):
+        splits = json.loads(old)
+        splits[name] = []
+        return json.dumps(splits).encode()
+    return edit
+
+
+SPLITS = ("train", "val", "test")
+
 # id: (exit code, extra train flags, {file under tmp_path: bytes or edit of old bytes})
 EXIT_CASES = {
     "depth-0": (1, ["--depth", "0"], {}),
@@ -281,6 +296,9 @@ EXIT_CASES = {
                                      b'{"train": [1e999], "val": [1], "test": [2]}'}),
     "split-index-fraction": (2, [], {"bundle/splits.json":
                                      b'{"train": [0.5], "val": [1], "test": [2]}'}),
+    **{f"{name}-split-empty": (2, ["--fixed-splits"],
+                               {"bundle/splits.json": _empty_split(name)})
+       for name in SPLITS},
 }
 
 
@@ -301,7 +319,24 @@ class TestExitCodes:
                    *flags])
         assert rc == code
         if code:
-            assert capsys.readouterr().err.startswith(("error:", "data error:")[code - 1])
+            err = capsys.readouterr().err
+            assert err.startswith(("error:", "data error:")[code - 1])
+            if case.endswith("-split-empty"):
+                assert f"splits.json: the {case.split('-')[0]} split is empty" in err
+
+    @pytest.mark.parametrize("split", SPLITS)
+    def test_eval_on_empty_split(self, tmp_path, capsys, split):
+        bundle = tmp_path / "bundle"
+        save_bundle(generate_sbm(2, 25, 0.3, 0.05, f=8, signal=2.0, seed=0), bundle)
+        assert main(["train", "--data", str(bundle), "--fixed-splits",
+                     "--out", str(tmp_path / "run"), *FAST]) == 0
+        path = bundle / "splits.json"
+        path.write_bytes(_empty_split(split)(path.read_bytes()))
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(tmp_path / "run" / "model_seed0.ckpt"),
+                   "--data", str(bundle), "--split", split])
+        assert rc == 2
+        assert f"{path}: the {split} split is empty" in capsys.readouterr().err
 
     def test_planetoid_not_utf8(self, tmp_path):
         content, cites = write_planetoid_files(tmp_path)
@@ -323,6 +358,46 @@ class TestExitCodes:
         assert rc == 2
         assert f"{content}:4: non-finite feature value" in capsys.readouterr().err
         assert not (tmp_path / "bundle").exists()
+
+
+BUNDLE_FILES = ("meta.json", "splits.json", "labels.txt", "edges.tsv", "features.csv")
+_TEXTISH = st.sampled_from(list(b'0123456789-+.eE"[],:{}\t\n ntfrua#'))
+_EDIT = st.tuples(st.sampled_from(["set", "insert", "delete"]), st.integers(0, 10**6),
+                  st.one_of(st.integers(0, 255), _TEXTISH))
+
+
+def _mutate(blob, edits, cut):
+    blob = bytearray(blob)
+    for op, pos, byte in edits:
+        pos %= len(blob) + 1
+        if op == "insert":
+            blob[pos:pos] = bytes([byte])
+        elif blob and op == "set":
+            blob[pos % len(blob)] = byte
+        elif blob:
+            del blob[pos % len(blob)]
+    return bytes(blob if cut is None else blob[:cut % (len(blob) + 1)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mutated=st.lists(st.tuples(st.sampled_from(BUNDLE_FILES), st.lists(_EDIT, max_size=4),
+                               st.one_of(st.none(), st.integers(0, 10**6))),
+                     min_size=1, max_size=2),
+    trainer=st.sampled_from(["standard", "lgt"]),
+)
+def test_mutated_bundle_exits_with_a_contract_code(mutated, trainer):
+    """Byte-mutated bundle files end in exit 0, 1, 2 or 3, never in an exception."""
+    with tempfile.TemporaryDirectory() as tmp:
+        bundle = save_bundle(generate_sbm(3, 22, 0.2, 0.02, f=4, signal=2.0, seed=0),
+                             Path(tmp) / "bundle")
+        for name, edits, cut in mutated:
+            path = bundle / name
+            path.write_bytes(_mutate(path.read_bytes(), edits, cut))
+        rc = main(["train", "--data", str(bundle), "--fixed-splits", "--trainer", trainer,
+                   "--max-epochs", "2", "--patience", "2", "--depth", "2",
+                   "--hidden-dim", "8", "--rank", "2", "--out", str(Path(tmp) / "run")])
+    assert rc in (0, 1, 2, 3)
 
 
 class TestEvalAndExport:

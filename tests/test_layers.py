@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from growgcn import (
     GcnLayer,
@@ -184,6 +186,28 @@ class TestDropout:
             return ad.masked_cross_entropy(ad.log_softmax_rows(out), [0, 1, 2, 0, 1], [0, 3])
 
         assert grad_check(f, [h]) < 1e-7
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), d=st.integers(1, 6),
+           p=st.sampled_from([0.1, 0.5, 0.9]), dtype=st.sampled_from([np.float32, np.float64]),
+           data=st.data())
+    def test_rows_match_full_dropout_and_rng_stream(self, seed, n, d, p, dtype, data):
+        rows = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))),
+                        dtype=np.int64)
+        full = np.random.default_rng(seed).standard_normal((n, d)).astype(dtype)
+        rng_full, rng_rows = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        h_full = Tensor(full, requires_grad=True)
+        h_rows = Tensor(full[rows], requires_grad=True)
+        want = ly.dropout(h_full, p, True, rng_full)
+        got = ly.dropout(h_rows, p, True, rng_rows, rows, n)
+        assert got.data.dtype == want.data.dtype
+        assert np.array_equal(got.data, want.data[rows])
+        # the next draw is the one after the full mask
+        assert rng_rows.random() == rng_full.random()
+        g = np.random.default_rng(seed + 2).standard_normal((n, d)).astype(dtype)
+        want._backward(g)
+        got._backward(g[rows])
+        assert np.array_equal(h_rows.grad, h_full.grad[rows])
 
 
 class TestSgcPropagate:

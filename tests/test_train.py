@@ -687,9 +687,10 @@ class TestRowConeOracle:
         merged=st.lists(st.booleans(), min_size=3, max_size=3),
         every_row=st.booleans(),
         use_lx=st.booleans(),
+        dropout=st.booleans(),
     )
     def test_rows_loss_and_gradients_match_plain_forward(self, seed, stage, lora, merged,
-                                                         every_row, use_lx):
+                                                         every_row, use_lx, dropout):
         rng = np.random.default_rng(seed)
         n, f, d, c = 16, 7, 5, 3
         adjacency, isolated = _graph_with_components(rng, n, int(rng.integers(1, 4)))
@@ -700,6 +701,7 @@ class TestRowConeOracle:
                                                                   replace=False))
         train_idx = np.sort(rng.choice(start, max(1, start.size // 2), replace=False))
         stack = _random_stage_stack(rng, f, d, c, stage, False, lora, merged)
+        stack.dropout_p = 0.3 if dropout else 0.0
         cone = RowCone(L, start, 4)
 
         dense = L.to_dense()
@@ -711,11 +713,18 @@ class TestRowConeOracle:
         # an isolated node outside the start rows is never reached: the cone closes early
         assert not np.isin(unreached, cone.rows(4)).any()
 
-        plain_logits = ly.stack_forward(stack, L, Xp, training=True, prepared=True)
+        # under dropout both forwards draw the same masks from equal rngs
+        rng_plain, rng_cone = np.random.default_rng(seed), np.random.default_rng(seed)
+        plain_logits = ly.stack_forward(stack, L, Xp, training=True, rng=rng_plain,
+                                        prepared=True)
         plain = _loss_and_grads(stack, plain_logits, labels, train_idx)
         LX = ad.spmm(L, Tensor(Xp)).data if use_lx else None
-        logits = ly.stack_forward(stack, L, Xp, training=True, prepared=True,
-                                  plan=_stage_plan(stack, L, Xp, LX, cone))
+        plan = _stage_plan(stack, L, Xp, LX, cone)
+        # under dropout the plan holds only the cone, and the forward starts at the input
+        assert (plan.inp is None) == dropout
+        logits = ly.stack_forward(stack, L, Xp, training=True, rng=rng_cone, prepared=True,
+                                  plan=plan)
+        assert rng_cone.bit_generator.state == rng_plain.bit_generator.state
         assert logits.data.shape == (start.size, c)
         np.testing.assert_allclose(logits.data, plain_logits.data[start], rtol=1e-12,
                                    atol=1e-12)
@@ -725,6 +734,23 @@ class TestRowConeOracle:
         for g, g_ref in zip(grads, plain[1], strict=True):
             np.testing.assert_allclose(g, g_ref, rtol=1e-9, atol=1e-12)
 
+    @pytest.mark.parametrize("dropout_p", [0.0, 0.4])
+    def test_propagation_only_stack(self, dropout_p):
+        rng = np.random.default_rng(5)
+        n, f, c, steps = 18, 6, 3, 3
+        L = normalized_laplacian(random_graph(rng, n))
+        Xp = rng.standard_normal((n, f))
+        stack = LayerStack(input_layer=None, sgc_steps=steps, dropout_p=dropout_p,
+                           head=Tensor(glorot_init(f, c, rng, np.float64), requires_grad=True),
+                           row_normalize=False).check()
+        cone = RowCone(L, [2, 9, 11], steps)
+        rng_plain, rng_cone = np.random.default_rng(0), np.random.default_rng(0)
+        plain = ly.stack_forward(stack, L, Xp, training=True, rng=rng_plain, prepared=True)
+        logits = ly.stack_forward(stack, L, Xp, training=True, rng=rng_cone, prepared=True,
+                                  plan=ly.ForwardPlan(cone=cone))
+        assert rng_cone.bit_generator.state == rng_plain.bit_generator.state
+        np.testing.assert_allclose(logits.data, plain.data[cone.rows(0)], rtol=1e-12,
+                                   atol=1e-12)
 
     def test_pairnorm_stack_refuses_a_cone(self, tiny_dataset):
         rng = np.random.default_rng(0)
@@ -774,8 +800,8 @@ class TestWorkspaceOracle:
         train_idx = rows[::2]
         stack = _random_stage_stack(rng, f, d, c, stage, pairnorm, lora, merged)
         stack.dropout_p = 0.3 if dropout else 0.0
-        # a cone needs dropout 0 and no PairNorm; under dropout the plan is None
-        cone = RowCone(L, rows, 4) if use_cone and not (pairnorm or dropout) else None
+        # a cone needs a stack without PairNorm
+        cone = RowCone(L, rows, 4) if use_cone and not pairnorm else None
         plan = _stage_plan(stack, L, Xp, None, cone)
         if cone is not None:
             labels, train_idx = labels[rows], np.searchsorted(rows, train_idx)
@@ -887,11 +913,17 @@ def _sparse_split_bundle():
                                                    test=s.test))
 
 
+def _float64_inits(m):
+    """Make the trainers build float64 stacks: each init's trailing dtype becomes float64."""
+    for name in ("glorot_init", "identity_init", "make_adapter"):
+        m.setattr(ly, name, lambda *a, _init=getattr(ly, name): _init(*a[:-1], np.float64))
+
+
 class TestRestrictedTrainer:
-    """``train_lgt`` on the row cone against the full-forward ``train_lgt``."""
+    """The trainers on the row cone against their full-forward selves, in float64."""
 
     @staticmethod
-    def _run(monkeypatch, data, cfg, variant, restrict):
+    def _run(monkeypatch, data, cfg, trainer, variant, restrict):
         flops = {"spmm": 0, "matmul": 0}
         spmm, matmul = ad.spmm, ad.matmul
 
@@ -904,13 +936,41 @@ class TestRestrictedTrainer:
             return matmul(x, w, **kw)
 
         with monkeypatch.context() as m:
+            _float64_inits(m)
             m.setattr(ad, "spmm", counting_spmm)
             m.setattr(ad, "matmul", counting_matmul)
             if not restrict:
-                # the oracle: every stage runs the forward over every node
+                # the oracle: every forward runs over every node
                 m.setattr(gtrain, "_row_cone", lambda *a: None)
-            stack, report = train_lgt(data, cfg, variant)
+            stack, report = train(data, cfg, trainer=trainer, variant=variant)
+        assert all(p.data.dtype == np.float64 for p in stack.parameters())
         return stack, report, flops
+
+    def _check(self, monkeypatch, cfg, trainer, variant):
+        """Train on the cone and on the full forward; returns both sides' flops."""
+        data = _sparse_split_bundle()
+        s_new, r_new, flops_new = self._run(monkeypatch, data, cfg, trainer, variant, True)
+        s_ref, r_ref, flops_ref = self._run(monkeypatch, data, cfg, trainer, variant, False)
+        assert [st.epochs_run for st in r_new.stages] == [st.epochs_run for st in r_ref.stages]
+        assert any(st.epochs_run < cfg.max_epochs for st in r_ref.stages)
+        assert r_new.test_acc == r_ref.test_acc
+        full_path = variant == "gcn+pairnorm"
+        for a, b in zip(s_new.parameters(), s_ref.parameters(), strict=True):
+            if full_path:
+                assert np.array_equal(a.data, b.data)
+            else:
+                np.testing.assert_allclose(a.data, b.data, rtol=1e-7, atol=1e-9)
+        if full_path:
+            # PairNorm centres over every row: the cone is not used at all
+            r_new.total_wall_clock = r_ref.total_wall_clock = 0.0
+            for st_new, st_ref in zip(r_new.stages, r_ref.stages):
+                st_new.wall_clock_seconds = st_ref.wall_clock_seconds = 0.0
+            assert r_new == r_ref
+            assert flops_new == flops_ref
+        else:
+            # the cone shortens every dense product, under dropout too
+            assert flops_new["matmul"] < flops_ref["matmul"]
+        return flops_new, flops_ref
 
     @pytest.mark.parametrize("variant, dropout_p, use_lora, merge", [
         ("gcn", None, True, True),
@@ -921,42 +981,37 @@ class TestRestrictedTrainer:
     ])
     def test_matches_full_forward_oracle(self, monkeypatch, variant, dropout_p, use_lora,
                                          merge):
-        data = _sparse_split_bundle()
         cfg = TrainConfig(depth=5, hidden_dim=8, lora_rank=2, max_epochs=30, patience=8,
                           dropout_p=dropout_p, use_lora=use_lora, merge_adapters=merge,
                           seed=1)
-        s_new, r_new, flops_new = self._run(monkeypatch, data, cfg, variant, True)
-        s_ref, r_ref, flops_ref = self._run(monkeypatch, data, cfg, variant, False)
-        assert [st.epochs_run for st in r_new.stages] == [st.epochs_run for st in r_ref.stages]
-        assert any(st.epochs_run < cfg.max_epochs for st in r_ref.stages)
-        assert r_new.test_acc == r_ref.test_acc
-        full_path = variant == "gcn+pairnorm" or dropout_p
-        for a, b in zip(s_new.parameters(), s_ref.parameters(), strict=True):
-            if full_path:
-                assert np.array_equal(a.data, b.data)
-            else:
-                np.testing.assert_allclose(a.data, b.data, rtol=1e-4, atol=1e-6)
-        if full_path:
-            # dropout and PairNorm read every row: the cone is not used at all
-            r_new.total_wall_clock = r_ref.total_wall_clock = 0.0
-            for st_new, st_ref in zip(r_new.stages, r_ref.stages):
-                st_new.wall_clock_seconds = st_ref.wall_clock_seconds = 0.0
-            assert r_new == r_ref
-            assert flops_new == flops_ref
-        else:
-            # without LoRA each stage starts at its new layer from a propagated
-            # input, so neither side runs a per-epoch spmm; the cone still
-            # shortens every dense product
-            assert flops_new["matmul"] < flops_ref["matmul"]
-            if use_lora:
-                assert flops_new["spmm"] < flops_ref["spmm"]
+        flops_new, flops_ref = self._check(monkeypatch, cfg, "lgt", variant)
+        # without LoRA each stage at dropout 0 starts at its new layer from a
+        # propagated input, so neither side runs a per-epoch spmm
+        if use_lora and variant == "gcn":
+            assert flops_new["spmm"] < flops_ref["spmm"]
+
+    @pytest.mark.parametrize("variant, dropout_p", [
+        ("gcn", 0.0),
+        ("gcn", 0.5),
+        ("sgc", 0.5),
+        ("gcn+pairnorm", 0.5),
+    ])
+    def test_standard_matches_full_forward_oracle(self, monkeypatch, variant, dropout_p):
+        cfg = TrainConfig(depth=5, hidden_dim=8, max_epochs=30, patience=4,
+                          dropout_p=dropout_p, seed=1)
+        flops_new, flops_ref = self._check(monkeypatch, cfg, "standard", variant)
+        if variant == "gcn":
+            assert flops_new["spmm"] < flops_ref["spmm"]
+        elif variant == "sgc":
+            # the propagation happens once per call, outside the autodiff ops
+            assert flops_new["spmm"] == flops_ref["spmm"] == 0
 
 
 class TestFinalForward:
     """The final test accuracy and collapse report come from one ``stack_forward``.
 
     Training forwards go through ``stack_forward`` too: with a plan at dropout
-    0, and without one under dropout.
+    0, and under dropout without one for PairNorm (which has no cone).
     """
 
     @pytest.mark.parametrize("trainer, variant, dropout_p", [
@@ -990,7 +1045,8 @@ class TestFinalForward:
         if stack.dropout_p == 0.0:
             # one training forward per stage plus one per epoch, then the final one
             assert calls["all"] == epochs + len(report.stages) + 1
-            # the final forward of the propagation-only stack reads every hop
-            assert calls["plan-less"] == (variant == "sgc")
+            # the propagation-only stack's final forward starts from its head
+            # input, which is all its collapse report reads
+            assert calls["plan-less"] == 0
         else:
             assert calls["all"] == calls["plan-less"] == 2 * epochs + 1
