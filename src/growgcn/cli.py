@@ -27,7 +27,7 @@ from . import data as gdata
 from . import gradcheck as gc
 from . import metrics as gmetrics
 from .errors import DataError, NumericalAbort
-from .train import TRAINERS, VARIANTS, TrainConfig, evaluate, train
+from .train import STAGED_VARIANTS, TRAINERS, VARIANTS, TrainConfig, evaluate, train
 
 
 class UsageError(Exception):
@@ -111,6 +111,22 @@ def build_train_config(args, cfg_file):
         return TrainConfig(**kwargs).validate()
     except ValueError as e:
         raise UsageError(str(e)) from None
+
+
+def _trainer_and_variant(args, cfg_file, default_trainer):
+    trainer = _resolve(args, cfg_file, "trainer", default_trainer)
+    variant = _resolve(args, cfg_file, "variant", "gcn")
+    if trainer not in TRAINERS:
+        raise UsageError(f"unknown trainer {trainer!r}")
+    if variant not in VARIANTS:
+        raise UsageError(f"unknown variant {variant!r}")
+    return trainer, variant
+
+
+def _check_staged_variant(variant):
+    if variant not in STAGED_VARIANTS:
+        raise UsageError(f"staged training (trainer lgt) supports the variants "
+                         f"{', '.join(STAGED_VARIANTS)}, not {variant!r}")
 
 
 def _repeats(args, cfg_file, default):
@@ -231,14 +247,11 @@ def _write_summary_csv(path, rows, header):
 def cmd_train(args):
     cfg_file = read_config_file(args.config) if args.config else {}
     cfg = build_train_config(args, cfg_file)
-    trainer = _resolve(args, cfg_file, "trainer", "standard")
-    variant = _resolve(args, cfg_file, "variant", "gcn")
+    trainer, variant = _trainer_and_variant(args, cfg_file, "standard")
     repeats = _repeats(args, cfg_file, 1)
     fixed = bool(_resolve(args, cfg_file, "fixed_splits", False))
-    if trainer not in TRAINERS:
-        raise UsageError(f"unknown trainer {trainer!r}")
-    if variant not in VARIANTS:
-        raise UsageError(f"unknown variant {variant!r}")
+    if trainer == "lgt":
+        _check_staged_variant(variant)
 
     data = _load_dataset(args)
     if fixed and not getattr(args, "sbm", None):
@@ -316,8 +329,7 @@ def _format_table(rows, columns):
 def cmd_sweep(args):
     cfg_file = read_config_file(args.config) if args.config else {}
     cfg = build_train_config(args, cfg_file)
-    trainer = _resolve(args, cfg_file, "trainer", "lgt")
-    variant = _resolve(args, cfg_file, "variant", "gcn")
+    trainer, variant = _trainer_and_variant(args, cfg_file, "lgt")
     repeats = _repeats(args, cfg_file, 5)
     fixed = bool(_resolve(args, cfg_file, "fixed_splits", False))
 
@@ -354,6 +366,9 @@ def cmd_sweep(args):
         for label, cell_trainer, overrides in ABLATION_CELLS:
             payloads.append(dict(base, label=label, value=label, trainer=cell_trainer,
                                  cfg=dict(asdict(cfg), **overrides)))
+
+    if any(p["trainer"] == "lgt" for p in payloads):
+        _check_staged_variant(variant)
 
     if args.workers and args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:

@@ -13,6 +13,7 @@ Bundle layout (one directory per dataset):
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -154,7 +155,9 @@ def load_bundle(path):
 
     fpath = path / "features.csv"
     try:
-        X = np.loadtxt(fpath, delimiter=",", dtype=np.float64, ndmin=2)
+        with warnings.catch_warnings():  # an empty file is reported below, by its shape
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            X = np.loadtxt(fpath, delimiter=",", dtype=np.float64, ndmin=2)
     except ValueError as e:
         raise DataError(f"malformed float field ({e})", file=fpath) from e
     if X.shape != (n, f):

@@ -16,6 +16,7 @@ from .metrics import CollapseReport, collapse_from_hidden
 from .sparse import normalized_laplacian
 
 VARIANTS = ("gcn", "sgc", "gcn+pairnorm")
+STAGED_VARIANTS = ("gcn", "gcn+pairnorm")  # the variants that train_lgt can grow
 TRAINERS = ("standard", "lgt")
 
 # per-trainer dropout defaults, applied when TrainConfig.dropout_p is None; the
@@ -520,7 +521,7 @@ def train_lgt(data, cfg, variant="gcn", on_stage_start=None, on_stage_end=None):
     merging. The final depth equals cfg.depth.
     """
     cfg.validate()
-    if variant not in ("gcn", "gcn+pairnorm"):
+    if variant not in STAGED_VARIANTS:
         raise ValueError(f"staged training supports gcn variants, not {variant!r}")
     cfg.check_lora_rank(data.f)
     rng = np.random.default_rng(cfg.seed)

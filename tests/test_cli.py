@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from argparse import Namespace
 from pathlib import Path
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import growgcn
 from growgcn import DataError, generate_sbm, load_bundle, load_checkpoint, save_bundle
 from growgcn.data import load_planetoid
 from growgcn.cli import (
@@ -288,6 +292,10 @@ EXIT_CASES = {
                                           b"lora_rank = 1\npatience = 1\nlora_alpha = 1\n"}),
     "config-depth-true": (1, ["--config", "run.cfg"], {"run.cfg": b"depth = true\n"}),
     "config-not-utf8": (2, ["--config", "run.cfg"], {"run.cfg": b"depth = \xff2\n"}),
+    "variant-sgc": (1, ["--variant", "sgc", "--rank", "2"], {}),
+    "config-variant-sgc": (1, ["--config", "run.cfg", "--rank", "2"],
+                           {"run.cfg": b"variant = sgc\n"}),
+    "features-csv-empty": (2, [], {"bundle/features.csv": b""}),
     **{f"{name}-not-utf8": (2, [], {f"bundle/{name}": _prefix(b"\xff")})
        for name in ("meta.json", "edges.tsv", "features.csv", "labels.txt", "splits.json")},
     "meta-json-list": (2, [], {"bundle/meta.json": b"[120, 8, 3]"}),
@@ -323,6 +331,51 @@ class TestExitCodes:
             assert err.startswith(("error:", "data error:")[code - 1])
             if case.endswith("-split-empty"):
                 assert f"splits.json: the {case.split('-')[0]} split is empty" in err
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("route", ["flags", "config"])
+    def test_staged_sgc_is_usage_error_before_data_loads(self, tmp_path, capsys, command,
+                                                         route):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("trainer = lgt\nvariant = sgc\n")
+        flags = (["--trainer", "lgt", "--variant", "sgc"] if route == "flags"
+                 else ["--config", str(cfg)])
+        axis = ["--axis", "depth", "--values", "1"] if command == "sweep" else []
+        rc = main([command, *axis, "--data", str(tmp_path / "missing"), *flags,
+                   "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert "staged training (trainer lgt)" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_staged_sgc_in_a_sweep_cell_is_usage_error(self, capsys, tmp_path):
+        # the ablation and rank axes run lgt cells whatever the trainer
+        for axis in (["--axis", "ablation"], ["--axis", "rank", "--values", "2"]):
+            rc = main(["sweep", *axis, "--sbm", SBM, "--trainer", "standard",
+                       "--variant", "sgc", "--out", str(tmp_path / "x")])
+            assert rc == 1
+            assert "not 'sgc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["trainer = joint", "variant = gat"])
+    def test_unknown_name_in_a_sweep_config_is_usage_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        rc = main(["sweep", "--axis", "depth", "--values", "1", "--sbm", SBM,
+                   "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert f"unknown {line.split()[0]}" in capsys.readouterr().err
+
+    def test_empty_features_file_prints_one_error_line(self, tmp_path):
+        bundle = save_bundle(generate_sbm(2, 25, 0.3, 0.05, f=8, signal=2.0, seed=0),
+                             tmp_path / "bundle")
+        (bundle / "features.csv").write_bytes(b"")
+        env = dict(os.environ, PYTHONPATH=str(Path(growgcn.__file__).parents[1]),
+                   PYTHONWARNINGS="default")
+        proc = subprocess.run(
+            [sys.executable, "-m", "growgcn.cli", "train", "--data", str(bundle),
+             "--out", str(tmp_path / "x")], capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("data error:"), proc.stderr
 
     @pytest.mark.parametrize("split", SPLITS)
     def test_eval_on_empty_split(self, tmp_path, capsys, split):
@@ -474,6 +527,44 @@ class TestEvalAndExport:
         assert rc == 2
         assert "bundle has 6 features" in capsys.readouterr().err
         assert not (tmp_path / "e.csv").exists()
+
+
+CONFIG_TEXT = (b"# a staged run\ntrainer = lgt\nvariant = gcn\nlora_rank = 2\n"
+               b"lora_alpha = 4\ndropout_p = 0.5\nlr = 0.01\nweight_decay = 5e-4\n"
+               b"seed = 3\nuse_lora = true\nnew_layer_init = identity\n"
+               b"loss_reduction = mean\nfixed_splits = no\n")
+
+
+@settings(max_examples=150, deadline=None)
+@given(edits=st.lists(_EDIT, max_size=6), cut=st.one_of(st.none(), st.integers(0, 10**6)))
+def test_mutated_config_file_exits_with_a_contract_code(edits, cut):
+    """Byte-mutated config files end in exit 0, 1, 2 or 3, never in an exception.
+
+    The flags fix the model's size, and flags take precedence over the file.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_bytes(_mutate(CONFIG_TEXT, edits, cut))
+        rc = main(["train", "--sbm", SBM, "--config", str(cfg), "--depth", "2",
+                   "--hidden-dim", "8", "--max-epochs", "2", "--patience", "2",
+                   "--repeats", "1", "--out", str(Path(tmp) / "run")])
+    assert rc in (0, 1, 2, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated=st.lists(st.tuples(st.sampled_from(["content", "cites"]),
+                                  st.lists(_EDIT, max_size=4),
+                                  st.one_of(st.none(), st.integers(0, 10**6))),
+                        min_size=1, max_size=2))
+def test_mutated_planetoid_files_exit_with_a_contract_code(mutated):
+    """Byte-mutated .content/.cites files end in exit 0, 1, 2 or 3, never in an exception."""
+    with tempfile.TemporaryDirectory() as tmp:
+        files = dict(zip(["content", "cites"], write_planetoid_files(Path(tmp))))
+        for name, edits, cut in mutated:
+            files[name].write_bytes(_mutate(files[name].read_bytes(), edits, cut))
+        rc = main(["prepare", "planetoid", "--content", str(files["content"]),
+                   "--cites", str(files["cites"]), "--out", str(Path(tmp) / "bundle")])
+    assert rc in (0, 1, 2, 3)
 
 
 class TestSweep:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,6 +149,17 @@ class TestPairNorm:
             PairNormConfig(0.0)
 
 
+BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.MT19937,
+                  np.random.SFC64]
+
+
+def _same_state(a, b):
+    """Equal bit-generator states, field by field (some fields are arrays)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
 class TestDropout:
     def test_identity_when_eval_or_p0(self):
         h = Tensor(np.ones((3, 3)))
@@ -187,27 +200,63 @@ class TestDropout:
 
         assert grad_check(f, [h]) < 1e-7
 
-    @settings(max_examples=80, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), d=st.integers(1, 6),
-           p=st.sampled_from([0.1, 0.5, 0.9]), dtype=st.sampled_from([np.float32, np.float64]),
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80),
+           d=st.sampled_from([1, 3, 6, 40, 300]), p=st.sampled_from([0.1, 0.5, 0.9]),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           bit_generator=st.sampled_from(BIT_GENERATORS), buffered=st.booleans(),
            data=st.data())
-    def test_rows_match_full_dropout_and_rng_stream(self, seed, n, d, p, dtype, data):
-        rows = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))),
-                        dtype=np.int64)
+    def test_rows_match_full_dropout_and_rng_stream(self, seed, n, d, p, dtype, bit_generator,
+                                                    buffered, data):
+        # few rows of a wide input leave gaps long enough to be skipped, not drawn
+        most = data.draw(st.integers(1, n))
+        rows = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1,
+                                                 max_size=most))), dtype=np.int64)
         full = np.random.default_rng(seed).standard_normal((n, d)).astype(dtype)
-        rng_full, rng_rows = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        rng_full = np.random.Generator(bit_generator(seed + 1))
+        rng_rows = np.random.Generator(bit_generator(seed + 1))
+        if buffered:  # a pending 32-bit value, which advance() would drop
+            assert rng_full.random(dtype=np.float32) == rng_rows.random(dtype=np.float32)
         h_full = Tensor(full, requires_grad=True)
         h_rows = Tensor(full[rows], requires_grad=True)
         want = ly.dropout(h_full, p, True, rng_full)
         got = ly.dropout(h_rows, p, True, rng_rows, rows, n)
         assert got.data.dtype == want.data.dtype
         assert np.array_equal(got.data, want.data[rows])
-        # the next draw is the one after the full mask
+        # the generator is left where the full mask leaves it
+        assert _same_state(rng_rows.bit_generator.state, rng_full.bit_generator.state)
+        assert rng_rows.random(dtype=np.float32) == rng_full.random(dtype=np.float32)
         assert rng_rows.random() == rng_full.random()
         g = np.random.default_rng(seed + 2).standard_normal((n, d)).astype(dtype)
         want._backward(g)
         got._backward(g[rows])
         assert np.array_equal(h_rows.grad, h_full.grad[rows])
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM])
+    def test_few_rows_skip_the_unused_draws(self, bit_generator):
+        n, d = 20_000, 300  # the full mask would be 48 MB of float64
+        rows = np.array([0, 1, 2, 7, 4_000, 4_003, 19_999], dtype=np.int64)
+        h = Tensor(np.ones((rows.size, d)))
+        rng = np.random.Generator(bit_generator(5))
+        tracemalloc.start()
+        try:
+            got = ly.dropout(h, 0.5, True, rng, rows, n).data
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        want_rng = np.random.Generator(bit_generator(5))
+        want = (want_rng.random((n, d))[rows] >= 0.5) * 2.0
+        assert np.array_equal(got, want)
+        assert _same_state(rng.bit_generator.state, want_rng.bit_generator.state)
+
+    def test_unsorted_rows_match_full_dropout(self):
+        n, d = 3_000, 300
+        rows = np.array([2_000, 7, 2_999, 0], dtype=np.int64)
+        rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
+        got = ly.dropout(Tensor(np.ones((rows.size, d))), 0.5, True, rng, rows, n).data
+        assert np.array_equal(got, (want_rng.random((n, d))[rows] >= 0.5) * 2.0)
+        assert _same_state(rng.bit_generator.state, want_rng.bit_generator.state)
 
 
 class TestSgcPropagate:
