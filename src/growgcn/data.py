@@ -155,11 +155,13 @@ def load_bundle(path):
 
     fpath = path / "features.csv"
     try:
-        with warnings.catch_warnings():  # an empty file is reported below, by its shape
+        with warnings.catch_warnings():  # a file without data is reported below
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             X = np.loadtxt(fpath, delimiter=",", dtype=np.float64, ndmin=2)
     except ValueError as e:
         raise DataError(f"malformed float field ({e})", file=fpath) from e
+    if X.shape[0] == 0:
+        raise DataError(f"no data rows, expected n={n} rows of f={f} values", file=fpath)
     if X.shape != (n, f):
         raise DataError(
             f"features shape {X.shape} does not match declared n={n}, f={f}", file=fpath

@@ -3,7 +3,8 @@
 Each seed builds a tiny random graph and a stack that exercises a trainable
 conv layer, a frozen conv layer with a low-rank adapter, the head, and the
 masked cross-entropy loss; alternate seeds route through PairNorm as well.
-All checks run in float64.
+Every check differentiates ``layers.stack_forward``, the forward that
+training runs. All checks run in float64.
 """
 
 from dataclasses import dataclass, field
@@ -46,6 +47,16 @@ def _case(seed):
     return adj, X, labels, mask, (f, d, c), rng
 
 
+def _check_stack(stack, L, X, labels, mask, eps):
+    """Max relative error of the trainable parameters' gradients of the training forward."""
+
+    def loss_fn():
+        logits = ly.stack_forward(stack, L, X, prepared=True)
+        return ad.masked_cross_entropy(ad.log_softmax_rows(logits), labels, mask)
+
+    return ad.grad_check(loss_fn, stack.trainable_parameters(), eps=eps)
+
+
 def run_case(seed, eps=1e-5, use_pairnorm=None):
     """Gradient-check one random stack; returns the max relative error."""
     adj, X, labels, mask, (f, d, c), rng = _case(seed)
@@ -61,23 +72,12 @@ def run_case(seed, eps=1e-5, use_pairnorm=None):
     # start B away from zero so its gradient path into A is live
     adapter.B.data = rng.standard_normal(adapter.B.data.shape) * 0.1
     frozen.attach_adapter(adapter)
-    head = Tensor(ly.glorot_init(d, c, rng, dt), requires_grad=True)
-    pn = ly.PairNormConfig(1.0) if use_pairnorm else None
-
-    x0 = Tensor(X)
-
-    def loss_fn():
-        h = ad.relu(ad.matmul(ad.spmm(L, x0), w_in))
-        if pn is not None:
-            h = ly.pairnorm(h, pn)
-        h = ad.relu(ad.matmul(ad.spmm(L, h), frozen.effective_weight()))
-        if pn is not None:
-            h = ly.pairnorm(h, pn)
-        logits = ad.matmul(h, head)
-        return ad.masked_cross_entropy(ad.log_softmax_rows(logits), labels, mask)
-
-    params = [w_in, adapter.A, adapter.B, head]
-    err = ad.grad_check(loss_fn, params, eps=eps)
+    stack = ly.LayerStack(
+        input_layer=ly.GcnLayer(w_in), hidden_layers=[frozen],
+        head=Tensor(ly.glorot_init(d, c, rng, dt), requires_grad=True),
+        pairnorm=ly.PairNormConfig(1.0) if use_pairnorm else None, row_normalize=False,
+    ).check()
+    err = _check_stack(stack, L, X, labels, mask, eps)
 
     # frozen weight must stay out of the gradient flow entirely
     assert frozen.W.grad is None, "frozen weight accumulated a gradient"
@@ -92,7 +92,7 @@ def run_suite(seeds=100, eps=1e-5, threshold=1e-6, corrupt_backward=False):
     """
     real_relu = ad.relu
 
-    def bad_relu(x):
+    def bad_relu(x, **_):
         mask = x.data > 0
         out = x.data * mask
 
@@ -118,16 +118,10 @@ def run_suite(seeds=100, eps=1e-5, threshold=1e-6, corrupt_backward=False):
 def sgc_head_case(seed, eps=1e-5):
     """Separate check for the propagation-only model's head gradient."""
     ds = generate_sbm(2, 30, 0.5, 0.2, f=4, signal=1.0, seed=seed)
-    L = normalized_laplacian(ds.adjacency)
-    P = ly.sgc_propagate(L, ds.X, 3)
     rng = np.random.default_rng(seed)
-    head = Tensor(ly.glorot_init(ds.f, ds.C, rng, np.float64), requires_grad=True)
-    pt = Tensor(P)
-
-    def loss_fn():
-        logits = ad.matmul(pt, head)
-        return ad.masked_cross_entropy(
-            ad.log_softmax_rows(logits), ds.labels, ds.splits.train
-        )
-
-    return ad.grad_check(loss_fn, [head], eps=eps)
+    stack = ly.LayerStack(
+        input_layer=None, sgc_steps=3, row_normalize=False,
+        head=Tensor(ly.glorot_init(ds.f, ds.C, rng, np.float64), requires_grad=True),
+    ).check()
+    return _check_stack(stack, normalized_laplacian(ds.adjacency), ds.X, ds.labels,
+                        ds.splits.train, eps)

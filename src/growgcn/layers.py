@@ -324,10 +324,12 @@ class ForwardPlan:
     """Constant work that ``stack_forward`` skips, and the rows it computes.
 
     The forward starts at conv layer ``start`` from ``inp``, that layer's
-    propagated input ``L @ H`` (past the last conv layer, the head's input,
-    e.g. ``L^K @ X``); an ``inp`` is valid while no dropout precedes
-    ``start``. ``C = inp @ W0`` for a start layer with an adapter leaves
-    only ``(inp @ A) @ B * alpha/rank`` per call. With a ``cone`` (a
+    propagated input ``L @ H``; an ``inp`` there is valid while no dropout
+    precedes ``start``. Past the last conv layer ``inp`` is the head's
+    input, e.g. the propagation-only stack's ``L^K @ X``, and valid at any
+    dropout: the head's dropout still applies to it (``train._stage_plan``
+    builds both kinds). ``C = inp @ W0`` for a start layer with an adapter
+    leaves only ``(inp @ A) @ B * alpha/rank`` per call. With a ``cone`` (a
     ``RowCone``), the layer k hops below the output multiplies by
     ``cone.op(k)``, ``inp`` and ``C`` hold the cone's rows, and the logits
     cover ``cone.rows(0)``. A cone with no ``inp`` starts from the input's

@@ -1,4 +1,4 @@
-"""Training: configs, Adam, early stopping, the standard and staged trainers."""
+"""Training: configs, Adam, early stopping, and the one trainer, standard or staged."""
 
 import json
 import math
@@ -16,7 +16,7 @@ from .metrics import CollapseReport, collapse_from_hidden
 from .sparse import normalized_laplacian
 
 VARIANTS = ("gcn", "sgc", "gcn+pairnorm")
-STAGED_VARIANTS = ("gcn", "gcn+pairnorm")  # the variants that train_lgt can grow
+STAGED_VARIANTS = ("gcn", "gcn+pairnorm")  # the variants that staged training can grow
 TRAINERS = ("standard", "lgt")
 
 # per-trainer dropout defaults, applied when TrainConfig.dropout_p is None; the
@@ -245,20 +245,6 @@ def _target(data, rows=None):
             np.searchsorted(rows, splits.val))
 
 
-def _test_and_collapse(stack, data, L, Xp, plan=None):
-    """Test accuracy and collapse report of the final model, from one forward.
-
-    ``Xp`` is the prepared input, and ``plan`` may only hoist layer 0's
-    propagation or hold the propagation-only stack's head input ``L^K X``.
-    The report reads only the head's input, ``hidden[-1]``, so both match
-    ``evaluate`` and ``collapse_report`` bitwise.
-    """
-    logits, hidden = ly.stack_forward(stack, L, Xp, prepared=True, plan=plan,
-                                      return_hidden=True)
-    return (_accuracy(logits.data, data.labels, data.splits.test),
-            collapse_from_hidden(hidden, data.adjacency))
-
-
 def _snapshot(tensors):
     return [t.data.copy() for t in tensors]
 
@@ -327,7 +313,7 @@ def _fit(forward, mutable, groups, target, cfg, dropout_p):
     )
 
 
-def _build_standard_stack(data, cfg, variant, rng, dropout_p, depth):
+def _build_stack(data, cfg, variant, rng, dropout_p, depth):
     """A freshly initialised depth-``depth`` stack; draws the input layer, then the head."""
     d, dtype = cfg.hidden_dim, np.float32
     if variant == "sgc":
@@ -350,60 +336,6 @@ def _build_standard_stack(data, cfg, variant, rng, dropout_p, depth):
         row_normalize=cfg.row_normalize_features,
     )
     return stack.check()
-
-
-def train_standard(data, cfg, variant="gcn"):
-    """Train the whole depth-K model jointly, with early stopping on val accuracy.
-
-    The propagation-only baseline propagates its features once per call; a
-    GCN at dropout 0 computes its input layer's ``L @ X`` once per call.
-    Without PairNorm, and at any dropout, the epochs compute only the rows
-    the loss and val accuracy read, as ``train_lgt`` does: a ``RowCone`` of
-    the train and val nodes over ``depth`` hops (none for the propagation-only
-    baseline, whose head reads ``(L^K X)[rows(0)]``). The epochs' forwards
-    and backwards reuse the buffers of one workspace. The test accuracy and
-    collapse report come from one full forward.
-    """
-    cfg.validate()
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    rng = np.random.default_rng(cfg.seed)
-    L = normalized_laplacian(data.adjacency)
-    dropout_p = cfg.resolved_dropout("standard", variant)
-    stack = _build_standard_stack(data, cfg, variant, rng, dropout_p, cfg.depth)
-    Xp = ly.prepare_features(stack, data.X)
-    cone = _row_cone(stack, L, data, 0 if variant == "sgc" else cfg.depth)
-    rows = None if cone is None else cone.rows(0)
-    if variant == "sgc":
-        LKX = ly.sgc_propagate(L, Xp, cfg.depth)
-        plan = ly.ForwardPlan(inp=LKX if rows is None else LKX[rows], cone=cone)
-        final = ly.ForwardPlan(inp=LKX)
-    else:
-        LX = ad.spmm(L, Tensor(Xp)).data if dropout_p == 0.0 else None
-        plan = _stage_plan(stack, L, Xp, LX, cone)
-        final = None if LX is None else ly.ForwardPlan(inp=LX)
-
-    ws = ad.Workspace()
-
-    def forward(training):
-        ws.reset()
-        return ly.stack_forward(stack, L, Xp, training=training, rng=rng, prepared=True,
-                                plan=plan, ws=ws)
-
-    params = stack.trainable_parameters()
-    groups = [{"params": params, "lr": cfg.lr, "weight_decay": cfg.weight_decay}]
-    t0 = time.perf_counter()
-    stage = _fit(forward, params, groups, _target(data, rows), cfg, stack.dropout_p)
-    stage.wall_clock_seconds = time.perf_counter() - t0
-    del ws  # free the buffers before the final forward, whose arrays escape
-
-    test_acc, collapse = _test_and_collapse(stack, data, L, Xp, final)
-    return stack, TrainReport(
-        stages=[stage],
-        test_acc=test_acc,
-        collapse=collapse,
-        total_wall_clock=stage.wall_clock_seconds,
-    )
 
 
 class RowCone:
@@ -462,17 +394,23 @@ def _row_cone(stack, L, data, hops):
 def _stage_plan(stack, L, Xp, LX, cone):
     """The ``ForwardPlan`` of one stage; None under dropout without a cone.
 
-    The leading layers that are frozen without an adapter give the same
-    features all stage long, so the plan starts at the first layer that
-    trains or has an adapter, from its input ``L @ H`` formed here once per
-    stage (``LX = L @ Xp`` is formed once per call, or here when None), plus
-    ``C`` for an adapter. A ``cone`` (not for PairNorm, which centres over
-    every row) restricts the plan's constants and forward to its rows.
-    Dropout redraws its masks before every layer, so under dropout the plan
-    holds only the cone, and the forward starts from the input's rows.
+    ``LX`` is the constant that the trainer forms once per call: ``L @ Xp``,
+    or None under dropout, and ``L^K @ Xp`` for the propagation-only stack
+    (formed here when None). That stack's plan, at any dropout, starts at
+    its head from ``LX`` on the cone's ``rows(0)``. Otherwise the leading
+    layers that are frozen without an adapter give the same features all
+    stage long, so the plan starts at the first layer that trains or has an
+    adapter, from its input ``L @ H`` formed here once per stage, plus ``C``
+    for an adapter. A ``cone`` (not for PairNorm, which centres over every
+    row) restricts the plan's constants and forward to its rows. Dropout
+    redraws its masks before every layer, so under dropout a conv stack's
+    plan holds only the cone, and the forward starts from the input's rows.
     """
     if cone is not None and stack.pairnorm is not None:
         raise ValueError("a row cone cannot restrict a stack with PairNorm")
+    if stack.input_layer is None:
+        inp = ly.sgc_propagate(L, Xp, stack.sgc_steps) if LX is None else LX
+        return ly.ForwardPlan(inp=inp if cone is None else inp[cone.rows(0)], cone=cone)
     if stack.dropout_p > 0.0:
         return None if cone is None else ly.ForwardPlan(cone=cone)
     layers = stack.conv_layers()
@@ -494,52 +432,66 @@ def _stage_plan(stack, L, Xp, LX, cone):
     return ly.ForwardPlan(start, inp, C, cone)
 
 
-def train_lgt(data, cfg, variant="gcn", on_stage_start=None, on_stage_end=None):
-    """Grow the network one layer per stage, adapting frozen layers via LoRA.
+@np.errstate(over="ignore", invalid="ignore")  # the loss and Adam report non-finite values
+def train(data, cfg, trainer="standard", variant="gcn", on_stage_start=None,
+          on_stage_end=None):
+    """Train a model; returns (stack, report).
 
-    Stage 1 trains the input layer and head jointly. Every later stage appends
-    a new hidden layer (identity-initialized by default), attaches fresh
-    low-rank adapters to all frozen layers, and trains only the new layer, the
-    head, and the adapters. Adapters are folded into their frozen weights at
-    stage end when cfg.merge_adapters is set.
+    ``standard`` trains the whole depth-K model jointly in one stage.
+    ``lgt`` grows the network one layer per stage: stage 1 is the standard
+    model at depth 1, and every later stage appends a new hidden layer
+    (identity-initialized by default), attaches fresh low-rank adapters to
+    all frozen layers, and trains only the new layer, the head, and the
+    adapters. Adapters are folded into their frozen weights at stage end
+    when cfg.merge_adapters is set, and the new layer is frozen. Each stage
+    stops early on val accuracy and restores its best weights.
 
     Each stage runs ``stack_forward`` with the plan of ``_stage_plan``. At
     dropout 0 it starts at the first layer that trains or has an adapter,
-    from that layer's propagated input, computed once per stage. Without
-    PairNorm, and at any dropout, it also computes only the rows its loss
-    and val accuracy read: a ``RowCone`` built once per call from the train
-    and val nodes gives the rows each layer needs, and the plan holds its
-    constants on those rows. The results equal the full forward's up to
-    rounding: weight gradients sum over fewer rows, and BLAS may round a
-    dense product's rows differently for a shorter matrix. Every epoch's forward
-    and backward reuse the buffers of one workspace per call. The final
-    test accuracy and collapse report come from one full forward.
+    from that layer's propagated input: ``L @ Xp`` is formed once per call,
+    as is the propagation-only baseline's ``L^K @ Xp``. Without PairNorm,
+    and at any dropout, it also computes only the rows its loss and val
+    accuracy read: a ``RowCone`` built once per call from the train and val
+    nodes gives the rows each layer needs, and the plan holds its constants
+    on those rows. The results equal the full forward's up to rounding:
+    weight gradients sum over fewer rows, and BLAS may round a dense
+    product's rows differently for a shorter matrix. Every epoch's forward
+    and backward reuse the buffers of one workspace per call. The final test
+    accuracy and collapse report come from one full forward.
 
     Callbacks, both optional, fire inside each stage: ``on_stage_start(stage,
     stack, L, Xp)`` after growth but before any optimizer step, and
     ``on_stage_end(stage, stack)`` after best-weight restore but before
     merging. The final depth equals cfg.depth.
     """
+    if trainer not in TRAINERS:
+        raise ValueError(f"unknown trainer {trainer!r}")
+    staged = trainer == "lgt"
     cfg.validate()
-    if variant not in STAGED_VARIANTS:
+    if staged and variant not in STAGED_VARIANTS:
         raise ValueError(f"staged training supports gcn variants, not {variant!r}")
-    cfg.check_lora_rank(data.f)
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    if staged:
+        cfg.check_lora_rank(data.f)
     rng = np.random.default_rng(cfg.seed)
     L = normalized_laplacian(data.adjacency)
     d, dtype = cfg.hidden_dim, np.float32
-    dropout_p = cfg.resolved_dropout("lgt")
-
-    stack = _build_standard_stack(data, cfg, variant, rng, dropout_p, 1)
+    stack = _build_stack(data, cfg, variant, rng, cfg.resolved_dropout(trainer, variant),
+                         1 if staged else cfg.depth)
     Xp = ly.prepare_features(stack, data.X)
-    # every stage starts from the same L @ Xp while no dropout precedes layer 0
-    LX = ad.spmm(L, Tensor(Xp)).data if dropout_p == 0.0 else None
-    cone = _row_cone(stack, L, data, cfg.depth)
+    if stack.input_layer is None:
+        LX = ly.sgc_propagate(L, Xp, cfg.depth)
+    else:
+        # every stage starts from the same L @ Xp while no dropout precedes layer 0
+        LX = ad.spmm(L, Tensor(Xp)).data if stack.dropout_p == 0.0 else None
+    cone = _row_cone(stack, L, data, 0 if stack.input_layer is None else cfg.depth)
     target = _target(data, None if cone is None else cone.rows(0))
 
     stages = []
     ws = ad.Workspace()
     t_total = time.perf_counter()
-    for stage_idx in range(1, cfg.depth + 1):
+    for stage_idx in range(1, (cfg.depth if staged else 1) + 1):
         if stage_idx > 1:
             if cfg.new_layer_init == "identity":
                 w = ly.identity_init(d, dtype)
@@ -558,12 +510,10 @@ def train_lgt(data, cfg, variant="gcn", on_stage_start=None, on_stage_end=None):
         if on_stage_start is not None:
             on_stage_start(stage_idx, stack, L, Xp)
 
-        new_layer = stack.conv_layers()[-1]
-        main = [new_layer.W, stack.head]
-        adapters = []
-        for layer in stack.conv_layers()[:-1]:
-            if layer.adapter is not None:
-                adapters.extend([layer.adapter.A, layer.adapter.B])
+        layers = stack.conv_layers()
+        main = [layer.W for layer in layers if layer.W.requires_grad] + [stack.head]
+        adapters = [p for layer in layers if layer.adapter is not None
+                    for p in (layer.adapter.A, layer.adapter.B)]
         groups = [{"params": main, "lr": cfg.lr, "weight_decay": cfg.weight_decay}]
         if adapters:
             groups.append({"params": adapters, "lr": cfg.resolved_lora_lr(),
@@ -584,27 +534,31 @@ def train_lgt(data, cfg, variant="gcn", on_stage_start=None, on_stage_end=None):
         if on_stage_end is not None:
             on_stage_end(stage_idx, stack)
 
-        if cfg.merge_adapters:
-            for layer in stack.conv_layers()[:-1]:
-                layer.merge_adapter()
-        new_layer.freeze()
+        if staged:
+            if cfg.merge_adapters:
+                for layer in layers[:-1]:
+                    layer.merge_adapter()
+            layers[-1].freeze()
 
     total = time.perf_counter() - t_total
     del ws  # free the buffers before the final forward, whose arrays escape
-    test_acc, collapse = _test_and_collapse(stack, data, L, Xp,
-                                            None if LX is None else ly.ForwardPlan(inp=LX))
+    # the report reads only the head's input, hidden[-1], so both match
+    # ``evaluate`` and ``collapse_report`` bitwise
+    logits, hidden = ly.stack_forward(stack, L, Xp, prepared=True, return_hidden=True,
+                                      plan=None if LX is None else ly.ForwardPlan(inp=LX))
     return stack, TrainReport(
         stages=stages,
-        test_acc=test_acc,
-        collapse=collapse,
+        test_acc=_accuracy(logits.data, data.labels, data.splits.test),
+        collapse=collapse_from_hidden(hidden, data.adjacency),
         total_wall_clock=total,
     )
 
 
-def train(data, cfg, trainer="standard", variant="gcn", **callbacks):
-    """Dispatch to the requested trainer; returns (stack, report)."""
-    if trainer == "standard":
-        return train_standard(data, cfg, variant)
-    if trainer == "lgt":
-        return train_lgt(data, cfg, variant, **callbacks)
-    raise ValueError(f"unknown trainer {trainer!r}")
+def train_standard(data, cfg, variant="gcn"):
+    """Train the whole depth-K model jointly: ``train(..., trainer="standard")``."""
+    return train(data, cfg, "standard", variant)
+
+
+def train_lgt(data, cfg, variant="gcn", on_stage_start=None, on_stage_end=None):
+    """Grow the network one layer per stage: ``train(..., trainer="lgt")``."""
+    return train(data, cfg, "lgt", variant, on_stage_start, on_stage_end)

@@ -310,6 +310,14 @@ EXIT_CASES = {
 }
 
 
+def _cli_process(*args):
+    """Run the CLI in a fresh process that shows every warning; returns the result."""
+    env = dict(os.environ, PYTHONPATH=str(Path(growgcn.__file__).parents[1]),
+               PYTHONWARNINGS="default")
+    return subprocess.run([sys.executable, "-m", "growgcn.cli", *args],
+                          capture_output=True, text=True, env=env)
+
+
 class TestExitCodes:
     """Bad hyperparameters exit 1 and bad input files exit 2, never a traceback."""
 
@@ -368,14 +376,23 @@ class TestExitCodes:
         bundle = save_bundle(generate_sbm(2, 25, 0.3, 0.05, f=8, signal=2.0, seed=0),
                              tmp_path / "bundle")
         (bundle / "features.csv").write_bytes(b"")
-        env = dict(os.environ, PYTHONPATH=str(Path(growgcn.__file__).parents[1]),
-                   PYTHONWARNINGS="default")
-        proc = subprocess.run(
-            [sys.executable, "-m", "growgcn.cli", "train", "--data", str(bundle),
-             "--out", str(tmp_path / "x")], capture_output=True, text=True, env=env)
+        proc = _cli_process("train", "--data", str(bundle), "--out", str(tmp_path / "x"))
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("data error:"), proc.stderr
+        # the message names the missing rows, not the (0, 1) shape numpy gives
+        assert lines[0].endswith("features.csv: no data rows, expected n=50 rows of f=8 values")
+
+    @pytest.mark.parametrize("line", ["lr = 1e308", "weight_decay = 1e308"])
+    def test_huge_rate_prints_one_error_line(self, tmp_path, line):
+        # the weights overflow float32 in the first Adam step; numpy's overflow
+        # and invalid-value warnings must not reach stderr before the abort
+        (tmp_path / "run.cfg").write_text(line + "\n")
+        proc = _cli_process("train", "--sbm", SBM, "--config", str(tmp_path / "run.cfg"),
+                            "--out", str(tmp_path / "x"), *FAST)
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical abort:"), proc.stderr
 
     @pytest.mark.parametrize("split", SPLITS)
     def test_eval_on_empty_split(self, tmp_path, capsys, split):

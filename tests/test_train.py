@@ -220,6 +220,20 @@ class TestStandardTrainer:
         assert stack.input_layer is None and stack.sgc_steps == 3
         assert evaluate(stack, tiny_dataset, tiny_dataset.splits.test) == report.test_acc
 
+    @pytest.mark.parametrize("variant", ["gcn", "sgc"])
+    def test_stage_callbacks_fire_once(self, tiny_dataset, variant):
+        events = []
+        cfg = make_cfg(depth=3, max_epochs=4, patience=4)
+        stack, report = train(
+            tiny_dataset, cfg, trainer="standard", variant=variant,
+            on_stage_start=lambda stage, st, L, Xp: events.append(
+                ("start", stage, st.depth, Xp.shape)),
+            on_stage_end=lambda stage, st: events.append(("end", stage, st.depth)))
+        assert events == [("start", 1, 3, tiny_dataset.X.shape), ("end", 1, 3)]
+        assert stack.depth == 3
+        # the call's total covers its one stage's plan and fit
+        assert report.total_wall_clock >= report.stages[0].wall_clock_seconds
+
     def test_pairnorm_variant_builds(self, tiny_dataset):
         cfg = make_cfg(depth=2, max_epochs=3, patience=3, pairnorm_s=2.0)
         stack, _ = train_standard(tiny_dataset, cfg, "gcn+pairnorm")
@@ -749,6 +763,30 @@ class TestRowConeOracle:
         logits = ly.stack_forward(stack, L, Xp, training=True, rng=rng_cone, prepared=True,
                                   plan=ly.ForwardPlan(cone=cone))
         assert rng_cone.bit_generator.state == rng_plain.bit_generator.state
+        np.testing.assert_allclose(logits.data, plain.data[cone.rows(0)], rtol=1e-12,
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("use_lx", [False, True])
+    @pytest.mark.parametrize("dropout_p", [0.0, 0.5])
+    def test_stage_plan_of_propagation_only_stack(self, dropout_p, use_lx):
+        rng = np.random.default_rng(6)
+        n, f, c, steps = 18, 6, 3, 3
+        L = normalized_laplacian(random_graph(rng, n))
+        Xp = rng.standard_normal((n, f))
+        stack = LayerStack(input_layer=None, sgc_steps=steps, dropout_p=dropout_p,
+                           head=Tensor(glorot_init(f, c, rng, np.float64), requires_grad=True),
+                           row_normalize=False).check()
+        cone = RowCone(L, [1, 4, 12], 0)
+        LKX = ly.sgc_propagate(L, Xp, steps)
+        plan = _stage_plan(stack, L, Xp, LKX.copy() if use_lx else None, cone)
+        # at any dropout the plan starts at the head, from L^K Xp on the cone's rows
+        assert plan.cone is cone and plan.C is None
+        assert np.array_equal(plan.inp, LKX[cone.rows(0)])
+        rng_plain, rng_plan = np.random.default_rng(0), np.random.default_rng(0)
+        plain = ly.stack_forward(stack, L, Xp, training=True, rng=rng_plain, prepared=True)
+        logits = ly.stack_forward(stack, L, Xp, training=True, rng=rng_plan, prepared=True,
+                                  plan=plan)
+        assert rng_plan.bit_generator.state == rng_plain.bit_generator.state
         np.testing.assert_allclose(logits.data, plain.data[cone.rows(0)], rtol=1e-12,
                                    atol=1e-12)
 
