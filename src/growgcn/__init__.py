@@ -17,7 +17,6 @@ from .layers import (
     PairNormConfig,
     glorot_init,
     identity_init,
-    lora_effective_weight,
     make_adapter,
     sgc_propagate,
     stack_forward,

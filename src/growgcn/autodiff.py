@@ -4,16 +4,14 @@ Only the operations the model needs exist, each with a hand-written backward
 closure. Gradients accumulate additively at fan-out, and anything reachable
 only through tensors with ``requires_grad=False`` is skipped entirely, which
 is what makes frozen layers free of gradient traffic. A backward forms an
-input's gradient only when that input requires grad: ``matmul`` of constant
-features by a trainable weight never builds the features' gradient.
+input's gradient only when that input requires grad.
 
-Two invariants keep shared arrays safe. A gradient is never written in
-place: accumulating at fan-out writes ``grad + g`` into a new array. And
-``add`` hands one array, its output's gradient, to both of its inputs.
-
-``spmm``, ``matmul``, ``relu``, ``add`` and ``scale``, with their backward
-closures, write their results into a ``Workspace`` when given ``ws=``, and
-allocate otherwise.
+Every gradient a backward hands on is a new array held by the receiving tensor
+alone, and ``backward()`` keeps only the gradients of leaves. ``gcn_layer``, a
+graph convolution in one node, keeps for its backward the propagated input, the
+output (its ReLU overwrites the product) and the bool dropout mask, and gives
+every other buffer, its incoming gradient too, back to the workspace once read.
+Ops write their results into a ``Workspace`` when given ``ws=``, else allocate.
 """
 
 import numpy as np
@@ -25,31 +23,39 @@ from .errors import NumericalAbort
 class Workspace:
     """Result buffers reused from one forward/backward cycle to the next.
 
-    Buffers are keyed by shape and dtype, and the k-th request for a key
-    since the last ``reset()`` returns the same array every time. So a cycle
-    that repeats the previous one's requests allocates nothing, and it
-    overwrites every array of the previous cycle: reset only once nothing
-    of the previous graph or its gradients is read again.
+    ``take`` hands out a free buffer of the shape and dtype, or a new one, taken
+    until ``reset()`` unless an op ``release``s it once nothing reads it again.
+    Free buffers go out last released first, so a cycle that repeats the last
+    one's takes and releases gets the same arrays and allocates nothing, and
+    overwrites them: reset only once nothing of the last graph is read again.
     """
 
     def __init__(self):
         self._buffers = {}
-        self._taken = {}
+        self._free = {}
+        self._ids = set()
 
     def __len__(self):
-        return sum(len(b) for b in self._buffers.values())
+        return len(self._ids)
 
     def reset(self):
-        self._taken.clear()
+        self._free = {key: bufs[::-1] for key, bufs in self._buffers.items()}
 
     def take(self, shape, dtype):
         key = (tuple(shape), np.dtype(dtype))
-        buffers = self._buffers.setdefault(key, [])
-        k = self._taken.get(key, 0)
-        if k == len(buffers):
-            buffers.append(np.empty(key[0], key[1]))
-        self._taken[key] = k + 1
-        return buffers[k]
+        free = self._free.get(key)
+        if free:
+            return free.pop()
+        buf = np.empty(key[0], key[1])
+        self._buffers.setdefault(key, []).append(buf)
+        self._ids.add(id(buf))
+        return buf
+
+    def release(self, *arrays):
+        """Free taken buffers for later takes of this cycle; other arrays are ignored."""
+        for a in arrays:
+            if id(a) in self._ids:
+                self._free.setdefault((a.shape, a.dtype), []).append(a)
 
 
 def _buffer(ws, shape, dtype):
@@ -57,12 +63,15 @@ def _buffer(ws, shape, dtype):
     return None if ws is None else ws.take(shape, dtype)
 
 
-def _csr_matvecs_kernel():
-    """scipy's CSR-times-dense kernel if it accumulates as ``csr @ dense`` does, else None.
+def _release(ws, *arrays):
+    if ws is not None:
+        ws.release(*arrays)
 
-    ``csr @ dense`` always allocates its result; this kernel adds into an
-    existing one. It is private to scipy, so a probe checks its signature
-    and result before any use.
+
+def _csr_matvecs_kernel():
+    """scipy's CSR-times-dense kernel, which adds into an existing result, else None.
+
+    It is private to scipy, so a probe checks its signature and result first.
     """
     try:
         from scipy.sparse._sparsetools import csr_matvecs
@@ -81,8 +90,7 @@ _CSR_MATVECS = _csr_matvecs_kernel()
 def _csr_times(m, x, ws):
     """``m @ x`` for a scipy CSR ``m`` and a dense 2-D ``x``, into ``ws`` when given.
 
-    The buffer path runs the kernel that ``m @ x`` runs for a multi-column
-    ``x``, on a zeroed buffer, so both round alike.
+    The buffer path runs the kernel ``m @ x`` runs, on a zeroed buffer: both round alike.
     """
     if ws is None or _CSR_MATVECS is None or x.shape[1] == 1 or m.dtype != x.dtype:
         return m @ x
@@ -125,7 +133,8 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+                g, node.grad = node.grad, None
+                node._backward(g)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -177,38 +186,80 @@ def spmm(s, x, *, ws=None):
     return _compose(out, (x,), bwd)
 
 
-def add(x, y, *, ws=None):
-    if x.data.shape != y.data.shape:
-        raise ValueError(f"add shapes disagree: {x.data.shape} vs {y.data.shape}")
-    out = np.add(x.data, y.data, out=_buffer(ws, x.data.shape,
-                                             np.result_type(x.data, y.data)))
+def _masked(x, keep, scale, ws):
+    """``x * (keep * scale)``: inverted dropout by a bool ``keep``, its float mask transient."""
+    mask = np.multiply(keep, scale, dtype=x.dtype, out=_buffer(ws, x.shape, x.dtype))
+    out = np.multiply(x, mask, out=_buffer(ws, x.shape, x.dtype))
+    _release(ws, mask)
+    return out
+
+
+def gcn_layer(op, h, W, adapter=None, C=None, keep=None, p=0.0, *, ws=None):
+    """One graph convolution as one node: ``relu(op @ dropout(h) @ W')``.
+
+    ``W' = W + (alpha/rank)·A@B`` for an ``adapter``, else ``W``; ``keep`` is the bool
+    dropout mask at rate ``p``, or None. With ``op`` None, ``h`` is the propagated
+    input. ``C = h @ W``, formed once for an adapter and a constant ``h``, leaves
+    ``C + (alpha/rank)·(h@A)@B`` per call. The node keeps the propagated input, the
+    output and ``keep`` (and ``h@A`` with ``C``); it forms every value with the kernels
+    and in the order of the ops it replaces, so its results are theirs bitwise.
+    """
+    x, dtype, scale = h.data, h.data.dtype, 1.0 / (1.0 - p)
+    if (op is not None and op.n_cols != x.shape[0]) or x.shape[1] != W.data.shape[0]:
+        raise ValueError(f"gcn_layer dims disagree: {getattr(op, 'shape', None)} @ {x.shape} @ "
+                         f"{W.data.shape}")
+    if (C is not None and (adapter is None or h.requires_grad)) or (keep is not None
+                                                                    and op is None):
+        raise ValueError("gcn_layer: C needs an adapter and a constant input, dropout an op")
+    Lh = x
+    if op is not None:
+        x = x if keep is None else _masked(x, keep, scale, ws)
+        Lh = _csr_times(op.to_scipy(dtype), x, ws)
+        if keep is not None:
+            _release(ws, x)
+    weight = W.data
+    if adapter is not None:
+        A, B, s = adapter.A, adapter.B, float(adapter.scaling)
+    if C is not None:
+        P = _matmul(Lh, A.data, ws)
+        out = _matmul(P, B.data, ws)
+        np.add(C, np.multiply(out, s, out=out), out=out)
+    else:
+        if adapter is not None:
+            weight = _matmul(A.data, B.data, ws)
+            np.add(W.data, np.multiply(weight, s, out=weight), out=weight)
+        out = _matmul(Lh, weight, ws)
+    np.maximum(out, 0, out=out)
 
     def bwd(g):
-        _accum(x, g, ws)
-        _accum(y, g, ws)
+        relu = np.greater(out, 0, out=_buffer(ws, out.shape, bool))  # where the product is
+        gz = np.multiply(g, relu, out=_buffer(ws, g.shape, np.result_type(g, relu)))
+        _release(ws, relu, g)
+        gLh = _matmul(gz, weight.T, ws) if h.requires_grad else None
+        if C is not None:  # the gradient of (Lh @ A) @ B at s * gz
+            gP = _matmul(np.multiply(gz, s, out=gz), B.data.T, ws)
+            _accum(B, _matmul(P.T, gz, ws), ws)
+            _accum(A, _matmul(Lh.T, gP, ws), ws)
+            _release(ws, gP)
+        elif adapter is not None:  # the gradient of A @ B at s * (Lh.T @ gz)
+            gAB = _matmul(Lh.T, gz, ws)
+            gAB *= s
+            _accum(A, _matmul(gAB, B.data.T, ws), ws)
+            _accum(B, _matmul(A.data.T, gAB, ws), ws)
+            _release(ws, gAB)
+        elif W.requires_grad:
+            _accum(W, _matmul(Lh.T, gz, ws), ws)
+        _release(ws, gz)
+        if gLh is not None and op is not None:
+            gx = _csr_times(op.transpose_scipy(dtype), gLh, ws)
+            _release(ws, gLh)
+            gLh = gx if keep is None else _masked(gx, keep, scale, ws)
+            if keep is not None:
+                _release(ws, gx)
+        if gLh is not None:
+            _accum(h, gLh, ws)
 
-    return _compose(out, (x, y), bwd)
-
-
-def scale(x, c, *, ws=None):
-    c = float(c)
-    out = np.multiply(x.data, c, out=_buffer(ws, x.data.shape, np.result_type(x.data, c)))
-
-    def bwd(g):
-        _accum(x, np.multiply(g, c, out=_buffer(ws, g.shape, np.result_type(g, c))), ws)
-
-    return _compose(out, (x,), bwd)
-
-
-def relu(x, *, ws=None):
-    out = np.maximum(x.data, 0, out=_buffer(ws, x.data.shape, x.data.dtype))
-
-    def bwd(g):
-        # out > 0 exactly where x > 0
-        mask = np.greater(out, 0, out=_buffer(ws, out.shape, bool))
-        _accum(x, np.multiply(g, mask, out=_buffer(ws, g.shape, np.result_type(g, mask))), ws)
-
-    return _compose(out, (x,), bwd)
+    return _compose(out, (h, W) if adapter is None else (h, W, A, B), bwd)
 
 
 def log_softmax_rows(x):

@@ -62,7 +62,8 @@ def save_checkpoint(stack, path):
 def load_checkpoint(path):
     """Read a stack back; any malformed file raises DataError."""
     try:
-        blob = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            blob = fh.read()
     except OSError as e:
         raise DataError(str(e), file=path) from e
     if blob[:8] != MAGIC:
@@ -84,8 +85,7 @@ def load_checkpoint(path):
         return _stack_from(header, blob, 12 + hlen, path)
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         # a header that parses as JSON but does not describe a valid stack
-        raise DataError(f"malformed checkpoint header ({type(e).__name__}: {e})",
-                        file=path) from e
+        raise DataError(f"malformed checkpoint header ({type(e).__name__}: {e})", file=path) from e
 
 
 def _stack_from(header, blob, offset, path):

@@ -188,9 +188,7 @@ def _resplit(data, seed):
     held = min(1000, rest // 2)
     if held < 1:
         raise DataError("dataset too small to draw val/test splits")
-    return data.with_splits(
-        gdata.split_per_class(data.labels, per_class, held, held, seed)
-    )
+    return data.with_splits(gdata.split_per_class(data.labels, per_class, held, held, seed))
 
 
 def run_repeats(data, cfg, trainer, variant, repeats, fixed_splits):
@@ -356,8 +354,7 @@ def cmd_sweep(args):
     payloads = []
     if args.axis == "depth":
         for v in values:
-            payloads.append(dict(base, label=f"depth{v}", value=v,
-                                 cfg=dict(asdict(cfg), depth=v)))
+            payloads.append(dict(base, label=f"depth{v}", value=v, cfg=dict(asdict(cfg), depth=v)))
     elif args.axis == "rank":
         for v in values:
             payloads.append(dict(base, label=f"rank{v}", value=v, trainer="lgt",
@@ -469,8 +466,7 @@ def _add_train_flags(p):
     p.add_argument("--no-merge-adapters", dest="merge_adapters", action="store_false",
                    default=None)
     p.add_argument("--no-lora", dest="use_lora", action="store_false", default=None)
-    p.add_argument("--new-layer-init", dest="new_layer_init",
-                   choices=["identity", "glorot"])
+    p.add_argument("--new-layer-init", dest="new_layer_init", choices=["identity", "glorot"])
     p.add_argument("--pairnorm-s", dest="pairnorm_s", type=float)
     p.add_argument("--no-row-normalize", dest="row_normalize_features",
                    action="store_false", default=None)
@@ -520,7 +516,7 @@ def make_parser():
     gcp.add_argument("--eps", type=float, default=1e-5)
     gcp.add_argument("--threshold", type=float, default=1e-6)
     gcp.add_argument("--corrupt-backward", action="store_true",
-                     help="sabotage relu's backward to prove the check can fail")
+                     help="sabotage the conv layers' backward to prove the check can fail")
     gcp.set_defaults(func=cmd_gradcheck)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint on a bundle")

@@ -85,28 +85,25 @@ def run_case(seed, eps=1e-5, use_pairnorm=None):
 
 
 def run_suite(seeds=100, eps=1e-5, threshold=1e-6, corrupt_backward=False):
-    """Run ``seeds`` randomized checks; optionally sabotage relu's backward.
+    """Run ``seeds`` randomized checks; optionally sabotage the conv layers' backward.
 
     The corrupt mode exists to prove the checker actually detects wrong
-    gradients: it scales relu's backward by 1.05 and the suite must then fail.
+    gradients: it scales the gradient through each conv layer's ReLU by 1.05
+    and the suite must then fail.
     """
-    real_relu = ad.relu
+    real_layer = ad.gcn_layer
 
-    def bad_relu(x, **_):
-        mask = x.data > 0
-        out = x.data * mask
-
-        def bwd(g):
-            ad._accum(x, g * mask * 1.05)
-
-        return ad._compose(out, (x,), bwd)
+    def bad_layer(*args, **kw):
+        out = real_layer(*args, **kw)
+        out._backward = lambda g, bwd=out._backward: bwd(g * 1.05)
+        return out
 
     if corrupt_backward:
-        ad.relu = bad_relu
+        ad.gcn_layer = bad_layer
     try:
         per_seed = [run_case(seed, eps=eps) for seed in range(seeds)]
     finally:
-        ad.relu = real_relu
+        ad.gcn_layer = real_layer
     return SuiteResult(
         seeds=seeds,
         max_error=max(per_seed) if per_seed else 0.0,

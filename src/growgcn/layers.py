@@ -8,6 +8,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import row_normalize
+from .errors import NumericalAbort
 
 
 def identity_init(d, dtype=np.float32):
@@ -43,7 +44,8 @@ class LoraAdapter:
         return self.alpha / self.rank
 
     def delta(self):
-        return ad.scale(ad.matmul(self.A, self.B), self.scaling)
+        """(alpha/rank) * A @ B, the array ``GcnLayer.merge_adapter`` adds to W0."""
+        return self.scaling * (self.A.data @ self.B.data)
 
     def param_count(self):
         return self.A.data.size + self.B.data.size
@@ -59,11 +61,6 @@ def make_adapter(d_in, d_out, rank, alpha, rng, dtype=np.float32):
         rank=rank,
         alpha=float(rank) if alpha is None else float(alpha),
     )
-
-
-def lora_effective_weight(w0, adapter):
-    """W0 + (alpha/rank) * A @ B as a graph node; W0 stays gradient-free when frozen."""
-    return ad.add(w0, adapter.delta())
 
 
 # the values of GcnLayer.mode, which name a conv layer's state in a checkpoint
@@ -104,11 +101,6 @@ class GcnLayer:
     def d_out(self):
         return self.W.data.shape[1]
 
-    def effective_weight(self):
-        if self.adapter is not None:
-            return lora_effective_weight(self.W, self.adapter)
-        return self.W
-
     def freeze(self):
         self.W.requires_grad = False
 
@@ -119,11 +111,10 @@ class GcnLayer:
 
     def merge_adapter(self):
         """Fold the adapter delta into W0 in place and drop the adapter."""
-        a = self.adapter
-        if a is None:
+        if self.adapter is None:
             return
         w = self.W.data
-        w += np.asarray(a.scaling * (a.A.data @ a.B.data), dtype=w.dtype)
+        w += np.asarray(self.adapter.delta(), dtype=w.dtype)
         self.adapter = None
 
 
@@ -141,24 +132,18 @@ def pairnorm(h, cfg):
 
     A zero matrix (after centering) maps to zero.
     """
-    n = h.data.shape[0]
     centered = h.data - h.data.mean(axis=0, keepdims=True)
     fro = float(np.sqrt((centered * centered).sum()))
-    if fro == 0.0:
-        def bwd_zero(g):
-            ad._accum(h, np.zeros_like(h.data))
-
-        return ad._compose(np.zeros_like(h.data), (h,), bwd_zero)
-    c = cfg.s * math.sqrt(n)
-    k = c / fro
-    out = centered * k
+    k = cfg.s * math.sqrt(h.data.shape[0]) / fro if fro else 0.0
 
     def bwd(g):
+        if not fro:
+            return ad._accum(h, np.zeros_like(h.data))
         # d/dH of k(H)*centered(H): project out the radial and column-mean parts
         gc = g * k - centered * (float((g * centered).sum()) * (k / (fro * fro)))
         ad._accum(h, gc - gc.mean(axis=0, keepdims=True))
 
-    return ad._compose(out, (h,), bwd)
+    return ad._compose(centered * k if fro else np.zeros_like(h.data), (h,), bwd)
 
 
 # A run of unused mask values this long costs about as much to skip with one
@@ -169,62 +154,68 @@ _MIN_SKIP = 1024
 _ADVANCEABLE = (np.random.PCG64, np.random.PCG64DXSM)
 
 
-def _draw_rows(rng, rows, n_rows, d):
-    """``rng.random((n_rows, d))[rows]``, drawing only what it must.
+def _keep_mask(shape, p, training, rng, rows, n_rows, ws):
+    """The bool mask of inverted dropout at rate ``p`` on ``shape``; None for none.
 
-    For sorted ``rows``, runs of unused rows that hold at least
-    ``_MIN_SKIP`` values are skipped with ``bit_generator.advance``; shorter
-    ones are drawn with their neighbours. The values, and the generator's
-    state afterwards, are those of the full draw. The full draw stays when
-    less than half of it could be skipped, for unsorted rows, for a bit
-    generator whose ``advance`` is not a count of doubles, and while a
-    buffered 32-bit value (which ``advance`` clears) is pending.
-    """
-    bg = rng.bit_generator
-    skip = None
-    if 2 * (n_rows - len(rows)) >= n_rows and type(bg) in _ADVANCEABLE:
-        ext = np.append(rows, n_rows)
-        gaps = np.diff(ext, prepend=-1) - 1  # unused rows before each row and the end
-        skip = np.where(gaps * d >= _MIN_SKIP, gaps, 0)
-    if skip is None or 2 * skip.sum() < n_rows or gaps.min() < -1 or bg.state["has_uint32"]:
-        return rng.random((n_rows, d))[rows]
-    out = np.empty((n_rows - skip.sum(), d))
-    at = filled = 0  # the next row of the full draw, and of ``out``
-    for j in np.flatnonzero(skip):
-        stop = filled + ext[j] - skip[j] - at
-        rng.random(out=out[filled:stop])
-        bg.advance(int(skip[j]) * d)
-        at, filled = ext[j], stop
-    rng.random(out=out[filled:])
-    return out[rows - np.cumsum(skip[:-1])]
-
-
-def dropout(h, p, training, rng=None, rows=None, n_rows=None):
-    """Inverted dropout; identity when not training or p == 0.
-
-    With ``rows`` (sorted), ``h`` holds those rows of an ``n_rows``-row
-    input. Each row's mask, and the rng state afterwards, are those of the
-    full input's dropout, but long runs of rows outside ``rows`` are skipped
-    rather than drawn (see ``_draw_rows``).
+    With sorted ``rows`` of an ``n_rows``-row input, the mask is the full input's,
+    ``rng.random((n_rows, d))[rows] >= p``, and the generator ends where the full
+    draw leaves it; but runs of unused rows holding at least ``_MIN_SKIP`` values
+    are skipped with ``bit_generator.advance``. The full draw stays when less than
+    half of it could be skipped, for unsorted rows, a bit generator whose
+    ``advance`` is not a count of doubles, or a pending buffered 32-bit value
+    (which ``advance`` clears). Draws and mask go into buffers of ``ws`` if given.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout p={p} outside [0, 1)")
     if not training or p == 0.0:
-        return h
+        return None
     if rng is None:
         raise ValueError("training-mode dropout needs an rng")
-    if rows is None or len(rows) == n_rows:
-        draw = rng.random(h.data.shape)
+    (n, d), bg, skip = shape, rng.bit_generator, None
+    if rows is not None and len(rows) < n_rows:
+        n = n_rows
+        if 2 * (n - len(rows)) >= n and type(bg) in _ADVANCEABLE:
+            ext = np.append(rows, n)
+            gaps = np.diff(ext, prepend=-1) - 1  # unused rows before each row and the end
+            skip = np.where(gaps * d >= _MIN_SKIP, gaps, 0)
+    idx = rows if n > shape[0] else None  # the mask's rows in the draw
+    if skip is None or 2 * skip.sum() < n or gaps.min() < -1 or bg.state["has_uint32"]:
+        draw = rng.random((n, d), out=ad._buffer(ws, (n, d), np.float64))
     else:
-        draw = _draw_rows(rng, rows, n_rows, h.data.shape[1])
-    keep = (draw >= p).astype(h.data.dtype)
-    mask = keep * (1.0 / (1.0 - p))
-    out = h.data * mask
+        at = filled = 0  # the next row of the full draw, and of ``draw``
+        draw = (np.empty if ws is None else ws.take)((n - int(skip.sum()), d), np.float64)
+        for j in np.flatnonzero(skip):
+            stop = filled + ext[j] - skip[j] - at
+            rng.random(out=draw[filled:stop])
+            bg.advance(int(skip[j]) * d)
+            at, filled = ext[j], stop
+        rng.random(out=draw[filled:])
+        idx = rows - np.cumsum(skip[:-1])
+    keep = np.greater_equal(draw, p, out=ad._buffer(ws, draw.shape, bool))
+    ad._release(ws, draw)
+    if idx is None:
+        return keep
+    out = np.take(keep, idx, axis=0, out=ad._buffer(ws, shape, bool),
+                  mode="clip")  # the indices are in range; "raise" copies through a temporary
+    ad._release(ws, keep)
+    return out
+
+
+def dropout(h, p, training, rng=None, rows=None, n_rows=None, ws=None):
+    """Inverted dropout; identity when not training or p == 0. The node keeps the bool mask.
+
+    With sorted ``rows``, ``h`` holds those rows of an ``n_rows``-row input, and
+    each row's mask is the full input's (see ``_keep_mask``).
+    """
+    keep = _keep_mask(h.data.shape, p, training, rng, rows, n_rows, ws)
+    if keep is None:
+        return h
+    scale = 1.0 / (1.0 - p)
 
     def bwd(g):
-        ad._accum(h, g * mask)
+        ad._accum(h, ad._masked(g, keep, scale, ws), ws)
 
-    return ad._compose(out, (h,), bwd)
+    return ad._compose(ad._masked(h.data, keep, scale, ws), (h,), bwd)
 
 
 def sgc_propagate(L, X, steps):
@@ -297,11 +288,7 @@ class LayerStack:
         return self.head.data.shape[1]
 
     def parameters(self):
-        """Every weight array in the model, adapters included.
-
-        The order (per conv layer W, then A and B; the head last) is the
-        checkpoint's array order.
-        """
+        """Every weight array, in the checkpoint's order: per conv layer W, A, B; the head."""
         out = []
         for layer in self.conv_layers():
             out.append(layer.W)
@@ -323,18 +310,16 @@ def prepare_features(stack, X):
 class ForwardPlan:
     """Constant work that ``stack_forward`` skips, and the rows it computes.
 
-    The forward starts at conv layer ``start`` from ``inp``, that layer's
-    propagated input ``L @ H``; an ``inp`` there is valid while no dropout
-    precedes ``start``. Past the last conv layer ``inp`` is the head's
-    input, e.g. the propagation-only stack's ``L^K @ X``, and valid at any
-    dropout: the head's dropout still applies to it (``train._stage_plan``
-    builds both kinds). ``C = inp @ W0`` for a start layer with an adapter
-    leaves only ``(inp @ A) @ B * alpha/rank`` per call. With a ``cone`` (a
-    ``RowCone``), the layer k hops below the output multiplies by
-    ``cone.op(k)``, ``inp`` and ``C`` hold the cone's rows, and the logits
-    cover ``cone.rows(0)``. A cone with no ``inp`` starts from the input's
-    ``cone.rows(K)`` for a depth-K stack, and its dropouts give those rows
-    the full forward's masks, drawing few others (see ``dropout``).
+    The forward starts at conv layer ``start`` from ``inp``, its propagated
+    input ``L @ H``, valid while no dropout precedes ``start``; past the last
+    conv layer ``inp`` is the head's input (e.g. ``L^K @ X``), valid at any
+    dropout. ``C = inp @ W0`` for a start layer with an adapter goes to its
+    ``autodiff.gcn_layer``, which forms ``C + (inp @ A) @ B * alpha/rank``.
+    With a ``cone`` (a ``RowCone``), the layer k hops below the output
+    multiplies by ``cone.op(k)``, ``inp`` and ``C`` hold the cone's rows,
+    and the logits cover ``cone.rows(0)``; without ``inp`` it starts from
+    the input's ``cone.rows(K)``, and dropout gives those rows the full
+    forward's masks (see ``dropout``).
     """
 
     start: int = 0
@@ -352,10 +337,10 @@ def stack_forward(stack, L, X, *, training=False, rng=None, return_hidden=False,
     (see ``ForwardPlan``) skips the work below its start layer: then
     ``hidden`` lists the input, the outputs of the layers that ran, and a
     plan's ``inp`` that is the head's input, so ``hidden[-1]`` is always the
-    head's input. Under a cone each entry holds only the rows computed. With
-    an ``autodiff.Workspace`` ``ws``, the propagations, products and
-    activations, and their gradients, live in its buffers, which the next
-    cycle through ``ws`` overwrites.
+    head's input. Under a cone each entry holds only the rows computed. Each
+    conv layer is one ``autodiff.gcn_layer`` node. With an ``autodiff.Workspace``
+    ``ws``, the dropout masks, activations and gradients live in its buffers,
+    which the next cycle through ``ws`` overwrites.
     """
     plan = ForwardPlan() if plan is None else plan
     layers = stack.conv_layers()
@@ -366,14 +351,13 @@ def stack_forward(stack, L, X, *, training=False, rng=None, return_hidden=False,
     def op(k):  # the propagation k hops below the output
         return L if cone is None else cone.op(k)
 
-    def drop(h, k):  # dropout on features that a cone holds on its rows(k)
-        rows = None if cone is None else cone.rows(k)
-        return dropout(h, stack.dropout_p, training, rng, rows, L.n_rows)
+    def rows(k):  # the rows a cone holds k hops below the output
+        return None if cone is None else cone.rows(k)
 
     Xp = X if prepared else prepare_features(stack, X)
     if cone is not None and plan.inp is None:
-        rows = cone.rows(stack.depth)
-        Xp = Xp if rows.size == Xp.shape[0] else Xp[rows]
+        r = cone.rows(stack.depth)
+        Xp = Xp if r.size == Xp.shape[0] else Xp[r]
     h = Tensor(Xp)
     hidden = [h.data]
     if plan.inp is None:
@@ -386,20 +370,25 @@ def stack_forward(stack, L, X, *, training=False, rng=None, return_hidden=False,
     for i, layer in enumerate(layers[plan.start:], plan.start):
         k = len(layers) - 1 - i
         if i == plan.start and plan.inp is not None:
-            Lh = Tensor(plan.inp)
+            h = ad.gcn_layer(None, Tensor(plan.inp), layer.W, layer.adapter, plan.C, ws=ws)
         else:
-            Lh = ad.spmm(op(k), drop(h, k + 1), ws=ws)
-        if i == plan.start and plan.C is not None:
-            a = layer.adapter
-            delta = ad.scale(ad.matmul(ad.matmul(Lh, a.A, ws=ws), a.B, ws=ws), a.scaling,
-                             ws=ws)
-            h = ad.relu(ad.add(Tensor(plan.C), delta, ws=ws), ws=ws)
-        else:
-            h = ad.relu(ad.matmul(Lh, layer.effective_weight(), ws=ws), ws=ws)
+            keep = _keep_mask(h.data.shape, stack.dropout_p, training, rng, rows(k + 1),
+                              L.n_rows, ws)
+            h = ad.gcn_layer(op(k), h, layer.W, layer.adapter, None, keep, stack.dropout_p, ws=ws)
         if stack.pairnorm is not None:
             h = pairnorm(h, stack.pairnorm)
         hidden.append(h.data)
-    logits = ad.matmul(drop(h, 0), stack.head, ws=ws)
+    logits = ad.matmul(dropout(h, stack.dropout_p, training, rng, rows(0), L.n_rows, ws),
+                       stack.head, ws=ws)
     if return_hidden:
         return logits, hidden
     return logits
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def eval_forward(stack, L, X, return_hidden=False):
+    """``stack_forward`` for evaluation; NumericalAbort, not numpy warnings, on overflow."""
+    out = stack_forward(stack, L, X, return_hidden=return_hidden)
+    if not np.isfinite((out[0] if return_hidden else out).data).all():
+        raise NumericalAbort("non-finite logits in the evaluation forward")
+    return out

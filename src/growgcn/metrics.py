@@ -35,8 +35,12 @@ def dirichlet_energy(H, adjacency):
     total = 0.0
     step = max(1, int(4e6 // max(1, H.shape[1])))
     for lo in range(0, rows.shape[0], step):
-        d = Hn[rows[lo : lo + step]] - Hn[cols[lo : lo + step]]
-        total += float((d * d).sum())
+        d = Hn[rows[lo : lo + step]]
+        for s in range(0, d.shape[0], 4096):  # the second gather in small blocks
+            d[s : s + 4096] -= Hn[cols[lo + s : lo + min(s + 4096, d.shape[0])]]
+        d *= d
+        total += float(d.sum())
+        del d  # before the next chunk's gather
     return 0.5 * total
 
 
@@ -94,7 +98,7 @@ def export_embeddings(stack, data, layer_index, path, L=None):
     """
     if L is None:
         L = normalized_laplacian(data.adjacency)
-    _, hidden = ly.stack_forward(stack, L, data.X, return_hidden=True)
+    _, hidden = ly.eval_forward(stack, L, data.X, return_hidden=True)
     if not 0 <= layer_index < len(hidden):
         raise ValueError(f"layer index {layer_index} outside [0, {len(hidden) - 1}]")
     H = np.asarray(hidden[layer_index], dtype=np.float64)

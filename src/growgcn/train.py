@@ -228,16 +228,13 @@ def evaluate(stack, data, mask, L=None):
     """Accuracy of the stack on the given node indices."""
     if L is None:
         L = normalized_laplacian(data.adjacency)
-    logits = ly.stack_forward(stack, L, data.X)
+    logits = ly.eval_forward(stack, L, data.X)
     return _accuracy(logits.data, data.labels, np.asarray(mask, dtype=np.int64))
 
 
 def _target(data, rows=None):
-    """``_fit``'s (labels, train_idx, val_idx) for logits on sorted ``rows``.
-
-    ``rows=None`` means logits on every node; otherwise ``rows`` must hold
-    the train and val nodes, which map to their positions in ``rows``.
-    """
+    """``_fit``'s (labels, train_idx, val_idx) for logits on sorted ``rows`` (None: every
+    node); the train and val nodes map to their positions in ``rows``."""
     splits = data.splits
     if rows is None:
         return data.labels, splits.train, splits.val
@@ -258,17 +255,12 @@ def _fit(forward, mutable, groups, target, cfg, dropout_p):
     """Shared epoch loop: optimize, track val accuracy, restore the best weights.
 
     ``forward(training)`` builds the graph and returns logits, and ``target``
-    is ``(labels, train_idx, val_idx)`` for the rows those logits have (see
-    ``_target``). Every epoch ends with an eval forward on the updated
-    weights, which gives the val accuracy. With ``dropout_p == 0`` the
-    training and eval forwards compute the same graph (it is built because
-    the parameters require grad), so the eval forward's logits are reused as
-    the next epoch's training logits and a stage of E epochs runs E + 1
-    forwards instead of 2E. Under dropout the eval graph is dropped at once
-    and each epoch runs its own training forward. Nothing of a graph is read
-    after the next ``forward`` call, which may overwrite its arrays and
-    gradients (the trainers' workspace does).
-    Returns a StageReport (wall clock filled in by the caller's timer).
+    is ``(labels, train_idx, val_idx)`` for their rows (see ``_target``).
+    Each epoch ends with an eval forward on the updated weights for the val
+    accuracy. At ``dropout_p == 0`` it computes the training graph, so it is
+    the next epoch's, and a stage of E epochs runs E + 1 forwards, not 2E.
+    A graph is dropped before the next ``forward``, which may overwrite its
+    arrays (the trainers' workspace does). Returns a StageReport.
     """
     adam = Adam(groups)
     stopper = EarlyStopper(cfg.patience)
@@ -279,25 +271,19 @@ def _fit(forward, mutable, groups, target, cfg, dropout_p):
     for _ in range(cfg.max_epochs):
         if logits is None:
             logits = forward(True)
-        loss = ad.masked_cross_entropy(
-            ad.log_softmax_rows(logits), labels, train_idx, cfg.loss_reduction
-        )
+        loss = ad.masked_cross_entropy(ad.log_softmax_rows(logits), labels, train_idx,
+                                       cfg.loss_reduction)
         if not np.isfinite(loss.data):
             raise NumericalAbort(f"non-finite training loss at epoch {len(curve) + 1}")
         adam.zero_grad()
         loss.backward()
         adam.step()
         curve.append(float(loss.data))
-        if dropout_p == 0.0:
-            # ``loss`` keeps this epoch's graph alive through the next forward, as
-            # in a two-forward loop; freeing it first lowered peak RSS but slowed
-            # training on a 10k-node graph by about a sixth
-            logits = forward(False)
-            val_acc = _accuracy(logits.data, labels, val_idx)
-        else:
-            # bind nothing to the eval graph, so it is freed before the next epoch
-            logits = None
-            val_acc = _accuracy(forward(False).data, labels, val_idx)
+        loss = logits = None  # arrays of the graph's own, such as PairNorm's, go first
+        logits = forward(False)
+        val_acc = _accuracy(logits.data, labels, val_idx)
+        if dropout_p > 0.0:
+            logits = None  # the next epoch draws its masks in a training forward
         if val_acc > stopper.best:
             best_snap = _snapshot(mutable)
         if stopper.update(val_acc):
@@ -342,16 +328,13 @@ class RowCone:
     """The rows each layer must compute so the top layer's output is exact on some rows.
 
     ``rows(0)`` is the sorted set the loss and the metric read, and
-    ``rows(j + 1)`` holds every column that ``L`` stores on ``rows(j)``. So
-    the layer j hops below the output needs its output only on ``rows(j)``,
-    from its input on ``rows(j + 1)``, through ``op(j) = L[rows(j)][:,
-    rows(j + 1)]``, which is ``L`` itself once both cover every node. L has
-    self-loops, so each set contains the one before it; the sets stop growing
-    at every node or at a closed set (a part of the graph the start rows
-    cannot reach is never computed), and are built for at most ``hops`` hops.
-    This is the computation subgraph of Cluster-GCN without sampling: the
-    forward on ``rows(0)`` computes the full forward's rows there, and the
-    backward reaches only rows whose gradient is not zero.
+    ``rows(j + 1)`` every column that ``L`` stores on ``rows(j)``: the layer
+    j hops below the output computes ``rows(j)`` from ``rows(j + 1)`` through
+    ``op(j) = L[rows(j)][:, rows(j + 1)]`` (``L`` once both are every node).
+    The sets grow (L has self-loops) for at most ``hops`` hops, up to every
+    node or a closed set. This is Cluster-GCN's computation subgraph without
+    sampling: the forward is exact on ``rows(0)``, and the backward reaches
+    only rows whose gradient is not zero.
     """
 
     def __init__(self, L, rows, hops):
@@ -380,12 +363,8 @@ class RowCone:
 
 
 def _row_cone(stack, L, data, hops):
-    """The ``RowCone`` of the train and val rows where a forward may use one, else None.
-
-    PairNorm centres over every row, so it keeps the full forward. Dropout
-    does not: it draws its mask over every row and applies the cone's rows
-    of it (see ``layers.dropout``).
-    """
+    """The ``RowCone`` of the train and val rows, or None for PairNorm, which centres over
+    every row. Dropout keeps the cone: it gives the cone's rows their full-input masks."""
     if stack.pairnorm is not None:
         return None
     return RowCone(L, np.union1d(data.splits.train, data.splits.val), hops)
@@ -394,17 +373,15 @@ def _row_cone(stack, L, data, hops):
 def _stage_plan(stack, L, Xp, LX, cone):
     """The ``ForwardPlan`` of one stage; None under dropout without a cone.
 
-    ``LX`` is the constant that the trainer forms once per call: ``L @ Xp``,
-    or None under dropout, and ``L^K @ Xp`` for the propagation-only stack
-    (formed here when None). That stack's plan, at any dropout, starts at
-    its head from ``LX`` on the cone's ``rows(0)``. Otherwise the leading
-    layers that are frozen without an adapter give the same features all
-    stage long, so the plan starts at the first layer that trains or has an
-    adapter, from its input ``L @ H`` formed here once per stage, plus ``C``
-    for an adapter. A ``cone`` (not for PairNorm, which centres over every
-    row) restricts the plan's constants and forward to its rows. Dropout
-    redraws its masks before every layer, so under dropout a conv stack's
-    plan holds only the cone, and the forward starts from the input's rows.
+    ``LX`` is formed once per call: ``L @ Xp`` (None under dropout), or
+    ``L^K @ Xp`` for the propagation-only stack, whose plan starts at the
+    head from it at any dropout (formed here when None). At dropout 0 a conv
+    stack's plan starts at the first layer that trains or has an adapter,
+    from its input ``L @ H`` formed here once per stage (the leading frozen
+    layers give the same features all stage), plus ``C`` for an adapter.
+    Dropout redraws its masks before every layer, so then the plan holds
+    only the ``cone``, which restricts the plan's constants and forward to
+    its rows (not for PairNorm, which centres over every row).
     """
     if cone is not None and stack.pairnorm is not None:
         raise ValueError("a row cone cannot restrict a stack with PairNorm")
@@ -418,7 +395,7 @@ def _stage_plan(stack, L, Xp, LX, cone):
     start = 0
     while (start < len(layers) - 1 and not layers[start].W.requires_grad
            and layers[start].adapter is None):
-        h = ad.relu(ad.matmul(Tensor(inp), layers[start].W))
+        h = ad.gcn_layer(None, Tensor(inp), layers[start].W)
         if stack.pairnorm is not None:
             h = ly.pairnorm(h, stack.pairnorm)
         inp = ad.spmm(L, h).data
@@ -446,17 +423,10 @@ def train(data, cfg, trainer="standard", variant="gcn", on_stage_start=None,
     when cfg.merge_adapters is set, and the new layer is frozen. Each stage
     stops early on val accuracy and restores its best weights.
 
-    Each stage runs ``stack_forward`` with the plan of ``_stage_plan``. At
-    dropout 0 it starts at the first layer that trains or has an adapter,
-    from that layer's propagated input: ``L @ Xp`` is formed once per call,
-    as is the propagation-only baseline's ``L^K @ Xp``. Without PairNorm,
-    and at any dropout, it also computes only the rows its loss and val
-    accuracy read: a ``RowCone`` built once per call from the train and val
-    nodes gives the rows each layer needs, and the plan holds its constants
-    on those rows. The results equal the full forward's up to rounding:
-    weight gradients sum over fewer rows, and BLAS may round a dense
-    product's rows differently for a shorter matrix. Every epoch's forward
-    and backward reuse the buffers of one workspace per call. The final test
+    Each stage runs ``stack_forward`` with the plan of ``_stage_plan``, which
+    skips constant work and (without PairNorm) the rows outside the train and
+    val nodes' ``RowCone``: the results equal the full forward's up to rounding.
+    Every epoch reuses the buffers of one workspace per call. The final test
     accuracy and collapse report come from one full forward.
 
     Callbacks, both optional, fire inside each stage: ``on_stage_start(stage,
@@ -493,18 +463,14 @@ def train(data, cfg, trainer="standard", variant="gcn", on_stage_start=None,
     t_total = time.perf_counter()
     for stage_idx in range(1, (cfg.depth if staged else 1) + 1):
         if stage_idx > 1:
-            if cfg.new_layer_init == "identity":
-                w = ly.identity_init(d, dtype)
-            else:
-                w = ly.glorot_init(d, d, rng, dtype)
+            w = (ly.identity_init(d, dtype) if cfg.new_layer_init == "identity"
+                 else ly.glorot_init(d, d, rng, dtype))
             stack.hidden_layers.append(ly.GcnLayer(Tensor(w, requires_grad=True)))
             if cfg.use_lora:
                 for layer in stack.conv_layers()[:-1]:
                     if layer.adapter is None:
                         layer.attach_adapter(ly.make_adapter(
-                            layer.d_in, layer.d_out, cfg.lora_rank, cfg.lora_alpha,
-                            rng, dtype,
-                        ))
+                            layer.d_in, layer.d_out, cfg.lora_rank, cfg.lora_alpha, rng, dtype))
             stack.check()
 
         if on_stage_start is not None:
@@ -516,8 +482,7 @@ def train(data, cfg, trainer="standard", variant="gcn", on_stage_start=None,
                     for p in (layer.adapter.A, layer.adapter.B)]
         groups = [{"params": main, "lr": cfg.lr, "weight_decay": cfg.weight_decay}]
         if adapters:
-            groups.append({"params": adapters, "lr": cfg.resolved_lora_lr(),
-                           "weight_decay": 0.0})
+            groups.append({"params": adapters, "lr": cfg.resolved_lora_lr(), "weight_decay": 0.0})
 
         plan = _stage_plan(stack, L, Xp, LX, cone)
 
@@ -541,9 +506,8 @@ def train(data, cfg, trainer="standard", variant="gcn", on_stage_start=None,
             layers[-1].freeze()
 
     total = time.perf_counter() - t_total
-    del ws  # free the buffers before the final forward, whose arrays escape
-    # the report reads only the head's input, hidden[-1], so both match
-    # ``evaluate`` and ``collapse_report`` bitwise
+    del ws  # free the buffers before the final forward
+    # the report reads hidden[-1], the head's input, bitwise as evaluate and collapse_report do
     logits, hidden = ly.stack_forward(stack, L, Xp, prepared=True, return_hidden=True,
                                       plan=None if LX is None else ly.ForwardPlan(inp=LX))
     return stack, TrainReport(

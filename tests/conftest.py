@@ -35,3 +35,14 @@ def random_graph(rng, n):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
     pairs += [(i, i + 1) for i in range(n - 1)]
     return build_adjacency(pairs, n)
+
+
+BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.MT19937,
+                  np.random.SFC64]
+
+
+def same_state(a, b):
+    """Equal bit-generator states, field by field (some fields are arrays)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)

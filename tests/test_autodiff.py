@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from growgcn import NumericalAbort, Tensor, build_adjacency, grad_check, normalized_laplacian
+from growgcn import (NumericalAbort, Tensor, build_adjacency, grad_check, make_adapter,
+                     normalized_laplacian)
 from growgcn import autodiff as ad
 
 
@@ -36,12 +37,14 @@ class TestForwardValues:
         s = normalized_laplacian(build_adjacency([(0, 1)], 2))
         with pytest.raises(ValueError, match="spmm"):
             ad.spmm(s, t64(np.ones((3, 2))))
-        with pytest.raises(ValueError, match="add"):
-            ad.add(t64(np.ones((2, 2))), t64(np.ones((2, 3))))
+        with pytest.raises(ValueError, match="gcn_layer"):
+            ad.gcn_layer(s, t64(np.ones((3, 2))), t64(np.ones((2, 2))))
+        with pytest.raises(ValueError, match="gcn_layer"):
+            ad.gcn_layer(s, t64(np.ones((2, 3))), t64(np.ones((2, 2))))
 
     def test_relu_zero_subgradient(self):
         x = t64([[-1.0, 0.0, 2.0]], grad=True)
-        out = ad.relu(x)
+        out = ad.gcn_layer(None, x, t64(np.eye(3)))  # relu(x @ I)
         assert out.data.tolist() == [[0.0, 0.0, 2.0]]
         loss = ad.masked_cross_entropy(ad.log_softmax_rows(out), [2], [0])
         loss.backward()
@@ -81,28 +84,26 @@ class TestForwardValues:
 
 class TestBackward:
     def test_fanout_accumulates(self):
-        x = t64([[1.0, 2.0]], grad=True)
-        # y = x + x -> dy/dx = 2
-        y = ad.add(x, x)
-        loss = ad.masked_cross_entropy(ad.log_softmax_rows(y), [0], [0])
-        loss.backward()
-        direct = t64([[2.0, 4.0]], grad=True)
-        loss2 = ad.masked_cross_entropy(ad.log_softmax_rows(ad.scale(direct, 1.0)), [0], [0])
-        loss2.backward()
-        assert np.allclose(x.grad, 2 * direct.grad)
+        # x feeds both sides of x @ x, so its gradient is the sum of two products
+        x = t64([[1.0, 2.0], [-0.5, 0.3]], grad=True)
+
+        def f():
+            return ad.masked_cross_entropy(ad.log_softmax_rows(ad.matmul(x, x)), [0, 1], [0, 1])
+
+        assert grad_check(f, [x]) < 1e-7
 
     @pytest.mark.parametrize("with_ws", [False, True])
     def test_shared_gradient_is_never_written_in_place(self, with_ws):
-        # out = (a + b) + a: the outer add hands one array to (a + b) and to a, the
-        # inner add hands it on to b, and a's second contribution must not land in it
+        # x's two contributions add into a new array, not into the first one; the
+        # product drops its own gradient once its backward has read it
         ws = ad.Workspace() if with_ws else None
-        a = t64([[1.0, -2.0, 0.5]], grad=True)
-        b = t64([[0.0, 3.0, 1.0]], grad=True)
-        out = ad.add(ad.add(a, b, ws=ws), a, ws=ws)
-        loss = ad.masked_cross_entropy(ad.log_softmax_rows(out), [1], [0])
-        loss.backward()
-        assert b.grad is out.grad
-        assert np.array_equal(a.grad, 2 * b.grad)
+        x = t64([[1.0, -2.0], [0.5, 3.0]], grad=True)
+        out = ad.matmul(x, x, ws=ws)
+        ad.masked_cross_entropy(ad.log_softmax_rows(out), [1, 0], [0, 1]).backward()
+        a, b = t64(x.data, grad=True), t64(x.data.copy(), grad=True)
+        ad.masked_cross_entropy(ad.log_softmax_rows(ad.matmul(a, b)), [1, 0], [0, 1]).backward()
+        assert out.grad is None
+        assert x.grad is not a.grad and np.array_equal(x.grad, a.grad + b.grad)
 
     def test_requires_grad_gating(self):
         frozen = t64(np.ones((2, 2)), grad=False)
@@ -132,7 +133,7 @@ class TestBackward:
 
     def test_constant_graph_backward_noop(self):
         a = t64([[1.0, 2.0]])
-        out = ad.scale(a, 2.0)
+        out = ad.matmul(a, t64([[2.0], [1.0]]))
         assert out.requires_grad is False and out._parents == ()
 
     def test_backward_requires_scalar(self):
@@ -144,10 +145,58 @@ class TestBackward:
         x = t64(np.ones((2, 2)) * 0.9, grad=True)
         h = x
         for _ in range(3000):
-            h = ad.scale(h, 1.0)
+            h = ad.matmul(h, t64(np.eye(2)))
         loss = ad.masked_cross_entropy(ad.log_softmax_rows(h), [0, 1], [0, 1])
         loss.backward()
         assert x.grad is not None
+
+
+class TestGcnLayer:
+    """The one-node conv layer in each of its forms, in float64."""
+
+    @pytest.mark.parametrize("form", ["trainable", "adapter", "adapter+C", "dropout"])
+    def test_values_gradients_and_workspace(self, path3, form):
+        rng = np.random.default_rng(11)
+        L = normalized_laplacian(path3)
+        h = t64(rng.standard_normal((3, 4)), grad=form != "adapter+C")
+        W = t64(rng.standard_normal((4, 4)), grad=form in ("trainable", "dropout"))
+        head = t64(rng.standard_normal((4, 2)), grad=True)
+        adapter = keep = None
+        if form.startswith("adapter"):
+            adapter = make_adapter(4, 4, 2, 3.0, rng, np.float64)
+            adapter.B.data = rng.standard_normal((2, 4))
+        p = 0.4 if form == "dropout" else 0.0
+        if p:
+            keep = rng.random((3, 4)) >= p
+        # with C the input is the propagated one and constant, and C = input @ W
+        op, C = (None, h.data @ W.data) if form == "adapter+C" else (L, None)
+        params = [t for t in (h, W, head) if t.requires_grad]
+        params += [adapter.A, adapter.B] if adapter is not None else []
+
+        def run(ws=None):
+            out = ad.gcn_layer(op, h, W, adapter, C, keep, p, ws=ws)
+            return out, ad.masked_cross_entropy(
+                ad.log_softmax_rows(ad.matmul(out, head, ws=ws)), [0, 1, 0], [0, 1, 2])
+
+        x = h.data if keep is None else h.data * keep / (1 - p)
+        Lx = x if op is None else L.to_dense() @ x
+        w = W.data if adapter is None else W.data + adapter.delta()
+        np.testing.assert_allclose(run()[0].data, np.maximum(Lx @ w, 0), rtol=1e-12)
+        assert grad_check(lambda: run()[1], params) < 1e-7
+
+        def cycle(ws):
+            for t in params:
+                t.grad = None
+            if ws is not None:
+                ws.reset()
+            out, loss = run(ws)
+            loss.backward()
+            assert out.grad is None  # dropped once the node's backward read it
+            return [out.data.copy()] + [t.grad.copy() for t in params]
+
+        want, ws = cycle(None), ad.Workspace()
+        for _ in range(2):
+            assert all(np.array_equal(a, b) for a, b in zip(cycle(ws), want, strict=True))
 
 
 class TestGradCheck:
@@ -155,20 +204,19 @@ class TestGradCheck:
         L = normalized_laplacian(path3)
         rng = np.random.default_rng(7)
         w = t64(rng.standard_normal((3, 4)), grad=True)
-        b = t64(rng.standard_normal((3, 4)), grad=True)
         x = t64(rng.standard_normal((3, 3)))
         labels, mask = [0, 2, 1], [0, 1, 2]
         w2 = t64(np.random.default_rng(8).standard_normal((4, 4)), grad=True)
+        w3 = t64(np.random.default_rng(9).standard_normal((4, 4)), grad=True)
 
         def f():
             h = ad.spmm(L, x)
-            h = ad.matmul(h, w)
-            h = ad.relu(h)
-            h = ad.add(h, ad.scale(b, 0.5))
-            h = ad.matmul(h, w2)
+            h = ad.gcn_layer(None, h, w)
+            h = ad.gcn_layer(L, h, w2)
+            h = ad.matmul(h, w3)
             return ad.masked_cross_entropy(ad.log_softmax_rows(h), labels, mask)
 
-        assert grad_check(f, [w, b, w2]) < 1e-7
+        assert grad_check(f, [w, w2, w3]) < 1e-7
 
     def test_sum_reduction_gradient(self, path3):
         L = normalized_laplacian(path3)

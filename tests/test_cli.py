@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import growgcn
-from growgcn import DataError, generate_sbm, load_bundle, load_checkpoint, save_bundle
+from growgcn import (DataError, generate_sbm, load_bundle, load_checkpoint, save_bundle,
+                     save_checkpoint)
 from growgcn.data import load_planetoid
 from growgcn.cli import (
     UsageError,
@@ -394,6 +395,31 @@ class TestExitCodes:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numerical abort:"), proc.stderr
 
+    @pytest.mark.parametrize("command", ["eval", "export-embeddings"])
+    @pytest.mark.parametrize("scale, code", [(1.0, 0), (1e37, 3)])
+    def test_checkpoint_commands_print_no_warning(self, tmp_path, command, scale, code):
+        # with every warning shown, stderr stays empty (the checkpoint file is
+        # closed); weights that overflow float32 in the forward are a numerical
+        # abort on one line, not numpy's warnings and an accuracy of non-finite logits
+        bundle = save_bundle(generate_sbm(2, 25, 0.3, 0.05, f=8, signal=2.0, seed=0),
+                             tmp_path / "bundle")
+        assert main(["train", "--data", str(bundle), "--fixed-splits",
+                     "--out", str(tmp_path / "run"), *FAST]) == 0
+        stack = load_checkpoint(tmp_path / "run" / "model_seed0.ckpt")
+        for p in stack.parameters():
+            p.data *= scale
+        save_checkpoint(stack, tmp_path / "m.ckpt")
+        out = (["--layer", "1", "--out", str(tmp_path / "e.csv")]
+               if command == "export-embeddings" else [])
+        proc = _cli_process(command, "--checkpoint", str(tmp_path / "m.ckpt"),
+                            "--data", str(bundle), *out)
+        assert proc.returncode == code, proc.stderr
+        if code:
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("numerical abort:"), proc.stderr
+        else:
+            assert proc.stderr == ""
+
     @pytest.mark.parametrize("split", SPLITS)
     def test_eval_on_empty_split(self, tmp_path, capsys, split):
         bundle = tmp_path / "bundle"
@@ -618,6 +644,45 @@ class TestSweep:
         rows = read_csv(out / "sweep.csv")
         assert [r[1] for r in rows[1:]] == [
             "gcn", "gcn+lt", "gcn+lt+lora", "gcn+lt+lora+identity"]
+
+    @pytest.mark.parametrize("fixed", [[], ["--fixed-splits"]])
+    def test_bundle_cells_match_train(self, tmp_path, fixed):
+        # a sweep cell on a bundle runs what `train` runs on it, with or without
+        # the bundle's own splits
+        bundle = save_bundle(generate_sbm(2, 25, 0.3, 0.05, f=8, signal=2.0, seed=0),
+                             tmp_path / "bundle")
+        flags = ["--data", str(bundle), "--repeats", "2", "--trainer", "lgt", "--rank", "4",
+                 *fixed, *FAST]
+        assert main(["sweep", "--axis", "depth", "--values", "1,2", *flags,
+                     "--out", str(tmp_path / "sweep")]) == 0
+        assert main(["train", *flags, "--out", str(tmp_path / "train")]) == 0
+        cells = read_csv(tmp_path / "sweep" / "sweep.csv")
+        assert [r[1] for r in cells[1:]] == ["depth1", "depth2"]
+        summary = read_csv(tmp_path / "train" / "summary.csv")[1]
+        assert cells[2][3:5] == summary[5:7]  # depth 2: mean and std test accuracy
+
+    def test_empty_split_in_a_bundle_cell_is_data_error(self, tmp_path, capsys):
+        bundle = save_bundle(generate_sbm(2, 25, 0.3, 0.05, f=8, signal=2.0, seed=0),
+                             tmp_path / "bundle")
+        path = bundle / "splits.json"
+        path.write_bytes(_empty_split("val")(path.read_bytes()))
+        rc = main(["sweep", "--axis", "depth", "--values", "1", "--data", str(bundle),
+                   "--fixed-splits", "--repeats", "1", *FAST, "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert f"{path}: the val split is empty" in capsys.readouterr().err
+
+    def test_two_workers_give_the_cells_of_one(self, tmp_path):
+        bundle = save_bundle(generate_sbm(2, 25, 0.3, 0.05, f=8, signal=2.0, seed=0),
+                             tmp_path / "bundle")
+        rows = {}
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            assert main(["sweep", "--axis", "ablation", "--data", str(bundle), "--repeats",
+                         "1", "--rank", "4", *FAST, "--workers", workers,
+                         "--out", str(out)]) == 0
+            # every column but the wall clock
+            rows[workers] = [r[:-1] for r in read_csv(out / "sweep.csv")]
+        assert len(rows["1"]) == 5 and rows["1"] == rows["2"]
 
     def test_values_required_for_depth(self, tmp_path, capsys):
         rc = main(["sweep", "--axis", "depth", "--sbm", SBM,

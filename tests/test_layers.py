@@ -14,7 +14,6 @@ from growgcn import (
     glorot_init,
     grad_check,
     identity_init,
-    lora_effective_weight,
     make_adapter,
     normalized_laplacian,
     sgc_propagate,
@@ -23,7 +22,7 @@ from growgcn import (
 from growgcn import autodiff as ad
 from growgcn import layers as ly
 
-from conftest import random_graph
+from conftest import BIT_GENERATORS, random_graph, same_state
 
 
 class TestInits:
@@ -55,9 +54,11 @@ class TestLoraAdapter:
         adp = make_adapter(8, 6, 3, None, rng)
         assert np.all(adp.B.data == 0)
         assert adp.alpha == 3.0
+        assert np.all(adp.delta() == 0)
+        h = Tensor(rng.standard_normal((5, 8)).astype(np.float32))
         w0 = Tensor(rng.standard_normal((8, 6)).astype(np.float32))
-        eff = lora_effective_weight(w0, adp)
-        assert np.array_equal(eff.data, w0.data)
+        assert np.array_equal(ad.gcn_layer(None, h, w0, adp).data,
+                              ad.gcn_layer(None, h, w0).data)
 
     def test_a_init_statistics(self):
         rng = np.random.default_rng(1)
@@ -71,10 +72,12 @@ class TestLoraAdapter:
         rng = np.random.default_rng(2)
         adp = make_adapter(4, 4, 2, 8.0, rng)
         adp.B.data = np.ones((2, 4), dtype=np.float32)
-        w0 = Tensor(np.zeros((4, 4), dtype=np.float32))
-        eff = lora_effective_weight(w0, adp).data
         expected = (8.0 / 2.0) * (adp.A.data @ adp.B.data)
-        assert np.allclose(eff, expected, atol=1e-6)
+        assert np.allclose(adp.delta(), expected, atol=1e-6)
+        # the layer's product uses W0 + delta: an identity input gives it back
+        w0 = Tensor(np.zeros((4, 4), dtype=np.float32))
+        out = ad.gcn_layer(None, Tensor(np.eye(4, dtype=np.float32)), w0, adp).data
+        assert np.allclose(out, np.maximum(expected, 0), atol=1e-6)
 
     def test_rank_bounds(self):
         rng = np.random.default_rng(0)
@@ -101,10 +104,14 @@ class TestGcnLayer:
                                 requires_grad=True))
         layer.attach_adapter(make_adapter(5, 5, 2, None, rng))
         layer.adapter.B.data = rng.standard_normal((2, 5)).astype(np.float32) * 0.3
-        eff = layer.effective_weight().data.copy()
+        h = Tensor(rng.standard_normal((7, 5)).astype(np.float32))
+        eff = layer.W.data + layer.adapter.delta()
+        adapted = ad.gcn_layer(None, h, layer.W, layer.adapter).data.copy()
         layer.merge_adapter()
         assert layer.adapter is None and layer.mode == "frozen"
         assert np.array_equal(layer.W.data, eff)
+        # the merged layer computes what the adapted one did, bitwise
+        assert np.array_equal(ad.gcn_layer(None, h, layer.W).data, adapted)
 
     def test_freeze_drops_grad_flag(self):
         layer = GcnLayer(Tensor(np.eye(3, dtype=np.float32), requires_grad=True))
@@ -147,17 +154,6 @@ class TestPairNorm:
     def test_rejects_bad_scale(self):
         with pytest.raises(ValueError):
             PairNormConfig(0.0)
-
-
-BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.MT19937,
-                  np.random.SFC64]
-
-
-def _same_state(a, b):
-    """Equal bit-generator states, field by field (some fields are arrays)."""
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
-    return np.array_equal(a, b)
 
 
 class TestDropout:
@@ -224,7 +220,7 @@ class TestDropout:
         assert got.data.dtype == want.data.dtype
         assert np.array_equal(got.data, want.data[rows])
         # the generator is left where the full mask leaves it
-        assert _same_state(rng_rows.bit_generator.state, rng_full.bit_generator.state)
+        assert same_state(rng_rows.bit_generator.state, rng_full.bit_generator.state)
         assert rng_rows.random(dtype=np.float32) == rng_full.random(dtype=np.float32)
         assert rng_rows.random() == rng_full.random()
         g = np.random.default_rng(seed + 2).standard_normal((n, d)).astype(dtype)
@@ -248,7 +244,7 @@ class TestDropout:
         want_rng = np.random.Generator(bit_generator(5))
         want = (want_rng.random((n, d))[rows] >= 0.5) * 2.0
         assert np.array_equal(got, want)
-        assert _same_state(rng.bit_generator.state, want_rng.bit_generator.state)
+        assert same_state(rng.bit_generator.state, want_rng.bit_generator.state)
 
     def test_unsorted_rows_match_full_dropout(self):
         n, d = 3_000, 300
@@ -256,7 +252,7 @@ class TestDropout:
         rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
         got = ly.dropout(Tensor(np.ones((rows.size, d))), 0.5, True, rng, rows, n).data
         assert np.array_equal(got, (want_rng.random((n, d))[rows] >= 0.5) * 2.0)
-        assert _same_state(rng.bit_generator.state, want_rng.bit_generator.state)
+        assert same_state(rng.bit_generator.state, want_rng.bit_generator.state)
 
 
 class TestSgcPropagate:

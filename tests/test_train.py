@@ -30,7 +30,7 @@ from growgcn import (
 )
 from growgcn import autodiff as ad
 from growgcn import layers as ly
-from conftest import random_graph
+from conftest import BIT_GENERATORS, random_graph, same_state
 from growgcn.train import (
     RowCone,
     StageReport,
@@ -876,6 +876,32 @@ class TestWorkspaceOracle:
             for b in arrays[i + 1:]:
                 assert not np.shares_memory(a, b)
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60),
+           d=st.sampled_from([1, 5, 40, 300]), p=st.sampled_from([0.1, 0.5]),
+           every_row=st.booleans(), bit_generator=st.sampled_from(BIT_GENERATORS),
+           data=st.data())
+    def test_masks_drawn_into_buffers_match_allocating_draws(self, seed, n, d, p, every_row,
+                                                             bit_generator, data):
+        # the oracle is the full allocating draw; few rows of a wide input take
+        # the path that skips the unused draws
+        rows = None if every_row else np.array(
+            sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))), dtype=np.int64)
+        shape = (n if rows is None else rows.size, d)
+        ws = ad.Workspace()
+        for _ in range(2):  # the second cycle draws into the first one's buffers
+            ws.reset()
+            rng = np.random.Generator(bit_generator(seed))
+            ref = np.random.Generator(bit_generator(seed))
+            keep = ly._keep_mask(shape, p, True, rng, rows, n, ws)
+            draw = ref.random((n, d))
+            assert np.array_equal(keep, (draw if rows is None else draw[rows]) >= p)
+            assert same_state(rng.bit_generator.state, ref.bit_generator.state)
+        # the allocating path of the same draw agrees too
+        rng = np.random.Generator(bit_generator(seed))
+        assert np.array_equal(keep, ly._keep_mask(shape, p, True, rng, rows, n, None))
+        assert same_state(rng.bit_generator.state, ref.bit_generator.state)
+
     @pytest.mark.parametrize("kernel", [True, False])
     @pytest.mark.parametrize("cols", [1, 4])
     def test_spmm_into_buffers_matches_scipy(self, monkeypatch, kernel, cols):
@@ -943,6 +969,30 @@ class TestWorkspaceOracle:
         assert len(made) == 2 and sizes[0] == sizes[1] > 0
 
 
+class TestActivationMemory:
+    """A conv layer keeps its propagated input and its output, and little else, per step."""
+
+    @pytest.mark.parametrize("trainer, dropout_p", [("lgt", 0.0), ("standard", 0.5)])
+    def test_traced_peak_per_added_layer(self, trainer, dropout_p):
+        data = generate_sbm(2, 1000, 0.003, 0.0003, f=16, signal=2.0, seed=3)
+        # train and val hold almost every node, so every layer computes every row
+        idx = np.random.default_rng(0).permutation(data.n)
+        data = data.with_splits(Splits(train=idx[:900], val=idx[900:1980], test=idx[1980:]))
+        peaks = []
+        for depth in (8, 16):
+            cfg = TrainConfig(depth=depth, hidden_dim=32, lora_rank=2, max_epochs=2,
+                              patience=2, dropout_p=dropout_p, seed=0)
+            tracemalloc.start()
+            try:
+                train(data, cfg, trainer=trainer)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # in float32 n x d arrays: two, plus a bool dropout mask; six ops per layer
+        # kept about 6.4 (staged) and 11.4 (under dropout)
+        assert (peaks[1] - peaks[0]) / 8 / (data.n * 32 * 4) <= 2.5
+
+
 def _sparse_split_bundle():
     """A low-degree SBM whose train and val nodes are 35 of its 300 nodes."""
     data = generate_sbm(3, 100, 0.03, 0.003, f=12, signal=2.0, seed=5)
@@ -963,7 +1013,7 @@ class TestRestrictedTrainer:
     @staticmethod
     def _run(monkeypatch, data, cfg, trainer, variant, restrict):
         flops = {"spmm": 0, "matmul": 0}
-        spmm, matmul = ad.spmm, ad.matmul
+        spmm, matmul, gcn_layer = ad.spmm, ad.matmul, ad.gcn_layer
 
         def counting_spmm(s, x, **kw):
             flops["spmm"] += 2 * s.nnz * x.data.shape[1]
@@ -973,10 +1023,20 @@ class TestRestrictedTrainer:
             flops["matmul"] += 2 * x.data.shape[0] * x.data.shape[1] * w.data.shape[1]
             return matmul(x, w, **kw)
 
+        def counting_layer(op, h, W, *a, **kw):
+            # a conv layer's propagation, and its product counted as the dense
+            # rows x d_in x d_out product it stands for
+            rows = h.data.shape[0] if op is None else op.n_rows
+            if op is not None:
+                flops["spmm"] += 2 * op.nnz * h.data.shape[1]
+            flops["matmul"] += 2 * rows * W.data.shape[0] * W.data.shape[1]
+            return gcn_layer(op, h, W, *a, **kw)
+
         with monkeypatch.context() as m:
             _float64_inits(m)
             m.setattr(ad, "spmm", counting_spmm)
             m.setattr(ad, "matmul", counting_matmul)
+            m.setattr(ad, "gcn_layer", counting_layer)
             if not restrict:
                 # the oracle: every forward runs over every node
                 m.setattr(gtrain, "_row_cone", lambda *a: None)
