@@ -7,7 +7,7 @@ Layout, in order:
     header        UTF-8 JSON (see _header below)
     arrays        row-major float32 little-endian, concatenated in the
                   order the header's "arrays" list declares: for each conv
-                  layer (input first) W, then A and B when the layer has an
+                  layer (layer 0 first) W, then A and B when the layer has an
                   adapter; the head last.
 """
 
@@ -25,17 +25,12 @@ MAGIC = b"GCNSTCK1"
 
 def _header(stack):
     layers = []
-    arrays = []
-    for i, layer in enumerate(stack.conv_layers()):
+    for layer in stack.layers:
         entry = {"mode": layer.mode, "d_in": layer.d_in, "d_out": layer.d_out}
-        arrays.append([f"layer{i}.W", [layer.d_in, layer.d_out]])
         if layer.adapter is not None:
             entry["rank"] = layer.adapter.rank
             entry["alpha"] = layer.adapter.alpha
-            arrays.append([f"layer{i}.A", [layer.d_in, layer.adapter.rank]])
-            arrays.append([f"layer{i}.B", [layer.adapter.rank, layer.d_out]])
         layers.append(entry)
-    arrays.append(["head", list(stack.head.data.shape)])
     return {
         "format": 1,
         "layers": layers,
@@ -44,7 +39,7 @@ def _header(stack):
         "pairnorm_s": None if stack.pairnorm is None else stack.pairnorm.s,
         "sgc_steps": stack.sgc_steps,
         "row_normalize": stack.row_normalize,
-        "arrays": arrays,
+        "arrays": [[name, list(t.data.shape)] for name, t in stack.named_parameters()],
     }
 
 
@@ -102,7 +97,7 @@ def _stack_from(header, blob, offset, path):
     if offset != len(blob):
         raise DataError(f"{len(blob) - offset} trailing bytes after arrays", file=path)
 
-    conv = []
+    layers = []
     for i, entry in enumerate(header["layers"]):
         mode = entry["mode"]
         if mode not in ly.MODES:
@@ -116,11 +111,10 @@ def _stack_from(header, blob, offset, path):
                 rank=entry["rank"],
                 alpha=entry["alpha"],
             )
-        conv.append(ly.GcnLayer(w, adapter=adapter))
+        layers.append(ly.GcnLayer(w, adapter=adapter))
 
     stack = ly.LayerStack(
-        input_layer=conv[0] if conv else None,
-        hidden_layers=conv[1:],
+        layers=layers,
         head=Tensor(data["head"], requires_grad=True),
         dropout_p=header["dropout_p"],
         pairnorm=None if header["pairnorm_s"] is None else ly.PairNormConfig(header["pairnorm_s"]),

@@ -129,6 +129,15 @@ def _check_staged_variant(variant):
                          f"{', '.join(STAGED_VARIANTS)}, not {variant!r}")
 
 
+def _check_lora_rank(cfg, trainer, f):
+    """UsageError for a staged run whose LoRA rank exceeds the feature or hidden width."""
+    if trainer == "lgt":
+        try:
+            cfg.check_lora_rank(f)
+        except ValueError as e:
+            raise UsageError(f"{e}; lower --rank or raise --hidden-dim") from None
+
+
 def _repeats(args, cfg_file, default):
     repeats = _resolve(args, cfg_file, "repeats", default)
     if type(repeats) is not int or repeats < 1:
@@ -254,11 +263,7 @@ def cmd_train(args):
     data = _load_dataset(args)
     if fixed and not getattr(args, "sbm", None):
         _require_splits(data, ("train", "val", "test"), args.data)
-    if trainer == "lgt":
-        try:
-            cfg.check_lora_rank(data.f)
-        except ValueError as e:
-            raise UsageError(f"{e}; lower --rank or raise --hidden-dim") from None
+    _check_lora_rank(cfg, trainer, data.f)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stacks, reports = run_repeats(data, cfg, trainer, variant, repeats, fixed)
@@ -299,6 +304,7 @@ def _run_cell(payload):
     else:
         data = gdata.generate_sbm(**payload["sbm"])
     cfg = TrainConfig(**payload["cfg"])
+    _check_lora_rank(cfg, payload["trainer"], data.f)
     _, reports = run_repeats(
         data, cfg, payload["trainer"], payload["variant"],
         payload["repeats"], payload["fixed_splits"],

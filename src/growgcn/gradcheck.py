@@ -73,7 +73,7 @@ def run_case(seed, eps=1e-5, use_pairnorm=None):
     adapter.B.data = rng.standard_normal(adapter.B.data.shape) * 0.1
     frozen.attach_adapter(adapter)
     stack = ly.LayerStack(
-        input_layer=ly.GcnLayer(w_in), hidden_layers=[frozen],
+        layers=[ly.GcnLayer(w_in), frozen],
         head=Tensor(ly.glorot_init(d, c, rng, dt), requires_grad=True),
         pairnorm=ly.PairNormConfig(1.0) if use_pairnorm else None, row_normalize=False,
     ).check()
@@ -117,7 +117,7 @@ def sgc_head_case(seed, eps=1e-5):
     ds = generate_sbm(2, 30, 0.5, 0.2, f=4, signal=1.0, seed=seed)
     rng = np.random.default_rng(seed)
     stack = ly.LayerStack(
-        input_layer=None, sgc_steps=3, row_normalize=False,
+        sgc_steps=3, row_normalize=False,
         head=Tensor(ly.glorot_init(ds.f, ds.C, rng, np.float64), requires_grad=True),
     ).check()
     return _check_stack(stack, normalized_laplacian(ds.adjacency), ds.X, ds.labels,

@@ -231,14 +231,13 @@ def sgc_propagate(L, X, steps):
 
 @dataclass(eq=False)
 class LayerStack:
-    """A depth-K model: optional input layer, square hidden layers, linear head.
+    """A depth-K model: conv layers, ``layers[0]`` reading the features, then a linear head.
 
-    ``sgc_steps > 0`` with no conv layers is the parameter-free propagation
+    ``layers == []`` with ``sgc_steps >= 1`` is the parameter-free propagation
     baseline: features are propagated sgc_steps times, then the head applies.
     """
 
-    input_layer: GcnLayer | None
-    hidden_layers: list = field(default_factory=list)
+    layers: list = field(default_factory=list)
     head: Tensor = None
     dropout_p: float = 0.0
     pairnorm: PairNormConfig | None = None
@@ -246,38 +245,28 @@ class LayerStack:
     row_normalize: bool = True
 
     def check(self):
-        layers = self.conv_layers()
-        if self.input_layer is None and layers:
-            raise ValueError("hidden layers require an input layer")
-        if self.input_layer is None and self.sgc_steps < 1:
-            raise ValueError("a stack needs conv layers or propagation steps")
         if not isinstance(self.sgc_steps, int) or self.sgc_steps < 0:
             raise ValueError(f"sgc_steps {self.sgc_steps!r} is not a count")
+        if bool(self.layers) == (self.sgc_steps > 0):
+            raise ValueError("a stack has conv layers or propagation steps, not both")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError(f"dropout p={self.dropout_p} outside [0, 1)")
-        d_head = self.head.data.shape[0]
-        for i, layer in enumerate(layers):
+        for i, layer in enumerate(self.layers):
             layer.check()
-            if i > 0 and layer.d_in != layers[i - 1].d_out:
+            if i > 0 and layer.d_in != self.layers[i - 1].d_out:
                 raise ValueError(f"layer {i} input dim {layer.d_in} != previous output")
-        if layers and layers[-1].d_out != d_head:
+        if self.layers and self.layers[-1].d_out != self.head.data.shape[0]:
             raise ValueError("head input dim does not match last layer")
         return self
 
-    def conv_layers(self):
-        layers = [] if self.input_layer is None else [self.input_layer]
-        return layers + list(self.hidden_layers)
-
     @property
     def depth(self):
-        k = len(self.conv_layers())
-        return k if k else self.sgc_steps
+        return len(self.layers) or self.sgc_steps
 
     @property
     def in_dim(self):
-        """Feature width the stack reads: the input layer's, else the head's."""
-        layer = self.input_layer
-        return self.head.data.shape[0] if layer is None else layer.d_in
+        """Feature width the stack reads: layer 0's, else the head's."""
+        return self.layers[0].d_in if self.layers else self.head.data.shape[0]
 
     @property
     def hidden_dim(self):
@@ -287,18 +276,22 @@ class LayerStack:
     def n_classes(self):
         return self.head.data.shape[1]
 
-    def parameters(self):
-        """Every weight array, in the checkpoint's order: per conv layer W, A, B; the head."""
+    def named_parameters(self):
+        """(checkpoint name, tensor) for every weight, in the checkpoint's order:
+        per conv layer ``layer{i}.W``, ``.A``, ``.B``; the head last."""
         out = []
-        for layer in self.conv_layers():
-            out.append(layer.W)
+        for i, layer in enumerate(self.layers):
+            out.append((f"layer{i}.W", layer.W))
             if layer.adapter is not None:
-                out.extend([layer.adapter.A, layer.adapter.B])
-        out.append(self.head)
+                out += [(f"layer{i}.A", layer.adapter.A), (f"layer{i}.B", layer.adapter.B)]
+        out.append(("head", self.head))
         return out
 
+    def parameters(self):
+        return [t for _, t in self.named_parameters()]
+
     def trainable_parameters(self):
-        return [p for p in self.parameters() if p.requires_grad]
+        return [t for _, t in self.named_parameters() if t.requires_grad]
 
 
 def prepare_features(stack, X):
@@ -310,10 +303,11 @@ def prepare_features(stack, X):
 class ForwardPlan:
     """Constant work that ``stack_forward`` skips, and the rows it computes.
 
-    The forward starts at conv layer ``start`` from ``inp``, its propagated
-    input ``L @ H``, valid while no dropout precedes ``start``; past the last
-    conv layer ``inp`` is the head's input (e.g. ``L^K @ X``), valid at any
-    dropout. ``C = inp @ W0`` for a start layer with an adapter goes to its
+    The forward starts at ``stack.layers[start]`` from ``inp``, its
+    propagated input ``L @ H``, valid while no dropout precedes ``start``;
+    with ``start == len(stack.layers)`` ``inp`` is the head's input (e.g.
+    ``L^K @ X`` when ``layers`` is empty), valid at any dropout.
+    ``C = inp @ W0`` for a start layer with an adapter goes to its
     ``autodiff.gcn_layer``, which forms ``C + (inp @ A) @ B * alpha/rank``.
     With a ``cone`` (a ``RowCone``), the layer k hops below the output
     multiplies by ``cone.op(k)``, ``inp`` and ``C`` hold the cone's rows,
@@ -332,8 +326,8 @@ def stack_forward(stack, L, X, *, training=False, rng=None, return_hidden=False,
                   prepared=False, plan=None, ws=None):
     """The forward pass; returns logits (and per-layer features if asked).
 
-    ``hidden[0]`` is the prepared input; ``hidden[k]`` is the output of layer k
-    (or of the k-th propagation hop for a propagation-only stack). A ``plan``
+    ``hidden[0]`` is the prepared input; ``hidden[k]`` is the output of
+    ``layers[k - 1]`` (or of the k-th hop for a propagation-only stack). A ``plan``
     (see ``ForwardPlan``) skips the work below its start layer: then
     ``hidden`` lists the input, the outputs of the layers that ran, and a
     plan's ``inp`` that is the head's input, so ``hidden[-1]`` is always the
@@ -343,7 +337,7 @@ def stack_forward(stack, L, X, *, training=False, rng=None, return_hidden=False,
     which the next cycle through ``ws`` overwrites.
     """
     plan = ForwardPlan() if plan is None else plan
-    layers = stack.conv_layers()
+    layers = stack.layers
     cone = plan.cone
     if plan.inp is not None and plan.start < len(layers) and training and stack.dropout_p > 0:
         raise ValueError("a plan's input skips the dropout before its start layer")

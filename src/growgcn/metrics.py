@@ -67,10 +67,10 @@ class CollapseReport:
 
 
 def collapse_report(stack, data, L=None, per_layer=False):
-    """Diagnostics on the final hidden features (and optionally every layer)."""
+    """Diagnostics on the final hidden features (and optionally every layer) of ``eval_forward``."""
     if L is None:
         L = normalized_laplacian(data.adjacency)
-    _, hidden = ly.stack_forward(stack, L, data.X, return_hidden=True)
+    _, hidden = ly.eval_forward(stack, L, data.X, return_hidden=True)
     return collapse_from_hidden(hidden, data.adjacency, per_layer)
 
 
@@ -94,7 +94,7 @@ def collapse_from_hidden(hidden, adjacency, per_layer=False):
 def export_embeddings(stack, data, layer_index, path, L=None):
     """Write one layer's features as CSV: node_id, label, dim_0..dim_{d-1}.
 
-    ``layer_index`` 0 is the prepared input; k is the output of layer k.
+    ``layer_index`` 0 is the prepared input; k is the output of ``layers[k - 1]`` (or hop k).
     """
     if L is None:
         L = normalized_laplacian(data.adjacency)

@@ -84,7 +84,7 @@ class TrainConfig:
     def check_lora_rank(self, f):
         """Raise ValueError when staged training's LoRA rank exceeds min(f, hidden_dim).
 
-        Adapters attach to the f×d input layer too, so the feature width f
+        Adapters attach to the f×d layer 0 too, so the feature width f
         bounds the rank as well as the hidden width does.
         """
         if self.use_lora and self.depth > 1:
@@ -300,28 +300,17 @@ def _fit(forward, mutable, groups, target, cfg, dropout_p):
 
 
 def _build_stack(data, cfg, variant, rng, dropout_p, depth):
-    """A freshly initialised depth-``depth`` stack; draws the input layer, then the head."""
-    d, dtype = cfg.hidden_dim, np.float32
-    if variant == "sgc":
-        return ly.LayerStack(
-            input_layer=None,
-            head=Tensor(ly.glorot_init(data.f, data.C, rng, dtype), requires_grad=True),
-            dropout_p=dropout_p,
-            sgc_steps=depth,
-            row_normalize=cfg.row_normalize_features,
-        ).check()
-    stack = ly.LayerStack(
-        input_layer=ly.GcnLayer(Tensor(ly.glorot_init(data.f, d, rng, dtype), requires_grad=True)),
-        hidden_layers=[
-            ly.GcnLayer(Tensor(ly.glorot_init(d, d, rng, dtype), requires_grad=True))
-            for _ in range(depth - 1)
-        ],
-        head=Tensor(ly.glorot_init(d, data.C, rng, dtype), requires_grad=True),
+    """A freshly initialised depth-``depth`` stack; draws layer 0 first, the head last."""
+    widths = [data.f] + ([] if variant == "sgc" else [cfg.hidden_dim] * depth)
+    return ly.LayerStack(
+        layers=[ly.GcnLayer(Tensor(ly.glorot_init(a, b, rng, np.float32), requires_grad=True))
+                for a, b in zip(widths, widths[1:])],
+        head=Tensor(ly.glorot_init(widths[-1], data.C, rng, np.float32), requires_grad=True),
         dropout_p=dropout_p,
         pairnorm=ly.PairNormConfig(cfg.pairnorm_s) if variant == "gcn+pairnorm" else None,
+        sgc_steps=depth if variant == "sgc" else 0,
         row_normalize=cfg.row_normalize_features,
-    )
-    return stack.check()
+    ).check()
 
 
 class RowCone:
@@ -385,12 +374,12 @@ def _stage_plan(stack, L, Xp, LX, cone):
     """
     if cone is not None and stack.pairnorm is not None:
         raise ValueError("a row cone cannot restrict a stack with PairNorm")
-    if stack.input_layer is None:
+    if stack.sgc_steps:
         inp = ly.sgc_propagate(L, Xp, stack.sgc_steps) if LX is None else LX
         return ly.ForwardPlan(inp=inp if cone is None else inp[cone.rows(0)], cone=cone)
     if stack.dropout_p > 0.0:
         return None if cone is None else ly.ForwardPlan(cone=cone)
-    layers = stack.conv_layers()
+    layers = stack.layers
     inp = ad.spmm(L, Tensor(Xp)).data if LX is None else LX
     start = 0
     while (start < len(layers) - 1 and not layers[start].W.requires_grad
@@ -416,7 +405,7 @@ def train(data, cfg, trainer="standard", variant="gcn", on_stage_start=None,
 
     ``standard`` trains the whole depth-K model jointly in one stage.
     ``lgt`` grows the network one layer per stage: stage 1 is the standard
-    model at depth 1, and every later stage appends a new hidden layer
+    model at depth 1, and every later stage appends a new layer
     (identity-initialized by default), attaches fresh low-rank adapters to
     all frozen layers, and trains only the new layer, the head, and the
     adapters. Adapters are folded into their frozen weights at stage end
@@ -450,12 +439,12 @@ def train(data, cfg, trainer="standard", variant="gcn", on_stage_start=None,
     stack = _build_stack(data, cfg, variant, rng, cfg.resolved_dropout(trainer, variant),
                          1 if staged else cfg.depth)
     Xp = ly.prepare_features(stack, data.X)
-    if stack.input_layer is None:
+    if stack.sgc_steps:
         LX = ly.sgc_propagate(L, Xp, cfg.depth)
     else:
         # every stage starts from the same L @ Xp while no dropout precedes layer 0
         LX = ad.spmm(L, Tensor(Xp)).data if stack.dropout_p == 0.0 else None
-    cone = _row_cone(stack, L, data, 0 if stack.input_layer is None else cfg.depth)
+    cone = _row_cone(stack, L, data, 0 if stack.sgc_steps else cfg.depth)
     target = _target(data, None if cone is None else cone.rows(0))
 
     stages = []
@@ -465,9 +454,9 @@ def train(data, cfg, trainer="standard", variant="gcn", on_stage_start=None,
         if stage_idx > 1:
             w = (ly.identity_init(d, dtype) if cfg.new_layer_init == "identity"
                  else ly.glorot_init(d, d, rng, dtype))
-            stack.hidden_layers.append(ly.GcnLayer(Tensor(w, requires_grad=True)))
+            stack.layers.append(ly.GcnLayer(Tensor(w, requires_grad=True)))
             if cfg.use_lora:
-                for layer in stack.conv_layers()[:-1]:
+                for layer in stack.layers[:-1]:
                     if layer.adapter is None:
                         layer.attach_adapter(ly.make_adapter(
                             layer.d_in, layer.d_out, cfg.lora_rank, cfg.lora_alpha, rng, dtype))
@@ -476,7 +465,7 @@ def train(data, cfg, trainer="standard", variant="gcn", on_stage_start=None,
         if on_stage_start is not None:
             on_stage_start(stage_idx, stack, L, Xp)
 
-        layers = stack.conv_layers()
+        layers = stack.layers
         main = [layer.W for layer in layers if layer.W.requires_grad] + [stack.head]
         adapters = [p for layer in layers if layer.adapter is not None
                     for p in (layer.adapter.A, layer.adapter.B)]

@@ -91,7 +91,7 @@ def test_c03_stage_transition_identity(small_sbm, capsys):
             return
         sp = L.to_scipy(np.float32)
         h = Xp
-        for layer in stack.conv_layers()[:-1]:
+        for layer in stack.layers[:-1]:
             z = (sp @ h) @ layer.W.data
             h = z * (z > 0)
         z = sp @ h  # the inserted parameter-free propagation
@@ -115,7 +115,7 @@ def test_c03_stage_transition_identity(small_sbm, capsys):
 
 def _named_arrays(stack):
     out = {}
-    for i, layer in enumerate(stack.conv_layers()):
+    for i, layer in enumerate(stack.layers):
         out[f"layer{i}.W"] = layer.W.data
         if layer.adapter is not None:
             out[f"layer{i}.A"] = layer.adapter.A.data

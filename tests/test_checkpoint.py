@@ -34,8 +34,7 @@ def _lora_stack(f, c):
     mid = GcnLayer(Tensor(glorot_init(d, d, rng)))
     new = GcnLayer(Tensor(glorot_init(d, d, rng), requires_grad=True))
     return LayerStack(
-        input_layer=inp,
-        hidden_layers=[mid, new],
+        layers=[inp, mid, new],
         head=Tensor(glorot_init(d, c, rng), requires_grad=True),
         dropout_p=0.25,
         pairnorm=PairNormConfig(1.5),
@@ -43,7 +42,7 @@ def _lora_stack(f, c):
 
 
 def _assert_same_stack(a, b):
-    la, lb = a.conv_layers(), b.conv_layers()
+    la, lb = a.layers, b.layers
     assert len(la) == len(lb)
     for x, y in zip(la, lb):
         assert x.mode == y.mode
@@ -77,14 +76,13 @@ class TestRoundtrip:
 
     def test_sgc_stack(self, tmp_path):
         stack = LayerStack(
-            input_layer=None,
             head=Tensor(glorot_init(5, 3, np.random.default_rng(1)), requires_grad=True),
             sgc_steps=4,
             row_normalize=False,
         ).check()
         back = load_checkpoint(save_checkpoint(stack, tmp_path / "sgc.ckpt"))
         _assert_same_stack(stack, back)
-        assert back.input_layer is None and back.sgc_steps == 4
+        assert back.layers == [] and back.sgc_steps == 4
 
     def test_trained_lgt_with_adapters(self, tiny_dataset, tmp_path):
         cfg = TrainConfig(depth=3, hidden_dim=8, max_epochs=4, patience=4,
@@ -92,7 +90,7 @@ class TestRoundtrip:
         stack, _ = train_lgt(tiny_dataset, cfg)
         back = load_checkpoint(save_checkpoint(stack, tmp_path / "lgt.ckpt"))
         _assert_same_stack(stack, back)
-        assert any(l.adapter is not None for l in back.conv_layers())
+        assert any(l.adapter is not None for l in back.layers)
 
     def test_file_is_stable_across_saves(self, tiny_dataset, tmp_path):
         stack = _lora_stack(tiny_dataset.f, tiny_dataset.C)
@@ -169,8 +167,9 @@ class TestCorruptFiles:
         (lambda h: h.update(arrays=7), "TypeError"),
         (lambda h: h["arrays"][0].__setitem__(1, [30]), "not 2-D"),
         (lambda h: h["arrays"][0].__setitem__(1, [5, 1e999]), "OverflowError"),
+        (lambda h: h.update(sgc_steps=2), "conv layers or propagation steps, not both"),
     ], ids=["no-arrays", "unknown-mode", "dropout", "sgc-steps", "pairnorm", "rank",
-            "arrays-type", "flat-array", "infinite-dim"])
+            "arrays-type", "flat-array", "infinite-dim", "conv-and-steps"])
     def test_malformed_header_is_data_error(self, tiny_dataset, tmp_path, edit, match):
         blob = self._good_blob(tiny_dataset, tmp_path)
         (hlen,) = struct.unpack("<I", blob[8:12])
@@ -213,8 +212,7 @@ def test_damaged_checkpoint_loads_or_is_data_error(tmp_path, cut, edits):
         back = load_checkpoint(path)
     except DataError:
         return
-    d_in = back.head.data.shape[0] if back.input_layer is None else back.input_layer.d_in
     L = normalized_laplacian(build_adjacency([(0, 1), (1, 2)], 3))
     with np.errstate(all="ignore"):
-        logits = stack_forward(back, L, np.ones((3, d_in)))
+        logits = stack_forward(back, L, np.ones((3, back.in_dim)))
     assert logits.shape == (3, back.n_classes)

@@ -226,7 +226,7 @@ class TestTrainCommand:
         assert len(r2["stages"]) == 2
         # merge_adapters=false from the config survives into the checkpoint
         stack = load_checkpoint(out2 / "model_seed0.ckpt")
-        assert any(l.adapter is not None for l in stack.conv_layers())
+        assert any(l.adapter is not None for l in stack.layers)
 
     def test_missing_data_source(self, tmp_path, capsys):
         rc = main(["train", "--out", str(tmp_path / "x"), *FAST])
@@ -249,7 +249,7 @@ class TestTrainCommand:
         assert rc == 1
 
     def test_lora_rank_above_feature_width_is_usage_error(self, tmp_path, capsys):
-        # f=8 bounds the rank of the input layer's adapter
+        # f=8 bounds the rank of layer 0's adapter
         rc = main(["train", "--sbm", SBM, "--trainer", "lgt", "--rank", "9",
                    "--out", str(tmp_path / "x"), *FAST])
         assert rc == 1
@@ -553,7 +553,7 @@ class TestEvalAndExport:
     @pytest.mark.parametrize("command", ["eval", "export-embeddings"])
     def test_feature_width_mismatch_is_data_error(self, trained, tmp_path, capsys,
                                                   command, variant):
-        # an SGC checkpoint has no input layer; its head reads the features
+        # an SGC checkpoint has no conv layers; its head reads the features
         bundle, _ = trained
         run = tmp_path / "run_width"
         assert main(["train", "--data", str(bundle), "--fixed-splits", "--trainer",
@@ -683,6 +683,26 @@ class TestSweep:
             # every column but the wall clock
             rows[workers] = [r[:-1] for r in read_csv(out / "sweep.csv")]
         assert len(rows["1"]) == 5 and rows["1"] == rows["2"]
+
+    @pytest.mark.parametrize("source", ["sbm", "bundle", "two-workers"])
+    def test_lora_rank_above_feature_width_is_usage_error(self, tmp_path, capsys, source):
+        # each cell checks the rank against its data's feature width as `train` does;
+        # with workers the UsageError comes back through the process pool
+        if source == "sbm":
+            flags = ["--sbm", SBM]
+        else:
+            bundle = save_bundle(generate_sbm(2, 25, 0.3, 0.05, f=8, signal=2.0, seed=0),
+                                 tmp_path / "bundle")
+            flags = ["--data", str(bundle)] + (["--workers", "2"] if source == "two-workers"
+                                               else [])
+        rc = main(["sweep", "--axis", "depth", "--values", "2,3", *flags, "--repeats", "1",
+                   *FAST, "--rank", "10", "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "lora rank 10 exceeds min(feature dim, hidden dim) = 8" in err
+        assert "lower --rank or raise --hidden-dim" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
 
     def test_values_required_for_depth(self, tmp_path, capsys):
         rc = main(["sweep", "--axis", "depth", "--sbm", SBM,

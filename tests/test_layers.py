@@ -279,9 +279,9 @@ def _plain_stack(rng, f, d, c, depth, nonneg=False):
     if nonneg:
         w_in = np.abs(w_in)
     return LayerStack(
-        input_layer=GcnLayer(Tensor(w_in, requires_grad=True)),
-        hidden_layers=[GcnLayer(Tensor(identity_init(d, np.float64), requires_grad=True))
-                       for _ in range(depth - 1)],
+        layers=[GcnLayer(Tensor(w_in, requires_grad=True))]
+        + [GcnLayer(Tensor(identity_init(d, np.float64), requires_grad=True))
+           for _ in range(depth - 1)],
         head=Tensor(np.eye(d, c, dtype=np.float64), requires_grad=True),
         row_normalize=False,
     )
@@ -292,19 +292,23 @@ class TestLayerStack:
         rng = np.random.default_rng(0)
         st = _plain_stack(rng, 6, 4, 4, 3)
         assert st.depth == 3 and st.hidden_dim == 4
-        assert len(st.parameters()) == 4  # input W, 2 hidden W, head
+        assert len(st.parameters()) == 4  # three layers' W, head
+        assert [n for n, _ in st.named_parameters()] == ["layer0.W", "layer1.W", "layer2.W", "head"]
 
     def test_check_catches_dim_break(self):
         rng = np.random.default_rng(0)
         st = _plain_stack(rng, 6, 4, 4, 2)
-        st.hidden_layers.append(GcnLayer(Tensor(np.ones((5, 4)), requires_grad=True)))
+        st.layers.append(GcnLayer(Tensor(np.ones((5, 4)), requires_grad=True)))
         with pytest.raises(ValueError, match="input dim"):
             st.check()
 
     def test_sgc_stack_needs_steps(self):
-        with pytest.raises(ValueError, match="propagation"):
-            LayerStack(input_layer=None, head=Tensor(np.ones((3, 2)),
-                       requires_grad=True)).check()
+        head = Tensor(np.ones((3, 2)), requires_grad=True)
+        conv = GcnLayer(Tensor(np.ones((3, 3)), requires_grad=True))
+        # neither layers nor steps, and layers and steps
+        for layers, steps in (([], 0), ([conv], 2)):
+            with pytest.raises(ValueError, match="propagation"):
+                LayerStack(layers=layers, head=head, sgc_steps=steps).check()
 
     def test_identity_tower_equals_pure_propagation(self):
         # identity hidden weights + identity head + nonneg input and weights:
@@ -316,7 +320,7 @@ class TestLayerStack:
         depth = 5
         stack = _plain_stack(rng, 7, 4, 4, depth, nonneg=True)
         logits = stack_forward(stack, L, X).data
-        ref = X @ stack.input_layer.W.data
+        ref = X @ stack.layers[0].W.data
         D = L.to_dense()
         for _ in range(depth):
             ref = D @ ref
@@ -326,8 +330,8 @@ class TestLayerStack:
         rng = np.random.default_rng(0)
         L = normalized_laplacian(small_sbm.adjacency)
         stack = LayerStack(
-            input_layer=GcnLayer(Tensor(glorot_init(small_sbm.f, 8, rng), requires_grad=True)),
-            hidden_layers=[GcnLayer(Tensor(glorot_init(8, 8, rng), requires_grad=True))],
+            layers=[GcnLayer(Tensor(glorot_init(small_sbm.f, 8, rng), requires_grad=True)),
+                    GcnLayer(Tensor(glorot_init(8, 8, rng), requires_grad=True))],
             head=Tensor(glorot_init(8, small_sbm.C, rng), requires_grad=True),
         )
         logits, hidden = stack_forward(stack, L, small_sbm.X, return_hidden=True)
@@ -345,8 +349,7 @@ class TestLayerStack:
         frozen.attach_adapter(make_adapter(4, 4, 2, None, rng, np.float64))
         frozen.adapter.B.data = rng.standard_normal((2, 4)) * 0.2
         head = Tensor(glorot_init(4, 3, rng, np.float64), requires_grad=True)
-        stack = LayerStack(input_layer=GcnLayer(w_in), hidden_layers=[frozen], head=head,
-                           row_normalize=False)
+        stack = LayerStack(layers=[GcnLayer(w_in), frozen], head=head, row_normalize=False)
         X = np.random.default_rng(10).standard_normal((3, 3))
 
         def f():

@@ -1,5 +1,6 @@
 import csv
 import filecmp
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from growgcn import (
     CollapseReport,
     GcnLayer,
     LayerStack,
+    NumericalAbort,
     Tensor,
     build_adjacency,
     collapse_report,
@@ -103,8 +105,8 @@ class TestSmoothingDynamics:
 def _toy_stack(f, c, rng):
     d = 6
     return LayerStack(
-        input_layer=GcnLayer(Tensor(glorot_init(f, d, rng), requires_grad=True)),
-        hidden_layers=[GcnLayer(Tensor(glorot_init(d, d, rng), requires_grad=True))],
+        layers=[GcnLayer(Tensor(glorot_init(f, d, rng), requires_grad=True)),
+                GcnLayer(Tensor(glorot_init(d, d, rng), requires_grad=True))],
         head=Tensor(glorot_init(d, c, rng), requires_grad=True),
     ).check()
 
@@ -122,6 +124,16 @@ class TestCollapseReport:
         for entry in rep2.per_layer:
             assert set(entry) == {"distance_to_constant", "dirichlet_energy"}
         assert rep2.per_layer[-1]["distance_to_constant"] == rep.distance_to_constant
+
+    def test_overflowing_model_is_numerical_abort_without_warnings(self, tiny_dataset):
+        # the report runs the evaluation forward, which checks its logits
+        stack = _toy_stack(tiny_dataset.f, tiny_dataset.C, np.random.default_rng(0))
+        for t in stack.parameters():
+            t.data *= np.float32(1e37)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalAbort, match="non-finite logits"):
+                collapse_report(stack, tiny_dataset)
 
     def test_dict_roundtrip(self):
         rep = CollapseReport(0.25, 1.5, [{"distance_to_constant": 0.5,

@@ -217,7 +217,7 @@ class TestStandardTrainer:
     def test_sgc_fast_path_matches_stack_forward(self, tiny_dataset):
         cfg = make_cfg(depth=3)
         stack, report = train_standard(tiny_dataset, cfg, "sgc")
-        assert stack.input_layer is None and stack.sgc_steps == 3
+        assert stack.layers == [] and stack.sgc_steps == 3
         assert evaluate(stack, tiny_dataset, tiny_dataset.splits.test) == report.test_acc
 
     @pytest.mark.parametrize("variant", ["gcn", "sgc"])
@@ -272,7 +272,7 @@ class TestLgtTrainer:
         assert len(report.stages) == 3
         assert report.total_epochs == sum(s.epochs_run for s in report.stages)
         # merge on: every layer is plain frozen, only the head stays trainable
-        assert all(l.mode == "frozen" for l in stack.conv_layers())
+        assert all(l.mode == "frozen" for l in stack.layers)
         assert stack.trainable_parameters() == [stack.head]
 
     def test_trainable_counts_per_stage(self, tiny_dataset):
@@ -299,7 +299,7 @@ class TestLgtTrainer:
                                                    patience=3), on_stage_start=on_start)
         f, c, d = tiny_dataset.f, tiny_dataset.C, 8
         assert seen == {1: f * d + d * c, 2: d * d + d * c, 3: d * d + d * c}
-        assert all(l.adapter is None for l in stack.conv_layers())
+        assert all(l.adapter is None for l in stack.layers)
 
     def test_frozen_weights_immutable_without_merge(self, tiny_dataset):
         frozen_at = {}
@@ -307,23 +307,23 @@ class TestLgtTrainer:
         def on_end(stage, stack):
             # every conv layer W is about to be (or already is) frozen; none may
             # change after this point when merging is off
-            for i, layer in enumerate(stack.conv_layers()):
+            for i, layer in enumerate(stack.layers):
                 frozen_at.setdefault(i, layer.W.data.copy())
 
         stack, _ = train_lgt(tiny_dataset, lgt_cfg(merge_adapters=False),
                              on_stage_end=on_end)
-        for i, layer in enumerate(stack.conv_layers()):
+        for i, layer in enumerate(stack.layers):
             assert np.array_equal(layer.W.data, frozen_at[i])
         # adapters persist on every layer that ever got one
-        assert all(l.mode == "frozen_lora" for l in stack.conv_layers()[:-1])
-        assert stack.conv_layers()[-1].adapter is None
+        assert all(l.mode == "frozen_lora" for l in stack.layers[:-1])
+        assert stack.layers[-1].adapter is None
 
     def test_merge_accounting_bitwise(self, tiny_dataset):
         last = {}
 
         def on_end(stage, stack):
             last.clear()
-            for i, layer in enumerate(stack.conv_layers()):
+            for i, layer in enumerate(stack.layers):
                 if layer.adapter is not None:
                     a = layer.adapter
                     last[i] = (layer.W.data.copy(), a.scaling, a.A.data.copy(),
@@ -332,7 +332,7 @@ class TestLgtTrainer:
                     last[i] = (layer.W.data.copy(), None, None, None)
 
         stack, _ = train_lgt(tiny_dataset, lgt_cfg(), on_stage_end=on_end)
-        for i, layer in enumerate(stack.conv_layers()):
+        for i, layer in enumerate(stack.layers):
             w0, scaling, a, b = last[i]
             expected = w0 if a is None else w0 + np.asarray(scaling * (a @ b), w0.dtype)
             assert np.array_equal(layer.W.data, expected)
@@ -383,8 +383,7 @@ class TestStageCaches:
             mid.adapter.B.data = rng.standard_normal((2, d)) * 0.1
         new = GcnLayer(Tensor(ly.identity_init(d, np.float64), requires_grad=True))
         head = Tensor(glorot_init(d, c, rng, np.float64), requires_grad=True)
-        return LayerStack(input_layer=inp, hidden_layers=[mid, new], head=head,
-                          row_normalize=False).check()
+        return LayerStack(layers=[inp, mid, new], head=head, row_normalize=False).check()
 
     def test_bitwise_equal_when_adapter_is_zero(self, tiny_dataset):
         rng = np.random.default_rng(0)
@@ -392,7 +391,7 @@ class TestStageCaches:
         L = normalized_laplacian(tiny_dataset.adjacency)
         Xp = ly.prepare_features(stack, tiny_dataset.X)
         plan = _stage_plan(stack, L, Xp, None, None)
-        # the frozen input layer is folded into the plan; layer 1 starts from S and C
+        # the frozen layer 0 is folded into the plan; layer 1 starts from S and C
         assert plan.start == 1 and plan.C is not None
         fast = ly.stack_forward(stack, L, Xp, prepared=True, plan=plan).data
         plain = ly.stack_forward(stack, L, Xp, prepared=True).data
@@ -433,9 +432,8 @@ def _random_stage_stack(rng, f, d, c, stage, pairnorm, lora, merged):
         frozen.append(layer)
     d_in = f if stage == 1 else d
     new = GcnLayer(Tensor(glorot_init(d_in, d, rng, np.float64), requires_grad=True))
-    layers = frozen + [new]
     return LayerStack(
-        input_layer=layers[0], hidden_layers=layers[1:],
+        layers=frozen + [new],
         head=Tensor(glorot_init(d, c, rng, np.float64), requires_grad=True),
         pairnorm=ly.PairNormConfig(1.5) if pairnorm else None, row_normalize=False,
     ).check()
@@ -490,7 +488,7 @@ class TestCachedForwardOracle:
             for g, g_ref in zip(grads, plain[1], strict=True):
                 np.testing.assert_allclose(g, g_ref, rtol=1e-9, atol=1e-12, err_msg=name)
 
-    def test_lx_rejected_where_dropout_precedes_input_layer(self, tiny_dataset):
+    def test_lx_rejected_where_dropout_precedes_layer_0(self, tiny_dataset):
         rng = np.random.default_rng(0)
         stack = _random_stage_stack(rng, tiny_dataset.f, 4, 2, 1, False, False, [])
         stack.dropout_p = 0.5
@@ -642,11 +640,11 @@ class TestInputPropagationOnce:
         def recomputing_forward(stack, L, Xp, *, plan=None, **kw):
             # a plan that starts at layer 0 holds L @ Xp (on the cone's rows, and
             # with C = (L @ Xp) @ W0 for an adapter); form both anew on every call
-            if plan is not None and plan.start == 0 and stack.conv_layers():
+            if plan is not None and plan.start == 0 and stack.layers:
                 inp = ad.spmm(L, Tensor(Xp)).data
                 if plan.cone is not None:
-                    inp = inp[plan.cone.rows(len(stack.conv_layers()) - 1)]
-                C = None if plan.C is None else inp @ stack.input_layer.W.data
+                    inp = inp[plan.cone.rows(len(stack.layers) - 1)]
+                C = None if plan.C is None else inp @ stack.layers[0].W.data
                 plan = ly.ForwardPlan(0, inp, C, plan.cone)
             return stack_fwd(stack, L, Xp, plan=plan, **kw)
 
@@ -754,7 +752,7 @@ class TestRowConeOracle:
         n, f, c, steps = 18, 6, 3, 3
         L = normalized_laplacian(random_graph(rng, n))
         Xp = rng.standard_normal((n, f))
-        stack = LayerStack(input_layer=None, sgc_steps=steps, dropout_p=dropout_p,
+        stack = LayerStack(sgc_steps=steps, dropout_p=dropout_p,
                            head=Tensor(glorot_init(f, c, rng, np.float64), requires_grad=True),
                            row_normalize=False).check()
         cone = RowCone(L, [2, 9, 11], steps)
@@ -773,7 +771,7 @@ class TestRowConeOracle:
         n, f, c, steps = 18, 6, 3, 3
         L = normalized_laplacian(random_graph(rng, n))
         Xp = rng.standard_normal((n, f))
-        stack = LayerStack(input_layer=None, sgc_steps=steps, dropout_p=dropout_p,
+        stack = LayerStack(sgc_steps=steps, dropout_p=dropout_p,
                            head=Tensor(glorot_init(f, c, rng, np.float64), requires_grad=True),
                            row_normalize=False).check()
         cone = RowCone(L, [1, 4, 12], 0)
