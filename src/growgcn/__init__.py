@@ -37,8 +37,6 @@ from .train import (
     TrainReport,
     evaluate,
     train,
-    train_lgt,
-    train_standard,
 )
 
 __version__ = "0.1.0"

@@ -296,6 +296,9 @@ def masked_cross_entropy(log_probs, labels, mask, reduction="mean"):
     return _compose(out, (log_probs,), bwd)
 
 
+GRAD_CHECK_EPS = (1e-7, 1e-3)  # the finite-difference steps grad_check accepts
+
+
 def grad_check(f, params, eps=1e-5):
     """Compare backward() against central differences, entry by entry.
 
@@ -303,8 +306,9 @@ def grad_check(f, params, eps=1e-5):
     Tensor; params should be float64 for the comparison to be meaningful.
     Returns the maximum relative error over all entries.
     """
-    if not (1e-7 <= eps <= 1e-3):
-        raise ValueError(f"eps {eps} outside [1e-7, 1e-3]")
+    lo, hi = GRAD_CHECK_EPS
+    if not lo <= eps <= hi:
+        raise ValueError(f"eps {eps} outside [{lo:g}, {hi:g}]")
     out = f()
     if not np.all(np.isfinite(out.data)):
         raise NumericalAbort("non-finite value in grad_check forward pass")

@@ -17,7 +17,7 @@ import csv
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,8 @@ from . import data as gdata
 from . import gradcheck as gc
 from . import metrics as gmetrics
 from .errors import DataError, NumericalAbort
-from .train import STAGED_VARIANTS, TRAINERS, VARIANTS, TrainConfig, evaluate, train
+from .autodiff import GRAD_CHECK_EPS
+from .train import TRAINERS, VARIANTS, TrainConfig, check_run, evaluate, train
 
 
 class UsageError(Exception):
@@ -103,46 +104,22 @@ def _resolve(args, cfg_file, key, default):
 
 
 def build_train_config(args, cfg_file):
+    """The TrainConfig of the flags over the config file over the defaults; unchecked."""
     base = TrainConfig()
-    kwargs = {}
-    for f in fields(TrainConfig):
-        kwargs[f.name] = _resolve(args, cfg_file, f.name, getattr(base, f.name))
-    try:
-        return TrainConfig(**kwargs).validate()
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    return TrainConfig(**{f.name: _resolve(args, cfg_file, f.name, getattr(base, f.name))
+                          for f in fields(TrainConfig)})
 
 
-def _trainer_and_variant(args, cfg_file, default_trainer):
-    trainer = _resolve(args, cfg_file, "trainer", default_trainer)
-    variant = _resolve(args, cfg_file, "variant", "gcn")
-    if trainer not in TRAINERS:
-        raise UsageError(f"unknown trainer {trainer!r}")
-    if variant not in VARIANTS:
-        raise UsageError(f"unknown variant {variant!r}")
-    return trainer, variant
-
-
-def _check_staged_variant(variant):
-    if variant not in STAGED_VARIANTS:
-        raise UsageError(f"staged training (trainer lgt) supports the variants "
-                         f"{', '.join(STAGED_VARIANTS)}, not {variant!r}")
-
-
-def _check_lora_rank(cfg, trainer, f):
-    """UsageError for a staged run whose LoRA rank exceeds the feature or hidden width."""
-    if trainer == "lgt":
-        try:
-            cfg.check_lora_rank(f)
-        except ValueError as e:
-            raise UsageError(f"{e}; lower --rank or raise --hidden-dim") from None
-
-
-def _repeats(args, cfg_file, default):
-    repeats = _resolve(args, cfg_file, "repeats", default)
+def _settings(args, default_trainer, default_repeats):
+    """The settings of train and sweep: (cfg, trainer, variant, repeats, fixed_splits)."""
+    cfg_file = read_config_file(args.config) if args.config else {}
+    repeats = _resolve(args, cfg_file, "repeats", default_repeats)
     if type(repeats) is not int or repeats < 1:
         raise UsageError("--repeats must be an integer >= 1")
-    return repeats
+    return (build_train_config(args, cfg_file),
+            _resolve(args, cfg_file, "trainer", default_trainer),
+            _resolve(args, cfg_file, "variant", "gcn"), repeats,
+            bool(_resolve(args, cfg_file, "fixed_splits", False)))
 
 
 # ---------------------------------------------------------------- data access
@@ -181,6 +158,28 @@ def _load_dataset(args):
     if not getattr(args, "data", None):
         raise UsageError("either --data or --sbm is required")
     return gdata.load_bundle(args.data)
+
+
+def _load_checked(args, runs, variant, fixed_splits):
+    """The dataset for ``runs``, (trainer, cfg) pairs, each checked by ``check_run``.
+
+    Every run is checked before the data loads, and its LoRA rank against the
+    feature width before any run trains.
+    """
+    try:
+        for trainer, cfg in runs:
+            check_run(cfg, trainer, variant)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+    data = _load_dataset(args)
+    if fixed_splits and not getattr(args, "sbm", None):
+        _require_splits(data, ("train", "val", "test"), args.data)
+    try:
+        for trainer, cfg in runs:
+            check_run(cfg, trainer, variant, data.f)
+    except ValueError as e:
+        raise UsageError(f"{e}; lower --rank or raise --hidden-dim") from None
+    return data
 
 
 def _require_splits(data, names, bundle):
@@ -252,18 +251,8 @@ def _write_summary_csv(path, rows, header):
 
 
 def cmd_train(args):
-    cfg_file = read_config_file(args.config) if args.config else {}
-    cfg = build_train_config(args, cfg_file)
-    trainer, variant = _trainer_and_variant(args, cfg_file, "standard")
-    repeats = _repeats(args, cfg_file, 1)
-    fixed = bool(_resolve(args, cfg_file, "fixed_splits", False))
-    if trainer == "lgt":
-        _check_staged_variant(variant)
-
-    data = _load_dataset(args)
-    if fixed and not getattr(args, "sbm", None):
-        _require_splits(data, ("train", "val", "test"), args.data)
-    _check_lora_rank(cfg, trainer, data.f)
+    cfg, trainer, variant, repeats, fixed = _settings(args, "standard", 1)
+    data = _load_checked(args, [(trainer, cfg)], variant, fixed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stacks, reports = run_repeats(data, cfg, trainer, variant, repeats, fixed)
@@ -296,17 +285,9 @@ ABLATION_CELLS = (
 
 
 def _run_cell(payload):
-    """One sweep grid cell; module-level so process pools can pickle it."""
-    if payload.get("bundle"):
-        data = gdata.load_bundle(payload["bundle"])
-        if payload["fixed_splits"]:
-            _require_splits(data, ("train", "val", "test"), payload["bundle"])
-    else:
-        data = gdata.generate_sbm(**payload["sbm"])
-    cfg = TrainConfig(**payload["cfg"])
-    _check_lora_rank(cfg, payload["trainer"], data.f)
+    """Train one checked sweep grid cell; module-level so process pools can pickle it."""
     _, reports = run_repeats(
-        data, cfg, payload["trainer"], payload["variant"],
+        payload["data"], payload["cfg"], payload["trainer"], payload["variant"],
         payload["repeats"], payload["fixed_splits"],
     )
     accs = [r.test_acc for r in reports]
@@ -331,12 +312,7 @@ def _format_table(rows, columns):
 
 
 def cmd_sweep(args):
-    cfg_file = read_config_file(args.config) if args.config else {}
-    cfg = build_train_config(args, cfg_file)
-    trainer, variant = _trainer_and_variant(args, cfg_file, "lgt")
-    repeats = _repeats(args, cfg_file, 5)
-    fixed = bool(_resolve(args, cfg_file, "fixed_splits", False))
-
+    cfg, trainer, variant, repeats, fixed = _settings(args, "lgt", 5)
     if args.axis in ("depth", "rank"):
         if not args.values:
             raise UsageError(f"--values required for the {args.axis} axis")
@@ -348,33 +324,26 @@ def cmd_sweep(args):
             raise UsageError("axis values must be >= 1")
     elif args.values:
         raise UsageError("--values only applies to depth/rank axes")
+    if args.workers < 1:
+        raise UsageError("--workers must be >= 1")
 
-    base = {"trainer": trainer, "variant": variant, "repeats": repeats,
-            "fixed_splits": fixed, "bundle": args.data, "sbm": None}
-    if getattr(args, "sbm", None):
-        base["bundle"] = None
-        base["sbm"] = _parse_sbm_spec(args.sbm)
-    elif not args.data:
-        raise UsageError("either --data or --sbm is required")
-
-    payloads = []
+    # (label, value, trainer, cfg) of each cell
     if args.axis == "depth":
-        for v in values:
-            payloads.append(dict(base, label=f"depth{v}", value=v, cfg=dict(asdict(cfg), depth=v)))
+        cells = [(f"depth{v}", v, trainer, replace(cfg, depth=v)) for v in values]
     elif args.axis == "rank":
-        for v in values:
-            payloads.append(dict(base, label=f"rank{v}", value=v, trainer="lgt",
-                                 cfg=dict(asdict(cfg), lora_rank=v)))
-    else:  # ablation
-        for label, cell_trainer, overrides in ABLATION_CELLS:
-            payloads.append(dict(base, label=label, value=label, trainer=cell_trainer,
-                                 cfg=dict(asdict(cfg), **overrides)))
+        cells = [(f"rank{v}", v, "lgt", replace(cfg, lora_rank=v)) for v in values]
+    else:
+        cells = [(label, label, cell_trainer, replace(cfg, **overrides))
+                 for label, cell_trainer, overrides in ABLATION_CELLS]
+    data = _load_checked(args, [cell[2:] for cell in cells], variant, fixed)
+    payloads = [dict(label=label, value=value, trainer=cell_trainer, cfg=cell_cfg, data=data,
+                     variant=variant, repeats=repeats, fixed_splits=fixed)
+                for label, value, cell_trainer, cell_cfg in cells]
 
-    if any(p["trainer"] == "lgt" for p in payloads):
-        _check_staged_variant(variant)
-
-    if args.workers and args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # the pool forks all its workers at once, so it gets no more than there are cells
+    workers = min(args.workers, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_cell, payloads))
     else:
         results = [_run_cell(p) for p in payloads]
@@ -407,6 +376,11 @@ def cmd_sweep(args):
 def cmd_gradcheck(args):
     if args.seeds < 1:
         raise UsageError("--seeds must be >= 1")
+    lo, hi = GRAD_CHECK_EPS
+    if not lo <= args.eps <= hi:
+        raise UsageError(f"--eps must be in [{lo:g}, {hi:g}]")
+    if not 0 < args.threshold < float("inf"):
+        raise UsageError("--threshold must be a positive finite number")
     result = gc.run_suite(seeds=args.seeds, eps=args.eps, threshold=args.threshold,
                           corrupt_backward=args.corrupt_backward)
     head_err = max(gc.sgc_head_case(s, eps=args.eps) for s in range(min(args.seeds, 10)))
@@ -422,7 +396,7 @@ def cmd_gradcheck(args):
 def _load_checkpoint_and_bundle(args):
     """The checkpoint and the bundle of eval and export-embeddings, checked to fit."""
     stack = ckpt.load_checkpoint(args.checkpoint)
-    data = gdata.load_bundle(args.data)
+    data = _load_dataset(args)
     if stack.in_dim != data.f:
         raise DataError(f"bundle has {data.f} features, checkpoint {args.checkpoint} "
                         f"expects {stack.in_dim}", file=args.data)

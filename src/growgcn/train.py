@@ -81,19 +81,6 @@ class TrainConfig:
             raise ValueError("new_layer_init must be 'identity' or 'glorot'")
         return self
 
-    def check_lora_rank(self, f):
-        """Raise ValueError when staged training's LoRA rank exceeds min(f, hidden_dim).
-
-        Adapters attach to the f×d layer 0 too, so the feature width f
-        bounds the rank as well as the hidden width does.
-        """
-        if self.use_lora and self.depth > 1:
-            max_rank = min(f, self.hidden_dim)
-            if self.lora_rank > max_rank:
-                raise ValueError(
-                    f"lora rank {self.lora_rank} exceeds min(feature dim, hidden dim)"
-                    f" = {max_rank}")
-
     def resolved_dropout(self, trainer, variant="gcn"):
         if self.dropout_p is not None:
             return self.dropout_p
@@ -101,6 +88,28 @@ class TrainConfig:
 
     def resolved_lora_lr(self):
         return self.lr if self.lora_lr is None else self.lora_lr
+
+
+def check_run(cfg, trainer, variant, f=None):
+    """Raise ValueError unless ``train`` can run ``cfg`` with this trainer and variant.
+
+    Given the feature width ``f``, also check a staged run's LoRA rank
+    against min(f, hidden_dim): adapters attach to the f×d layer 0 too.
+    """
+    if trainer not in TRAINERS:
+        raise ValueError(f"unknown trainer {trainer!r}")
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    staged = trainer == "lgt"
+    if staged and variant not in STAGED_VARIANTS:
+        raise ValueError(f"staged training (trainer lgt) supports the variants "
+                         f"{', '.join(STAGED_VARIANTS)}, not {variant!r}")
+    cfg.validate()
+    if f is not None and staged and cfg.use_lora and cfg.depth > 1:
+        max_rank = min(f, cfg.hidden_dim)
+        if cfg.lora_rank > max_rank:
+            raise ValueError(f"lora rank {cfg.lora_rank} exceeds min(feature dim, hidden dim)"
+                             f" = {max_rank}")
 
 
 def adam_step(param, grad, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8,
@@ -423,16 +432,8 @@ def train(data, cfg, trainer="standard", variant="gcn", on_stage_start=None,
     ``on_stage_end(stage, stack)`` after best-weight restore but before
     merging. The final depth equals cfg.depth.
     """
-    if trainer not in TRAINERS:
-        raise ValueError(f"unknown trainer {trainer!r}")
+    check_run(cfg, trainer, variant, data.f)
     staged = trainer == "lgt"
-    cfg.validate()
-    if staged and variant not in STAGED_VARIANTS:
-        raise ValueError(f"staged training supports gcn variants, not {variant!r}")
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    if staged:
-        cfg.check_lora_rank(data.f)
     rng = np.random.default_rng(cfg.seed)
     L = normalized_laplacian(data.adjacency)
     d, dtype = cfg.hidden_dim, np.float32
@@ -505,13 +506,3 @@ def train(data, cfg, trainer="standard", variant="gcn", on_stage_start=None,
         collapse=collapse_from_hidden(hidden, data.adjacency),
         total_wall_clock=total,
     )
-
-
-def train_standard(data, cfg, variant="gcn"):
-    """Train the whole depth-K model jointly: ``train(..., trainer="standard")``."""
-    return train(data, cfg, "standard", variant)
-
-
-def train_lgt(data, cfg, variant="gcn", on_stage_start=None, on_stage_end=None):
-    """Grow the network one layer per stage: ``train(..., trainer="lgt")``."""
-    return train(data, cfg, "lgt", variant, on_stage_start, on_stage_end)

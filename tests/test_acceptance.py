@@ -20,7 +20,7 @@ from growgcn import (
     generate_sbm,
     load_bundle,
     normalized_laplacian,
-    train_lgt,
+    train,
 )
 from growgcn import gradcheck as gc
 from growgcn import layers as ly
@@ -103,7 +103,7 @@ def test_c03_stage_transition_identity(small_sbm, capsys):
 
     cfg = TrainConfig(depth=6, hidden_dim=16, lora_rank=4, max_epochs=40,
                       patience=10, seed=0)
-    train_lgt(small_sbm, cfg, on_stage_start=on_start)
+    train(small_sbm, cfg, trainer="lgt", on_stage_start=on_start)
     assert len(boundaries) == 5
     total_bad = sum(boundaries)
     ok = total_bad == 0
@@ -145,7 +145,7 @@ def test_c04_parameter_scope_audit(small_sbm, capsys):
 
     cfg = TrainConfig(depth=5, hidden_dim=d, lora_rank=r, max_epochs=30,
                       patience=10, seed=1)
-    train_lgt(small_sbm, cfg, on_stage_start=on_start, on_stage_end=on_end)
+    train(small_sbm, cfg, trainer="lgt", on_stage_start=on_start, on_stage_end=on_end)
 
     a_changed_anywhere = False
     for stage in sorted(starts):

@@ -20,7 +20,7 @@ from growgcn import (
     normalized_laplacian,
     save_checkpoint,
     stack_forward,
-    train_lgt,
+    train,
 )
 from growgcn.checkpoint import MAGIC
 
@@ -87,7 +87,7 @@ class TestRoundtrip:
     def test_trained_lgt_with_adapters(self, tiny_dataset, tmp_path):
         cfg = TrainConfig(depth=3, hidden_dim=8, max_epochs=4, patience=4,
                           lora_rank=2, merge_adapters=False, seed=1)
-        stack, _ = train_lgt(tiny_dataset, cfg)
+        stack, _ = train(tiny_dataset, cfg, trainer="lgt")
         back = load_checkpoint(save_checkpoint(stack, tmp_path / "lgt.ckpt"))
         _assert_same_stack(stack, back)
         assert any(l.adapter is not None for l in back.layers)

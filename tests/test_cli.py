@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import growgcn
+from growgcn import cli
+from growgcn import data as gdata
 from growgcn import (DataError, generate_sbm, load_bundle, load_checkpoint, save_bundle,
                      save_checkpoint)
 from growgcn.data import load_planetoid
@@ -686,8 +688,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("source", ["sbm", "bundle", "two-workers"])
     def test_lora_rank_above_feature_width_is_usage_error(self, tmp_path, capsys, source):
-        # each cell checks the rank against its data's feature width as `train` does;
-        # with workers the UsageError comes back through the process pool
+        # every cell's rank is checked against the data's feature width as `train`
+        # checks it, in the parent process before any cell trains
         if source == "sbm":
             flags = ["--sbm", SBM]
         else:
@@ -702,6 +704,74 @@ class TestSweep:
         assert "lora rank 10 exceeds min(feature dim, hidden dim) = 8" in err
         assert "lower --rank or raise --hidden-dim" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_bad_sbm_spec_prints_one_error_line(self, tmp_path, capsys, workers):
+        rc = main(["sweep", "--axis", "depth", "--values", "2", "--sbm",
+                   "classes=1,per_class=30,f=8", "--workers", workers,
+                   "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: need at least 2 classes"]
+
+    def test_bad_rank_in_a_later_cell_stops_the_sweep_before_any_cell_trains(
+            self, tmp_path, capsys, monkeypatch):
+        def no_training(*args):
+            raise AssertionError("a cell trained")
+
+        monkeypatch.setattr(cli, "run_repeats", no_training)
+        rc = main(["sweep", "--axis", "rank", "--values", "2,4,10", "--sbm", SBM,
+                   "--repeats", "1", *FAST, "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert "lora rank 10 exceeds" in capsys.readouterr().err
+
+    def test_bundle_is_read_once_for_every_cell(self, tmp_path, monkeypatch):
+        bundle = save_bundle(generate_sbm(2, 25, 0.3, 0.05, f=8, signal=2.0, seed=0),
+                             tmp_path / "bundle")
+        reads = []
+
+        def counting_load(path):
+            reads.append(path)
+            return load_bundle(path)
+
+        monkeypatch.setattr(gdata, "load_bundle", counting_load)
+        assert main(["sweep", "--axis", "depth", "--values", "1,2,3", "--data", str(bundle),
+                     "--repeats", "1", "--rank", "4", *FAST, "--out", str(tmp_path / "x")]) == 0
+        assert reads == [str(bundle)]
+        assert len(read_csv(tmp_path / "x" / "sweep.csv")) == 4
+
+    @pytest.mark.parametrize("workers, pool_size", [("64", 4), ("3", 3), ("1", None)])
+    def test_pool_has_at_most_one_worker_per_cell(self, tmp_path, monkeypatch, workers,
+                                                   pool_size):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        assert main(["sweep", "--axis", "ablation", "--sbm", SBM, "--repeats", "1",
+                     "--rank", "4", *FAST, "--workers", workers,
+                     "--out", str(tmp_path / "x")]) == 0
+        assert sizes == ([] if pool_size is None else [pool_size])
+        assert len(read_csv(tmp_path / "x" / "sweep.csv")) == 5
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_is_usage_error(self, tmp_path, capsys, workers):
+        rc = main(["sweep", "--axis", "ablation", "--sbm", SBM, "--workers", workers,
+                   "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert "--workers must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_values_required_for_depth(self, tmp_path, capsys):
@@ -731,3 +801,16 @@ class TestGradcheckCommand:
 
     def test_bad_seed_count(self):
         assert main(["gradcheck", "--seeds", "0"]) == 1
+
+    @pytest.mark.parametrize("flags, match", [
+        (["--eps", "1"], "--eps must be in"),
+        (["--eps", "nan"], "--eps must be in"),
+        (["--eps", "1e-9"], "--eps must be in"),
+        (["--threshold", "nan"], "--threshold must be"),
+        (["--threshold", "inf"], "--threshold must be"),
+        (["--threshold", "0"], "--threshold must be"),
+    ])
+    def test_bad_eps_or_threshold_is_usage_error(self, capsys, flags, match):
+        assert main(["gradcheck", "--seeds", "1", *flags]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and match in err

@@ -13,7 +13,7 @@ from growgcn import (
     load_bundle,
     save_bundle,
     split_per_class,
-    train_standard,
+    train,
 )
 from growgcn.data import row_normalize
 
@@ -197,7 +197,7 @@ class TestGenerateSbm:
     def test_two_cliques_perfectly_separable(self):
         ds = generate_sbm(2, 100, 1.0, 0.0, f=8, signal=10.0, seed=0)
         cfg = TrainConfig(depth=1, max_epochs=100, patience=30, seed=0)
-        _, report = train_standard(ds, cfg, "gcn")
+        _, report = train(ds, cfg, trainer="standard", variant="gcn")
         assert report.test_acc == 1.0
 
     def test_rejects_bad_params(self):

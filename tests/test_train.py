@@ -25,8 +25,6 @@ from growgcn import (
     make_adapter,
     normalized_laplacian,
     train,
-    train_lgt,
-    train_standard,
 )
 from growgcn import autodiff as ad
 from growgcn import layers as ly
@@ -39,6 +37,7 @@ from growgcn.train import (
     _snapshot,
     _stage_plan,
     adam_step,
+    check_run,
 )
 
 # the package rebinds the name ``growgcn.train`` to the dispatcher function
@@ -167,13 +166,26 @@ class TestConfig:
 
     def test_lora_rank_bound(self, tiny_dataset):
         # the bound is min(f, hidden_dim) = min(5, 8), checked once for every caller
-        TrainConfig(depth=3, hidden_dim=8, lora_rank=5).check_lora_rank(5)
-        TrainConfig(depth=1, hidden_dim=8, lora_rank=6).check_lora_rank(5)
-        TrainConfig(depth=3, hidden_dim=8, lora_rank=6, use_lora=False).check_lora_rank(5)
+        check_run(TrainConfig(depth=3, hidden_dim=8, lora_rank=5), "lgt", "gcn", 5)
+        check_run(TrainConfig(depth=1, hidden_dim=8, lora_rank=6), "lgt", "gcn", 5)
+        check_run(TrainConfig(depth=3, hidden_dim=8, lora_rank=6, use_lora=False), "lgt", "gcn", 5)
+        check_run(TrainConfig(depth=3, hidden_dim=8, lora_rank=6), "standard", "gcn", 5)
+        check_run(TrainConfig(depth=3, hidden_dim=8, lora_rank=6), "lgt", "gcn")  # f unknown
         with pytest.raises(ValueError, match="= 5"):
-            TrainConfig(depth=3, hidden_dim=8, lora_rank=6).check_lora_rank(5)
+            check_run(TrainConfig(depth=3, hidden_dim=8, lora_rank=6), "lgt", "gcn", 5)
         with pytest.raises(ValueError, match="lora rank 6 exceeds"):
-            train_lgt(tiny_dataset, lgt_cfg(hidden_dim=8, lora_rank=6))
+            train(tiny_dataset, lgt_cfg(hidden_dim=8, lora_rank=6), trainer="lgt")
+
+    @pytest.mark.parametrize("trainer, variant, match", [
+        ("joint", "gcn", "unknown trainer 'joint'"),
+        ("standard", "gat", "unknown variant 'gat'"),
+        ("lgt", "sgc", r"staged training \(trainer lgt\) supports the variants gcn, "
+                       r"gcn\+pairnorm, not 'sgc'"),
+    ])
+    def test_check_run_rejects_unknown_names(self, trainer, variant, match):
+        check_run(TrainConfig(), "standard", "sgc")
+        with pytest.raises(ValueError, match=match):
+            check_run(TrainConfig(), trainer, variant)
 
     def test_lora_lr_resolution(self):
         assert TrainConfig(lr=0.03).resolved_lora_lr() == 0.03
@@ -183,7 +195,7 @@ class TestConfig:
 class TestStandardTrainer:
     def test_restore_best_and_report_consistency(self, tiny_dataset):
         cfg = make_cfg(depth=2)
-        stack, report = train_standard(tiny_dataset, cfg, "gcn")
+        stack, report = train(tiny_dataset, cfg, trainer="standard", variant="gcn")
         assert len(report.stages) == 1
         assert report.stages[0].epochs_run == len(report.stages[0].train_loss)
         assert evaluate(stack, tiny_dataset, tiny_dataset.splits.val) == \
@@ -191,8 +203,8 @@ class TestStandardTrainer:
         assert evaluate(stack, tiny_dataset, tiny_dataset.splits.test) == report.test_acc
 
     def test_deterministic_given_seed(self, tiny_dataset):
-        runs = [train_standard(tiny_dataset, make_cfg(depth=2, seed=3), "gcn")
-                for _ in range(2)]
+        runs = [train(tiny_dataset, make_cfg(depth=2, seed=3), trainer="standard",
+                      variant="gcn") for _ in range(2)]
         (s1, r1), (s2, r2) = runs
         assert r1.test_acc == r2.test_acc
         assert r1.stages[0].train_loss == r2.stages[0].train_loss
@@ -200,23 +212,23 @@ class TestStandardTrainer:
             assert np.array_equal(a.data, b.data)
 
     def test_seed_changes_trajectory(self, tiny_dataset):
-        _, r1 = train_standard(tiny_dataset, make_cfg(depth=2, seed=0), "gcn")
-        _, r2 = train_standard(tiny_dataset, make_cfg(depth=2, seed=1), "gcn")
+        _, r1 = train(tiny_dataset, make_cfg(depth=2, seed=0), trainer="standard")
+        _, r2 = train(tiny_dataset, make_cfg(depth=2, seed=1), trainer="standard")
         assert r1.stages[0].train_loss != r2.stages[0].train_loss
 
     def test_dropout_defaults_per_variant(self, tiny_dataset):
         cfg = make_cfg(depth=2, max_epochs=2, patience=2)
-        stack, _ = train_standard(tiny_dataset, cfg, "gcn")
+        stack, _ = train(tiny_dataset, cfg, trainer="standard", variant="gcn")
         assert stack.dropout_p == 0.5
-        stack, _ = train_standard(tiny_dataset, cfg, "sgc")
+        stack, _ = train(tiny_dataset, cfg, trainer="standard", variant="sgc")
         assert stack.dropout_p == 0.0
-        stack, _ = train_standard(tiny_dataset, make_cfg(
-            depth=2, max_epochs=2, patience=2, dropout_p=0.2), "sgc")
+        stack, _ = train(tiny_dataset, make_cfg(depth=2, max_epochs=2, patience=2, dropout_p=0.2),
+                         trainer="standard", variant="sgc")
         assert stack.dropout_p == 0.2
 
     def test_sgc_fast_path_matches_stack_forward(self, tiny_dataset):
         cfg = make_cfg(depth=3)
-        stack, report = train_standard(tiny_dataset, cfg, "sgc")
+        stack, report = train(tiny_dataset, cfg, trainer="standard", variant="sgc")
         assert stack.layers == [] and stack.sgc_steps == 3
         assert evaluate(stack, tiny_dataset, tiny_dataset.splits.test) == report.test_acc
 
@@ -236,13 +248,14 @@ class TestStandardTrainer:
 
     def test_pairnorm_variant_builds(self, tiny_dataset):
         cfg = make_cfg(depth=2, max_epochs=3, patience=3, pairnorm_s=2.0)
-        stack, _ = train_standard(tiny_dataset, cfg, "gcn+pairnorm")
+        stack, _ = train(tiny_dataset, cfg, trainer="standard", variant="gcn+pairnorm")
         assert stack.pairnorm is not None and stack.pairnorm.s == 2.0
 
     def test_loss_reduction_scales_first_epoch(self, tiny_dataset):
         kw = dict(depth=2, max_epochs=1, patience=1, seed=5)
-        _, r_mean = train_standard(tiny_dataset, make_cfg(**kw), "gcn")
-        _, r_sum = train_standard(tiny_dataset, make_cfg(loss_reduction="sum", **kw), "gcn")
+        _, r_mean = train(tiny_dataset, make_cfg(**kw), trainer="standard", variant="gcn")
+        _, r_sum = train(tiny_dataset, make_cfg(loss_reduction="sum", **kw), trainer="standard",
+                         variant="gcn")
         n_train = len(tiny_dataset.splits.train)
         assert r_sum.stages[0].train_loss[0] == pytest.approx(
             r_mean.stages[0].train_loss[0] * n_train, rel=1e-5)
@@ -252,11 +265,11 @@ class TestStandardTrainer:
         blown = dataclasses.replace(tiny_dataset, X=tiny_dataset.X * 1e39)
         cfg = make_cfg(depth=2, row_normalize_features=False)
         with pytest.raises(NumericalAbort):
-            train_standard(blown, cfg, "gcn")
+            train(blown, cfg, trainer="standard", variant="gcn")
 
     def test_unknown_variant(self, tiny_dataset):
         with pytest.raises(ValueError, match="variant"):
-            train_standard(tiny_dataset, make_cfg(), "gat")
+            train(tiny_dataset, make_cfg(), trainer="standard", variant="gat")
 
 
 def lgt_cfg(**kw):
@@ -267,7 +280,7 @@ def lgt_cfg(**kw):
 
 class TestLgtTrainer:
     def test_grows_to_requested_depth(self, tiny_dataset):
-        stack, report = train_lgt(tiny_dataset, lgt_cfg())
+        stack, report = train(tiny_dataset, lgt_cfg(), trainer="lgt")
         assert stack.depth == 3
         assert len(report.stages) == 3
         assert report.total_epochs == sum(s.epochs_run for s in report.stages)
@@ -285,8 +298,8 @@ class TestLgtTrainer:
         def on_start(stage, stack, L, Xp):
             seen[stage] = sum(p.data.size for p in stack.trainable_parameters())
 
-        train_lgt(tiny_dataset, lgt_cfg(depth=4, max_epochs=3, patience=3),
-                  on_stage_start=on_start)
+        train(tiny_dataset, lgt_cfg(depth=4, max_epochs=3, patience=3), trainer="lgt",
+              on_stage_start=on_start)
         assert seen == expected
 
     def test_no_lora_trains_only_new_and_head(self, tiny_dataset):
@@ -295,8 +308,8 @@ class TestLgtTrainer:
         def on_start(stage, stack, L, Xp):
             seen[stage] = sum(p.data.size for p in stack.trainable_parameters())
 
-        stack, _ = train_lgt(tiny_dataset, lgt_cfg(use_lora=False, max_epochs=3,
-                                                   patience=3), on_stage_start=on_start)
+        stack, _ = train(tiny_dataset, lgt_cfg(use_lora=False, max_epochs=3, patience=3),
+                         trainer="lgt", on_stage_start=on_start)
         f, c, d = tiny_dataset.f, tiny_dataset.C, 8
         assert seen == {1: f * d + d * c, 2: d * d + d * c, 3: d * d + d * c}
         assert all(l.adapter is None for l in stack.layers)
@@ -310,8 +323,8 @@ class TestLgtTrainer:
             for i, layer in enumerate(stack.layers):
                 frozen_at.setdefault(i, layer.W.data.copy())
 
-        stack, _ = train_lgt(tiny_dataset, lgt_cfg(merge_adapters=False),
-                             on_stage_end=on_end)
+        stack, _ = train(tiny_dataset, lgt_cfg(merge_adapters=False), trainer="lgt",
+                         on_stage_end=on_end)
         for i, layer in enumerate(stack.layers):
             assert np.array_equal(layer.W.data, frozen_at[i])
         # adapters persist on every layer that ever got one
@@ -331,7 +344,7 @@ class TestLgtTrainer:
                 else:
                     last[i] = (layer.W.data.copy(), None, None, None)
 
-        stack, _ = train_lgt(tiny_dataset, lgt_cfg(), on_stage_end=on_end)
+        stack, _ = train(tiny_dataset, lgt_cfg(), trainer="lgt", on_stage_end=on_end)
         for i, layer in enumerate(stack.layers):
             w0, scaling, a, b = last[i]
             expected = w0 if a is None else w0 + np.asarray(scaling * (a @ b), w0.dtype)
@@ -341,13 +354,13 @@ class TestLgtTrainer:
         # dropout > 0 forces the per-layer forward, whose op order matches
         # evaluate() exactly, so the restored weights reproduce best_val_acc
         cfg = lgt_cfg(dropout_p=0.3)
-        stack, report = train_lgt(tiny_dataset, cfg)
+        stack, report = train(tiny_dataset, cfg, trainer="lgt")
         assert evaluate(stack, tiny_dataset, tiny_dataset.splits.val) == \
             report.stages[-1].best_val_acc
         assert evaluate(stack, tiny_dataset, tiny_dataset.splits.test) == report.test_acc
 
     def test_deterministic_given_seed(self, tiny_dataset):
-        runs = [train_lgt(tiny_dataset, lgt_cfg(seed=7)) for _ in range(2)]
+        runs = [train(tiny_dataset, lgt_cfg(seed=7), trainer="lgt") for _ in range(2)]
         (s1, r1), (s2, r2) = runs
         assert r1.test_acc == r2.test_acc
         for a, b in zip(s1.parameters(), s2.parameters()):
@@ -357,21 +370,21 @@ class TestLgtTrainer:
 
     def test_depth1_matches_standard_bitwise(self, tiny_dataset):
         kw = dict(depth=1, dropout_p=0.0, max_epochs=30, patience=10, seed=2)
-        s_std, r_std = train_standard(tiny_dataset, make_cfg(**kw), "gcn")
-        s_lgt, r_lgt = train_lgt(tiny_dataset, make_cfg(**kw), "gcn")
+        s_std, r_std = train(tiny_dataset, make_cfg(**kw), trainer="standard", variant="gcn")
+        s_lgt, r_lgt = train(tiny_dataset, make_cfg(**kw), trainer="lgt", variant="gcn")
         assert r_std.test_acc == r_lgt.test_acc
         assert r_std.stages[0].train_loss == r_lgt.stages[0].train_loss
         for a, b in zip(s_std.parameters(), s_lgt.parameters()):
             assert np.array_equal(a.data, b.data)
 
     def test_glorot_new_layers_supported(self, tiny_dataset):
-        stack, report = train_lgt(tiny_dataset, lgt_cfg(new_layer_init="glorot",
-                                                        max_epochs=3, patience=3))
+        stack, report = train(tiny_dataset, lgt_cfg(new_layer_init="glorot", max_epochs=3,
+                                                    patience=3), trainer="lgt")
         assert stack.depth == 3 and np.isfinite(report.test_acc)
 
     def test_rejects_sgc(self, tiny_dataset):
         with pytest.raises(ValueError, match="staged training"):
-            train_lgt(tiny_dataset, lgt_cfg(), variant="sgc")
+            train(tiny_dataset, lgt_cfg(), trainer="lgt", variant="sgc")
 
 
 class TestStageCaches:
@@ -417,7 +430,7 @@ class TestStageCaches:
 
 
 def _random_stage_stack(rng, f, d, c, stage, pairnorm, lora, merged):
-    """A float64 stack as train_lgt holds it at ``stage``, with trained-looking adapters.
+    """A float64 stack as staged training holds it at ``stage``, with trained-looking adapters.
 
     ``merged[i]`` folds frozen layer i's adapter into its weight, as a stage end does.
     """
@@ -505,8 +518,8 @@ class TestCachedForwardOracle:
 
 class TestReportSerialization:
     def test_json_roundtrip(self, tiny_dataset):
-        _, report = train_standard(tiny_dataset, make_cfg(depth=2, max_epochs=4,
-                                                          patience=4), "gcn")
+        _, report = train(tiny_dataset, make_cfg(depth=2, max_epochs=4, patience=4),
+                          trainer="standard", variant="gcn")
         back = TrainReport.from_json(report.to_json())
         assert back.to_dict() == report.to_dict()
         assert back.total_epochs == report.total_epochs
