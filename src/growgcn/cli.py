@@ -105,9 +105,10 @@ def _resolve(args, cfg_file, key, default):
 
 def build_train_config(args, cfg_file):
     """The TrainConfig of the flags over the config file over the defaults; unchecked."""
-    base = TrainConfig()
-    return TrainConfig(**{f.name: _resolve(args, cfg_file, f.name, getattr(base, f.name))
-                          for f in fields(TrainConfig)})
+    kwargs = {}
+    for f in fields(TrainConfig):
+        kwargs[f.name] = _resolve(args, cfg_file, f.name, f.default)
+    return TrainConfig(**kwargs)
 
 
 def _settings(args, default_trainer, default_repeats):
@@ -116,10 +117,10 @@ def _settings(args, default_trainer, default_repeats):
     repeats = _resolve(args, cfg_file, "repeats", default_repeats)
     if type(repeats) is not int or repeats < 1:
         raise UsageError("--repeats must be an integer >= 1")
-    return (build_train_config(args, cfg_file),
-            _resolve(args, cfg_file, "trainer", default_trainer),
-            _resolve(args, cfg_file, "variant", "gcn"), repeats,
-            bool(_resolve(args, cfg_file, "fixed_splits", False)))
+    trainer = _resolve(args, cfg_file, "trainer", default_trainer)
+    variant = _resolve(args, cfg_file, "variant", "gcn")
+    fixed = bool(_resolve(args, cfg_file, "fixed_splits", False))
+    return build_train_config(args, cfg_file), trainer, variant, repeats, fixed
 
 
 # ---------------------------------------------------------------- data access

@@ -71,7 +71,7 @@ class TestConfigFile:
         assert cfg == {"seed": 0, "dropout_p": 0, "repeats": 1, "pairnorm_s": 1,
                        "use_lora": False, "fixed_splits": True}
         assert all(type(cfg[k]) is int for k in ("seed", "dropout_p", "repeats", "pairnorm_s"))
-        build_train_config(Namespace(), cfg)
+        build_train_config(Namespace(), cfg).validate()
 
     def test_precedence_flag_over_file_over_default(self, tmp_path):
         p = tmp_path / "run.cfg"
