@@ -12,7 +12,10 @@ graph convolution in one node, keeps for its backward the propagated input, the
 output (its ReLU overwrites the product) and the bool dropout mask, and gives
 every other buffer, its incoming gradient too, back to the workspace once read.
 Ops write their results into a ``Workspace`` when given ``ws=``, else allocate.
+Under ``no_grad()`` no op records a graph, so nothing outlives the op that made it.
 """
+
+import contextlib
 
 import numpy as np
 import scipy.sparse as sp
@@ -140,9 +143,23 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Within, ops record no graph, so each frees what only its backward would read."""
+    global _grad_enabled
+    enabled, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = enabled
+
+
 def _compose(data, parents, backward):
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward

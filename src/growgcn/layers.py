@@ -354,13 +354,14 @@ def stack_forward(stack, L, X, *, training=False, rng=None, return_hidden=False,
         Xp = Xp if r.size == Xp.shape[0] else Xp[r]
     h = Tensor(Xp)
     hidden = [h.data]
+    record = hidden.append if return_hidden else lambda a: None  # else outputs die with layers
     if plan.inp is None:
         for j in range(stack.sgc_steps):
             h = ad.spmm(op(stack.sgc_steps - 1 - j), h, ws=ws)
-            hidden.append(h.data)
+            record(h.data)
     elif plan.start >= len(layers):
         h = Tensor(plan.inp)
-        hidden.append(h.data)
+        record(h.data)
     for i, layer in enumerate(layers[plan.start:], plan.start):
         k = len(layers) - 1 - i
         if i == plan.start and plan.inp is not None:
@@ -371,7 +372,7 @@ def stack_forward(stack, L, X, *, training=False, rng=None, return_hidden=False,
             h = ad.gcn_layer(op(k), h, layer.W, layer.adapter, None, keep, stack.dropout_p, ws=ws)
         if stack.pairnorm is not None:
             h = pairnorm(h, stack.pairnorm)
-        hidden.append(h.data)
+        record(h.data)
     logits = ad.matmul(dropout(h, stack.dropout_p, training, rng, rows(0), L.n_rows, ws),
                        stack.head, ws=ws)
     if return_hidden:
@@ -381,8 +382,9 @@ def stack_forward(stack, L, X, *, training=False, rng=None, return_hidden=False,
 
 @np.errstate(over="ignore", invalid="ignore")
 def eval_forward(stack, L, X, return_hidden=False):
-    """``stack_forward`` for evaluation; NumericalAbort, not numpy warnings, on overflow."""
-    out = stack_forward(stack, L, X, return_hidden=return_hidden)
+    """``stack_forward`` with no autodiff graph; NumericalAbort, not numpy warnings, on overflow."""
+    with ad.no_grad():
+        out = stack_forward(stack, L, X, return_hidden=return_hidden)
     if not np.isfinite((out[0] if return_hidden else out).data).all():
         raise NumericalAbort("non-finite logits in the evaluation forward")
     return out

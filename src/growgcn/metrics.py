@@ -66,11 +66,10 @@ class CollapseReport:
         )
 
 
-def collapse_report(stack, data, L=None, per_layer=False):
+def collapse_report(stack, data, per_layer=False):
     """Diagnostics on the final hidden features (and optionally every layer) of ``eval_forward``."""
-    if L is None:
-        L = normalized_laplacian(data.adjacency)
-    _, hidden = ly.eval_forward(stack, L, data.X, return_hidden=True)
+    _, hidden = ly.eval_forward(stack, normalized_laplacian(data.adjacency), data.X,
+                                return_hidden=True)
     return collapse_from_hidden(hidden, data.adjacency, per_layer)
 
 
@@ -91,14 +90,13 @@ def collapse_from_hidden(hidden, adjacency, per_layer=False):
     return rep
 
 
-def export_embeddings(stack, data, layer_index, path, L=None):
+def export_embeddings(stack, data, layer_index, path):
     """Write one layer's features as CSV: node_id, label, dim_0..dim_{d-1}.
 
     ``layer_index`` 0 is the prepared input; k is the output of ``layers[k - 1]`` (or hop k).
     """
-    if L is None:
-        L = normalized_laplacian(data.adjacency)
-    _, hidden = ly.eval_forward(stack, L, data.X, return_hidden=True)
+    _, hidden = ly.eval_forward(stack, normalized_laplacian(data.adjacency), data.X,
+                                return_hidden=True)
     if not 0 <= layer_index < len(hidden):
         raise ValueError(f"layer index {layer_index} outside [0, {len(hidden) - 1}]")
     H = np.asarray(hidden[layer_index], dtype=np.float64)

@@ -27,6 +27,11 @@ class SparseMatrix:
             a.setflags(write=False)
         self._cache = {}
 
+    def __reduce__(self):
+        """Pickle the five fields only: the copy validates again and starts with no cache."""
+        return (SparseMatrix, (self.n_rows, self.n_cols, self.row_offsets, self.col_indices,
+                               self.values))
+
     def _validate(self):
         if self.n_rows < 0 or self.n_cols < 0:
             raise ValueError("negative matrix dimensions")
@@ -166,8 +171,11 @@ def normalized_laplacian(adjacency):
 
     L = D^{-1/2} (A + I) D^{-1/2} where D counts degrees of A + I, i.e.
     D_ii = deg(i) + 1. All entries land in (0, 1] and the spectrum lies in
-    (-1, 1].
+    (-1, 1]. The immutable ``adjacency`` keeps L once its checks pass, so every
+    later call returns the same matrix, with the scipy copies it has made.
     """
+    if "laplacian" in adjacency._cache:
+        return adjacency._cache["laplacian"]
     n = adjacency.n_rows
     if adjacency.n_cols != n:
         raise ValueError("adjacency must be square")
@@ -179,4 +187,5 @@ def normalized_laplacian(adjacency):
     s = 1.0 / np.sqrt(deg + 1.0)
     aug = adjacency.to_scipy() + sp.identity(n, format="csr")
     lap = sp.diags(s) @ aug @ sp.diags(s)
-    return SparseMatrix.from_scipy(lap)
+    adjacency._cache["laplacian"] = SparseMatrix.from_scipy(lap)
+    return adjacency._cache["laplacian"]

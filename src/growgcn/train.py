@@ -233,11 +233,9 @@ def _accuracy(logits, labels, idx):
     return float((pred == labels[idx]).mean())
 
 
-def evaluate(stack, data, mask, L=None):
+def evaluate(stack, data, mask):
     """Accuracy of the stack on the given node indices."""
-    if L is None:
-        L = normalized_laplacian(data.adjacency)
-    logits = ly.eval_forward(stack, L, data.X)
+    logits = ly.eval_forward(stack, normalized_laplacian(data.adjacency), data.X)
     return _accuracy(logits.data, data.labels, np.asarray(mask, dtype=np.int64))
 
 
@@ -498,8 +496,9 @@ def train(data, cfg, trainer="standard", variant="gcn", on_stage_start=None,
     total = time.perf_counter() - t_total
     del ws  # free the buffers before the final forward
     # the report reads hidden[-1], the head's input, bitwise as evaluate and collapse_report do
-    logits, hidden = ly.stack_forward(stack, L, Xp, prepared=True, return_hidden=True,
-                                      plan=None if LX is None else ly.ForwardPlan(inp=LX))
+    with ad.no_grad():
+        logits, hidden = ly.stack_forward(stack, L, Xp, prepared=True, return_hidden=True,
+                                          plan=None if LX is None else ly.ForwardPlan(inp=LX))
     return stack, TrainReport(
         stages=stages,
         test_acc=_accuracy(logits.data, data.labels, data.splits.test),

@@ -199,6 +199,30 @@ class TestGcnLayer:
             assert all(np.array_equal(a, b) for a, b in zip(cycle(ws), want, strict=True))
 
 
+
+class TestNoGrad:
+    def test_ops_record_no_graph_and_give_equal_values(self, path3):
+        L = normalized_laplacian(path3)
+        rng = np.random.default_rng(4)
+        h, W = t64(rng.standard_normal((3, 4)), True), t64(rng.standard_normal((4, 4)), True)
+        want = ad.gcn_layer(L, h, W)
+        with ad.no_grad():
+            out = ad.gcn_layer(L, h, W)
+            logits = ad.matmul(out, W)
+        for t in (out, logits):
+            assert t._parents == () and t._backward is None and not t.requires_grad
+        assert np.array_equal(out.data, want.data) and want._parents
+
+    def test_mode_comes_back_after_an_exception_and_nesting(self):
+        x, w = t64(np.ones((2, 2)), True), t64(np.eye(2))
+        with pytest.raises(RuntimeError):
+            with ad.no_grad():
+                with ad.no_grad():
+                    pass
+                assert ad.matmul(x, w)._parents == ()
+                raise RuntimeError("inside")
+        assert ad.matmul(x, w)._parents == (x, w)
+
 class TestGradCheck:
     def test_each_primitive(self, path3):
         L = normalized_laplacian(path3)

@@ -340,6 +340,33 @@ class TestLayerStack:
         assert hidden[1].shape == (small_sbm.n, 8)
         assert logits.data.shape == (small_sbm.n, small_sbm.C)
 
+    def test_eval_forward_keeps_no_graph(self, small_sbm):
+        rng = np.random.default_rng(0)
+        stack = _plain_stack(rng, small_sbm.f, 8, small_sbm.C, 3)
+        L = normalized_laplacian(small_sbm.adjacency)
+        logits, hidden = ly.eval_forward(stack, L, small_sbm.X, return_hidden=True)
+        assert logits._parents == () and logits._backward is None
+        want = stack_forward(stack, L, small_sbm.X)
+        assert want._parents and np.array_equal(logits.data, want.data)
+        assert np.array_equal(ad.matmul(Tensor(hidden[-1]), stack.head).data, want.data)
+
+    def test_eval_forward_holds_a_constant_number_of_layer_outputs(self):
+        n, d, depth = 4_000, 16, 12
+        rng = np.random.default_rng(1)
+        L = normalized_laplacian(build_adjacency(
+            [(i, (i + 1) % n) for i in range(n)] + [(i, (i + 7) % n) for i in range(n)], n))
+        X = rng.random((n, d))
+        stack = _plain_stack(rng, d, d, 3, depth)
+        ly.eval_forward(stack, L, X)  # the scipy copy of L is kept across calls
+        tracemalloc.start()
+        try:
+            ly.eval_forward(stack, L, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the layer's input, its propagation and its output; with a graph, 2 per layer
+        assert peak < 4 * X.nbytes
+
     def test_gradcheck_full_stack_with_adapter(self, path3):
         # composed check of the exact forward the trainers build
         L = normalized_laplacian(path3)

@@ -1,3 +1,7 @@
+import math
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -174,3 +178,67 @@ class TestNormalizedLaplacian:
             lam = np.linalg.eigvalsh(D)
             assert lam.min() > -1 - 1e-10
             assert lam.max() <= 1 + 1e-10
+
+
+def laplacian_oracle(adj):
+    """L in float64 from ``to_dense`` through plain loops: entry ij is s_i * (A + I)_ij * s_j."""
+    a = adj.to_dense()
+    n = a.shape[0]
+    s = [1.0 / math.sqrt(sum(a[i]) + 1.0) for i in range(n)]
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if a[i, j] or i == j:
+                out[i, j] = s[i] * (a[i, j] + (i == j)) * s[j]
+    return out
+
+
+class TestLaplacianCache:
+    def test_built_once_per_adjacency(self):
+        adj = random_graph(np.random.default_rng(2), 10)
+        L = normalized_laplacian(adj)
+        m32 = L.to_scipy(np.float32)
+        assert normalized_laplacian(adj) is L
+        assert normalized_laplacian(adj).to_scipy(np.float32) is m32
+
+    def test_cached_matrix_equals_loop_oracle(self):
+        rng = np.random.default_rng(8)
+        for n in (2, 7, 15):
+            adj = random_graph(rng, n)
+            normalized_laplacian(adj)
+            assert np.array_equal(normalized_laplacian(adj).to_dense(), laplacian_oracle(adj))
+
+    def test_dataset_with_new_splits_shares_it_new_adjacency_does_not(self, tiny_dataset):
+        L = normalized_laplacian(tiny_dataset.adjacency)
+        resplit = replace(tiny_dataset, splits=replace(tiny_dataset.splits, val=[2], test=[3]))
+        assert normalized_laplacian(resplit.adjacency) is L
+        a = tiny_dataset.adjacency
+        other = replace(tiny_dataset, adjacency=SparseMatrix(a.n_rows, a.n_cols, a.row_offsets,
+                                                             a.col_indices, a.values))
+        L2 = normalized_laplacian(other.adjacency)
+        assert L2 is not L and np.array_equal(L2.to_dense(), L.to_dense())
+
+    @pytest.mark.parametrize("adj, match", [
+        (SparseMatrix(2, 2, [0, 1, 1], [1], [1.0]), "symmetric"),
+        (SparseMatrix(2, 2, [0, 1, 2], [0, 1], [1.0, 1.0]), "self-loops"),
+    ])
+    def test_failed_check_caches_nothing(self, adj, match):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=match):
+                normalized_laplacian(adj)
+            assert not any(isinstance(v, SparseMatrix) for v in adj._cache.values())
+
+    def test_pickle_carries_fields_not_cache(self):
+        adj = random_graph(np.random.default_rng(5), 9)
+        L = normalized_laplacian(adj)
+        L.transpose_scipy(np.float32)
+        for m in (adj, L):
+            back = pickle.loads(pickle.dumps(m))
+            assert back.shape == m.shape and back._cache == {}
+            for name in ("row_offsets", "col_indices", "values"):
+                got, want = getattr(back, name), getattr(m, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+                assert not got.flags.writeable
+        assert np.array_equal(normalized_laplacian(pickle.loads(pickle.dumps(adj))).to_dense(),
+                              L.to_dense())
+
