@@ -199,7 +199,6 @@ class TestGcnLayer:
             assert all(np.array_equal(a, b) for a, b in zip(cycle(ws), want, strict=True))
 
 
-
 class TestNoGrad:
     def test_ops_record_no_graph_and_give_equal_values(self, path3):
         L = normalized_laplacian(path3)
@@ -222,6 +221,7 @@ class TestNoGrad:
                 assert ad.matmul(x, w)._parents == ()
                 raise RuntimeError("inside")
         assert ad.matmul(x, w)._parents == (x, w)
+
 
 class TestGradCheck:
     def test_each_primitive(self, path3):
