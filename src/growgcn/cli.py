@@ -529,6 +529,9 @@ def main(argv=None):
     except NumericalAbort as e:
         print(f"numerical abort: {e}", file=sys.stderr)
         return 3
+    except MemoryError as e:  # an input too large for this machine is a data problem
+        print(f"data error: out of memory: {str(e) or 'an allocation failed'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -318,9 +318,16 @@ def generate_sbm(classes, nodes_per_class, p_in, p_out, f, signal, seed):
     rng = np.random.default_rng(seed)
     labels = np.repeat(np.arange(classes), nodes_per_class)
 
-    prob = np.where(labels[:, None] == labels[None, :], p_in, p_out)
-    upper = np.triu(rng.random((n, n)) < prob, k=1)
-    edges = np.argwhere(upper)
+    # the uniforms of one rng.random((n, n)), drawn in blocks of about 2^20 so
+    # memory is O(b n); block row r is node lo + r, and only j > lo + r is kept
+    b = max(1, 2**20 // n)
+    edges = []
+    for lo in range(0, n, b):
+        hi = min(lo + b, n)
+        prob = np.where(labels[lo:hi, None] == labels[None, :], p_in, p_out)
+        upper = np.triu(rng.random((hi - lo, n)) < prob, k=lo + 1)
+        edges.append(np.argwhere(upper) + [lo, 0])
+    edges = np.concatenate(edges)
 
     means = np.zeros((classes, f))
     for cls in range(classes):

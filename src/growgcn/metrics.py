@@ -13,31 +13,33 @@ def distance_to_constant(H):
     """Relative distance of H from the nearest constant-rows matrix, in [0, 1].
 
     ||H - 1 mu^T||_F / max(||H||_F, 1e-12) where mu is the column-mean row.
+    Holds one float64 copy of H, which is centred in place after its norm.
     """
-    H = np.asarray(H, dtype=np.float64)
-    centered = H - H.mean(axis=0, keepdims=True)
-    num = np.linalg.norm(centered)
+    H = np.array(H, dtype=np.float64)
     den = max(np.linalg.norm(H), 1e-12)
-    return float(num / den)
+    H -= H.mean(axis=0, keepdims=True)
+    return float(np.linalg.norm(H) / den)
 
 
 def dirichlet_energy(H, adjacency):
     """0.5 * sum over edges of ||h_i/sqrt(1+d_i) - h_j/sqrt(1+d_j)||^2.
 
     Both directions of each undirected edge are stored, so each contributes
-    twice at weight 0.5, i.e. once per unordered pair.
+    twice at weight 0.5, i.e. once per unordered pair. Holds one float64 n x f
+    array, one chunk of 4e6 entries (32 MB) and one gather of 2^18 entries.
     """
-    H = np.asarray(H, dtype=np.float64)
     deg = adjacency.row_sums()
-    Hn = H / np.sqrt(1.0 + deg)[:, None]
+    Hn = np.divide(H, np.sqrt(1.0 + deg)[:, None], dtype=np.float64)
     rows = adjacency.row_indices()
     cols = adjacency.col_indices
     total = 0.0
-    step = max(1, int(4e6 // max(1, H.shape[1])))
+    # one sum per chunk of 4e6 entries fixes the rounding; the gather block does not
+    step = max(1, int(4e6 // max(1, Hn.shape[1])))
+    block = max(1, 2**18 // max(1, Hn.shape[1]))
     for lo in range(0, rows.shape[0], step):
         d = Hn[rows[lo : lo + step]]
-        for s in range(0, d.shape[0], 4096):  # the second gather in small blocks
-            d[s : s + 4096] -= Hn[cols[lo + s : lo + min(s + 4096, d.shape[0])]]
+        for s in range(0, d.shape[0], block):
+            d[s : s + block] -= Hn[cols[lo + s : lo + min(s + block, d.shape[0])]]
         d *= d
         total += float(d.sum())
         del d  # before the next chunk's gather

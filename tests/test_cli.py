@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 import growgcn
 from growgcn import cli
 from growgcn import data as gdata
+from growgcn import layers as ly
+from growgcn import metrics as gmetrics
 from growgcn import (DataError, generate_sbm, load_bundle, load_checkpoint, save_bundle,
                      save_checkpoint)
 from growgcn.data import load_planetoid
@@ -456,6 +458,40 @@ class TestExitCodes:
         assert rc == 2
         assert f"{content}:4: non-finite feature value" in capsys.readouterr().err
         assert not (tmp_path / "bundle").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "prepare sbm"])
+    def test_out_of_memory_is_a_data_error_on_one_line(self, tmp_path, capsys, monkeypatch,
+                                                       command):
+        # an allocation that fails inside each path: the collapse report that ends
+        # train, the forward of eval, the adjacency of a generated graph
+        bundle = save_bundle(generate_sbm(2, 25, 0.3, 0.05, f=8, signal=2.0, seed=0),
+                             tmp_path / "bundle")
+        numpy_message = "Unable to allocate 149. GiB for an array with shape (200000, 200000)"
+
+        def fail(*args, **kwargs):
+            raise MemoryError() if command == "train" else MemoryError(numpy_message)
+
+        out = tmp_path / "out"
+        if command == "train":
+            monkeypatch.setattr(gmetrics, "dirichlet_energy", fail)
+            argv = ["train", "--data", str(bundle), "--out", str(out), *FAST]
+        elif command == "eval":
+            assert main(["train", "--data", str(bundle), "--fixed-splits",
+                         "--out", str(tmp_path / "run"), *FAST]) == 0
+            monkeypatch.setattr(ly, "eval_forward", fail)
+            argv = ["eval", "--checkpoint", str(tmp_path / "run" / "model_seed0.ckpt"),
+                    "--data", str(bundle)]
+        else:
+            monkeypatch.setattr(gdata, "build_adjacency", fail)
+            argv = ["prepare", "sbm", "--classes", "2", "--per-class", "25", "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("data error: out of memory: "), err
+        assert err.endswith(("an allocation failed\n" if command == "train"
+                             else numpy_message + "\n"))
+        if command == "prepare sbm":
+            assert not out.exists()
 
 
 BUNDLE_FILES = ("meta.json", "splits.json", "labels.txt", "edges.tsv", "features.csv")

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,6 +210,51 @@ class TestGenerateSbm:
             generate_sbm(4, 30, 0.1, 0.01, f=2, signal=1.0, seed=0)
         with pytest.raises(DataError, match="no room"):
             generate_sbm(2, 20, 0.5, 0.1, f=4, signal=1.0, seed=0)
+
+
+def _one_draw_sbm(classes, nodes_per_class, p_in, p_out, f, signal, seed):
+    """The generator before its row blocks: one n x n draw, probability matrix and mask."""
+    n = classes * nodes_per_class
+    rng = np.random.default_rng(seed)
+    labels = np.repeat(np.arange(classes), nodes_per_class)
+    prob = np.where(labels[:, None] == labels[None, :], p_in, p_out)
+    edges = np.argwhere(np.triu(rng.random((n, n)) < prob, k=1))
+    means = np.zeros((classes, f))
+    for cls in range(classes):
+        means[cls, cls * f // classes : (cls + 1) * f // classes] = signal
+    X = means[labels] + rng.standard_normal((n, f))
+    held = (n - 20 * classes) // 2
+    splits = split_per_class(labels, 20, held, held, rng)
+    return edges, X, labels, splits, n
+
+
+class TestGenerateSbmBlocks:
+    """Row-block draws give the one-draw generator's graph byte for byte, in bounded memory."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 11])
+    @pytest.mark.parametrize("classes, per_class", [(3, 50), (4, 300), (7, 387)])
+    def test_byte_identical_to_one_draw(self, classes, per_class, seed):
+        # 2^20 // n rows per block: one block at n = 150, 2 at n = 1,200, 7 at n = 2,709
+        got = generate_sbm(classes, per_class, 0.05, 0.005, f=9, signal=2.0, seed=seed)
+        edges, X, labels, splits, n = _one_draw_sbm(classes, per_class, 0.05, 0.005, f=9,
+                                                    signal=2.0, seed=seed)
+        want = build_adjacency(edges, n)
+        for name in ("row_offsets", "col_indices", "values"):
+            a, b = getattr(got.adjacency, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert got.X.tobytes() == X.tobytes()  # the features are drawn after the edges
+        assert got.labels.tobytes() == labels.tobytes()
+        for k in ("train", "val", "test"):
+            assert getattr(got.splits, k).tobytes() == getattr(splits, k).tobytes()
+
+    def test_traced_peak_at_4000_nodes(self):
+        tracemalloc.start()
+        try:
+            generate_sbm(4, 1_000, 0.01, 0.001, f=8, signal=2.0, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestValidation:

@@ -1,5 +1,6 @@
 import csv
 import filecmp
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -85,6 +86,93 @@ class TestDirichletEnergy:
     def test_constant_features_have_zero_energy_on_regular_graph(self):
         ring = build_adjacency([(i, (i + 1) % 6) for i in range(6)], 6)
         assert dirichlet_energy(np.ones((6, 3)), ring) == pytest.approx(0.0, abs=1e-15)
+
+
+def _one_pass_distance_to_constant(H):
+    """The formula before the one-copy rewrite: a float64 copy, then a centred copy."""
+    H = np.asarray(H, dtype=np.float64)
+    centered = H - H.mean(axis=0, keepdims=True)
+    num = np.linalg.norm(centered)
+    den = max(np.linalg.norm(H), 1e-12)
+    return float(num / den)
+
+
+def _one_pass_dirichlet_energy(H, adjacency):
+    """The formula before the one-copy rewrite: a float64 copy, Hn, gathers of 4,096 rows."""
+    H = np.asarray(H, dtype=np.float64)
+    deg = adjacency.row_sums()
+    Hn = H / np.sqrt(1.0 + deg)[:, None]
+    rows = adjacency.row_indices()
+    cols = adjacency.col_indices
+    total = 0.0
+    step = max(1, int(4e6 // max(1, H.shape[1])))
+    for lo in range(0, rows.shape[0], step):
+        d = Hn[rows[lo : lo + step]]
+        for s in range(0, d.shape[0], 4096):
+            d[s : s + 4096] -= Hn[cols[lo + s : lo + min(s + 4096, d.shape[0])]]
+        d *= d
+        total += float(d.sum())
+    return 0.5 * total
+
+
+@pytest.fixture(scope="module")
+def wide_graph():
+    """3,000 nodes, about 12,000 stored entries and node 2,999 isolated: at f = 1,500
+    the energy sums 5 edge chunks of 2,666 rows and gathers in blocks of 174 rows."""
+    rng = np.random.default_rng(7)
+    pairs = rng.integers(0, 2_999, size=(6_000, 2))
+    pairs = {(int(min(i, j)), int(max(i, j))) for i, j in pairs if i != j}
+    return build_adjacency(sorted(pairs), 3_000)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOneCopyOracle:
+    """The one-copy formulas give bitwise the values of the one-pass ones, in bounded memory."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("f", [1, 1_500])
+    def test_bitwise_equal_to_the_one_pass_formulas(self, wide_graph, dtype, f):
+        assert wide_graph.row_sums()[-1] == 0.0
+        assert wide_graph.nnz > 2 * int(4e6 // 1_500)  # several edge chunks at f = 1,500
+        H = np.random.default_rng(f).standard_normal((3_000, f)).astype(dtype)
+        assert dirichlet_energy(H, wide_graph) == _one_pass_dirichlet_energy(H, wide_graph)
+        assert distance_to_constant(H) == _one_pass_distance_to_constant(H)
+
+    @settings(max_examples=50, deadline=None)
+    @given(H=matrices())
+    def test_bitwise_equal_on_small_matrices(self, H):
+        adj = build_adjacency([(i, i + 1) for i in range(H.shape[0] - 1)], H.shape[0])
+        assert dirichlet_energy(H, adj) == _one_pass_dirichlet_energy(H, adj)
+        assert distance_to_constant(H) == _one_pass_distance_to_constant(H)
+
+    def test_float64_input_is_not_modified(self, wide_graph):
+        H = np.random.default_rng(1).standard_normal((3_000, 40))
+        keep = H.copy()
+        dirichlet_energy(H, wide_graph)
+        distance_to_constant(H)
+        assert np.array_equal(H, keep)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dirichlet_energy_holds_one_copy_and_one_chunk(self, wide_graph, dtype):
+        n, f = 3_000, 1_500
+        H = np.random.default_rng(2).standard_normal((n, f)).astype(dtype)
+        peak = _traced_peak(dirichlet_energy, H, wide_graph)
+        assert peak <= n * f * 8 + 32 * 2**20 + 4 * 2**20
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_distance_to_constant_holds_one_copy(self, dtype):
+        n, f = 3_000, 1_500
+        H = np.random.default_rng(3).standard_normal((n, f)).astype(dtype)
+        peak = _traced_peak(distance_to_constant, H)
+        assert peak <= n * f * 8 + 2**20
 
 
 class TestSmoothingDynamics:
