@@ -8,9 +8,10 @@ input's gradient only when that input requires grad.
 
 Every gradient a backward hands on is a new array held by the receiving tensor
 alone, and ``backward()`` keeps only the gradients of leaves. ``gcn_layer``, a
-graph convolution in one node, keeps for its backward the propagated input, the
-output (its ReLU overwrites the product) and the bool dropout mask, and gives
-every other buffer, its incoming gradient too, back to the workspace once read.
+graph convolution in one node, keeps for its backward the propagated input and
+two bool masks, the ReLU's and dropout's, and gives every other buffer, its
+incoming gradient too, back to the workspace once read. Its backward never
+reads its output, so the caller may release that once the op above has read it.
 Ops write their results into a ``Workspace`` when given ``ws=``, else allocate.
 Under ``no_grad()`` no op records a graph, so nothing outlives the op that made it.
 """
@@ -157,9 +158,14 @@ def no_grad():
         _grad_enabled = enabled
 
 
+def _records(parents):
+    """Whether an op on ``parents`` records a graph, so that its backward will run."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _compose(data, parents, backward):
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _records(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -217,9 +223,10 @@ def gcn_layer(op, h, W, adapter=None, C=None, keep=None, p=0.0, *, ws=None):
     ``W' = W + (alpha/rank)·A@B`` for an ``adapter``, else ``W``; ``keep`` is the bool
     dropout mask at rate ``p``, or None. With ``op`` None, ``h`` is the propagated
     input. ``C = h @ W``, formed once for an adapter and a constant ``h``, leaves
-    ``C + (alpha/rank)·(h@A)@B`` per call. The node keeps the propagated input, the
-    output and ``keep`` (and ``h@A`` with ``C``); it forms every value with the kernels
-    and in the order of the ops it replaces, so its results are theirs bitwise.
+    ``C + (alpha/rank)·(h@A)@B`` per call. A node that records a graph keeps the
+    propagated input, ``keep`` and the bool ReLU mask ``out > 0`` (and ``h@A`` with
+    ``C``), not its output; it forms every value with the kernels and in the order
+    of the ops it replaces, so its results are theirs bitwise.
     """
     x, dtype, scale = h.data, h.data.dtype, 1.0 / (1.0 - p)
     if (op is not None and op.n_cols != x.shape[0]) or x.shape[1] != W.data.shape[0]:
@@ -247,9 +254,11 @@ def gcn_layer(op, h, W, adapter=None, C=None, keep=None, p=0.0, *, ws=None):
             np.add(W.data, np.multiply(weight, s, out=weight), out=weight)
         out = _matmul(Lh, weight, ws)
     np.maximum(out, 0, out=out)
+    parents = (h, W) if adapter is None else (h, W, A, B)
+    # where the product is positive: the backward reads this, and never ``out``
+    relu = np.greater(out, 0, out=_buffer(ws, out.shape, bool)) if _records(parents) else None
 
     def bwd(g):
-        relu = np.greater(out, 0, out=_buffer(ws, out.shape, bool))  # where the product is
         gz = np.multiply(g, relu, out=_buffer(ws, g.shape, np.result_type(g, relu)))
         _release(ws, relu, g)
         gLh = _matmul(gz, weight.T, ws) if h.requires_grad else None
@@ -276,7 +285,7 @@ def gcn_layer(op, h, W, adapter=None, C=None, keep=None, p=0.0, *, ws=None):
         if gLh is not None:
             _accum(h, gLh, ws)
 
-    return _compose(out, (h, W) if adapter is None else (h, W, A, B), bwd)
+    return _compose(out, parents, bwd)
 
 
 def log_softmax_rows(x):

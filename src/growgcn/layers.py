@@ -334,7 +334,10 @@ def stack_forward(stack, L, X, *, training=False, rng=None, return_hidden=False,
     head's input. Under a cone each entry holds only the rows computed. Each
     conv layer is one ``autodiff.gcn_layer`` node. With an ``autodiff.Workspace``
     ``ws``, the dropout masks, activations and gradients live in its buffers,
-    which the next cycle through ``ws`` overwrites.
+    which the next cycle through ``ws`` overwrites. Without ``return_hidden``, a
+    conv layer's output goes back to ``ws`` as soon as the next conv layer or
+    PairNorm has read it, neither of whose backwards reads it; the head's input
+    stays, because the head's weight gradient reads it.
     """
     plan = ForwardPlan() if plan is None else plan
     layers = stack.layers
@@ -355,6 +358,8 @@ def stack_forward(stack, L, X, *, training=False, rng=None, return_hidden=False,
     h = Tensor(Xp)
     hidden = [h.data]
     record = hidden.append if return_hidden else lambda a: None  # else outputs die with layers
+    # hands a conv output back to ws once the op above has read it: no backward reads it
+    done = (lambda a: None) if return_hidden else (lambda a: ad._release(ws, a))
     if plan.inp is None:
         for j in range(stack.sgc_steps):
             h = ad.spmm(op(stack.sgc_steps - 1 - j), h, ws=ws)
@@ -369,9 +374,13 @@ def stack_forward(stack, L, X, *, training=False, rng=None, return_hidden=False,
         else:
             keep = _keep_mask(h.data.shape, stack.dropout_p, training, rng, rows(k + 1),
                               L.n_rows, ws)
+            x = h.data
             h = ad.gcn_layer(op(k), h, layer.W, layer.adapter, None, keep, stack.dropout_p, ws=ws)
+            done(x)
         if stack.pairnorm is not None:
+            x = h.data
             h = pairnorm(h, stack.pairnorm)
+            done(x)
         record(h.data)
     logits = ad.matmul(dropout(h, stack.dropout_p, training, rng, rows(0), L.n_rows, ws),
                        stack.head, ws=ws)

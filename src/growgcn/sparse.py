@@ -147,9 +147,10 @@ def build_adjacency(edges, n):
     """Build an undirected 0/1 adjacency from an edge list.
 
     Self-loops are dropped, duplicates collapse, both orientations are
-    stored. ``edges`` is an iterable of (i, j) pairs.
+    stored. ``edges`` is an m×2 integer array or an iterable of (i, j) pairs.
     """
-    e = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+    e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
+                   dtype=np.int64).reshape(-1, 2)
     if e.size:
         bad = (e < 0) | (e >= n)
         if bad.any():
@@ -159,7 +160,9 @@ def build_adjacency(edges, n):
     if e.size == 0:
         return SparseMatrix(n, n, np.zeros(n + 1, dtype=np.int64), [], [])
     both = np.concatenate([e, e[:, ::-1]])
-    keys = np.unique(both[:, 0] * np.int64(n) + both[:, 1])
+    keys = np.sort(both[:, 0] * np.int64(n) + both[:, 1])
+    # np.unique's set, without its hash path: a sorted key is new unless it equals the last
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     rows, cols = keys // n, keys % n
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])

@@ -341,7 +341,9 @@ class RowCone:
             r = self._rows[-1]
             in_r = np.zeros(L.n_rows, dtype=bool)
             in_r[r] = True
-            nxt = np.unique(L.col_indices[np.repeat(in_r, row_sizes)])
+            reached = np.zeros(L.n_cols, dtype=bool)
+            reached[L.col_indices[np.repeat(in_r, row_sizes)]] = True
+            nxt = np.flatnonzero(reached)
             if nxt.size < L.n_cols:
                 op = L.submatrix(r, nxt)
             else:
@@ -499,6 +501,7 @@ def train(data, cfg, trainer="standard", variant="gcn", on_stage_start=None,
     with ad.no_grad():
         logits, hidden = ly.stack_forward(stack, L, Xp, prepared=True, return_hidden=True,
                                           plan=None if LX is None else ly.ForwardPlan(inp=LX))
+    hidden = hidden[-1:]  # the other layers' outputs go before the report's transients
     return stack, TrainReport(
         stages=stages,
         test_acc=_accuracy(logits.data, data.labels, data.splits.test),

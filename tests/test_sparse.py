@@ -121,6 +121,23 @@ class TestBuildAdjacency:
             assert np.array_equal(build_adjacency(edges, n).to_dense(),
                                   dense_from_edges(edges, n))
 
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), m=st.integers(0, 400))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_unique_oracle(self, seed, n, m):
+        # few nodes for many keys: duplicates in both orientations, and self-loops
+        rng = np.random.default_rng(seed)
+        e = rng.integers(0, n, size=(m, 2))
+        kept = e[e[:, 0] != e[:, 1]]
+        both = np.concatenate([kept, kept[:, ::-1]])
+        keys = np.unique(both[:, 0] * n + both[:, 1])
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=offsets[1:])
+        for edges in (e, [tuple(p) for p in e.tolist()]):
+            adj = build_adjacency(edges, n)
+            for got, want in ((adj.row_offsets, offsets), (adj.col_indices, keys % n),
+                              (adj.values, np.ones(keys.size))):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     @given(st.permutations(list(range(6))))
     @settings(max_examples=25, deadline=None)
     def test_edge_order_irrelevant(self, order):

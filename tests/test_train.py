@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from growgcn import (
@@ -28,6 +28,7 @@ from growgcn import (
 )
 from growgcn import autodiff as ad
 from growgcn import layers as ly
+from growgcn.metrics import collapse_from_hidden
 from conftest import BIT_GENERATORS, random_graph, same_state
 from growgcn.train import (
     RowCone,
@@ -810,19 +811,37 @@ class TestRowConeOracle:
             _stage_plan(stack, L, Xp, None, RowCone(L, [0], 2))
 
 
-def _graph_arrays(loss):
-    """Every distinct array on a backward-ed graph: each node's value and gradient."""
+def _graph_arrays(loss, dead=frozenset()):
+    """Every distinct array on a backward-ed graph: each node's gradient, and its value
+    unless its id is in ``dead`` (a conv output the forward gave back to the workspace)."""
     arrays, seen, todo = {}, set(), [loss]
     while todo:
         node = todo.pop()
         if id(node) in seen:
             continue
         seen.add(id(node))
-        for a in (node.data, node.grad):
+        for a in (None if id(node.data) in dead else node.data, node.grad):
             if a is not None:
                 arrays[id(a)] = a
         todo.extend(node._parents)
     return list(arrays.values())
+
+
+class _ReleaseLog(ad.Workspace):
+    """A workspace that notes the id of every buffer of its own given back since its last
+    reset (it ignores other arrays, whose ids a later array may take)."""
+
+    def __init__(self):
+        super().__init__()
+        self.released = set()
+
+    def reset(self):
+        super().reset()
+        self.released = set()
+
+    def release(self, *arrays):
+        self.released.update(id(a) for a in arrays if id(a) in self._ids)
+        super().release(*arrays)
 
 
 class TestWorkspaceOracle:
@@ -838,6 +857,13 @@ class TestWorkspaceOracle:
         dropout=st.booleans(),
         merged=st.lists(st.booleans(), min_size=3, max_size=3),
     )
+    # PairNorm and dropout each read a conv output that the forward then gives back
+    @example(seed=7, stage=4, lora=True, use_cone=False, pairnorm=True, dropout=True,
+             merged=[False, True, False])
+    @example(seed=8, stage=4, lora=False, use_cone=False, pairnorm=True, dropout=False,
+             merged=[False] * 3)
+    @example(seed=9, stage=4, lora=True, use_cone=True, pairnorm=False, dropout=True,
+             merged=[False] * 3)
     def test_two_cycles_match_allocating_ops(self, seed, stage, lora, use_cone, pairnorm,
                                              dropout, merged):
         rng = np.random.default_rng(seed)
@@ -864,17 +890,18 @@ class TestWorkspaceOracle:
                                       plan=plan, ws=ws)
             for p in params:
                 p.grad = None
+            dead = set() if ws is None else set(ws.released)
             loss = ad.masked_cross_entropy(ad.log_softmax_rows(logits), labels, train_idx)
             loss.backward()
             # copies: the next cycle through ws overwrites the gradients
-            return loss, [p.grad.copy() for p in params]
+            return loss, [p.grad.copy() for p in params], dead
 
-        ref_loss, ref_grads = cycle(None)
-        ws = ad.Workspace()
-        loss1, grads1 = cycle(ws)
+        ref_loss, ref_grads, _ = cycle(None)
+        ws = _ReleaseLog()
+        loss1, grads1, _ = cycle(ws)
         n_buffers = len(ws)
         logits1 = loss1._parents[0]._parents[0].data
-        loss2, grads2 = cycle(ws)
+        loss2, grads2, dead = cycle(ws)
         assert n_buffers > 0 and len(ws) == n_buffers
         # the second cycle wrote into the first one's arrays
         assert loss2._parents[0]._parents[0].data is logits1
@@ -882,7 +909,8 @@ class TestWorkspaceOracle:
             assert float(loss.data) == float(ref_loss.data)
             for g, g_ref in zip(grads, ref_grads, strict=True):
                 assert np.array_equal(g, g_ref)
-        arrays = _graph_arrays(loss2)
+        # the live arrays share no memory; the conv outputs the forward gave back may
+        arrays = _graph_arrays(loss2, dead)
         for i, a in enumerate(arrays):
             for b in arrays[i + 1:]:
                 assert not np.shares_memory(a, b)
@@ -934,6 +962,7 @@ class TestWorkspaceOracle:
         ("lgt", "gcn", None),
         ("lgt", "gcn", 0.3),
         ("lgt", "gcn+pairnorm", None),
+        ("lgt", "gcn+pairnorm", 0.3),
         ("standard", "gcn", 0.0),
         ("standard", "gcn+pairnorm", 0.5),
         ("standard", "sgc", 0.5),
@@ -981,7 +1010,7 @@ class TestWorkspaceOracle:
 
 
 class TestActivationMemory:
-    """A conv layer keeps its propagated input and its output, and little else, per step."""
+    """A conv layer keeps its propagated input and two bool masks, and little else, per step."""
 
     @pytest.mark.parametrize("trainer, dropout_p", [("lgt", 0.0), ("standard", 0.5)])
     def test_traced_peak_per_added_layer(self, trainer, dropout_p):
@@ -999,9 +1028,49 @@ class TestActivationMemory:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # in float32 n x d arrays: two, plus a bool dropout mask; six ops per layer
-        # kept about 6.4 (staged) and 11.4 (under dropout)
-        assert (peaks[1] - peaks[0]) / 8 / (data.n * 32 * 4) <= 2.5
+        # in float32 n x d arrays: one, plus the bool ReLU and dropout masks; with the
+        # output kept too it read 1.5 (staged) and 2.3 (under dropout), and six ops per
+        # layer kept about 6.4 and 11.4
+        assert (peaks[1] - peaks[0]) / 8 / (data.n * 32 * 4) <= 1.75
+
+    @pytest.mark.parametrize("dropout_p", [0.0, 0.3])
+    def test_warm_staged_cycle_per_layer(self, dropout_p):
+        data = generate_sbm(2, 1000, 0.003, 0.0003, f=16, signal=2.0, seed=3)
+        L = normalized_laplacian(data.adjacency)
+        n, d = data.n, 16
+        rng = np.random.default_rng(0)
+        peaks = []
+        for depth in (4, 8):
+            # every frozen layer has an adapter, so the plan starts at layer 0 and
+            # every layer computes every row
+            stack = _random_stage_stack(np.random.default_rng(depth), 16, d, 2, depth, False,
+                                        True, [False] * depth)
+            stack.dropout_p = dropout_p
+            plan = _stage_plan(stack, L, data.X, None, None)
+            params = stack.trainable_parameters()
+            ws = ad.Workspace()
+            tracemalloc.start()
+            try:
+                for cycle in range(2):
+                    ws.reset()
+                    logits = ly.stack_forward(stack, L, data.X, training=True, rng=rng,
+                                              prepared=True, plan=plan, ws=ws)
+                    for p in params:
+                        p.grad = None
+                    ad.masked_cross_entropy(ad.log_softmax_rows(logits), data.labels,
+                                            data.splits.train).backward()
+                    if cycle == 0:
+                        n_buffers = len(ws)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            del logits
+            assert len(ws) == n_buffers  # the warm cycle allocates nothing
+        # per layer: the propagated input (float64 here), the bool ReLU mask and, under
+        # dropout, the bool dropout mask, plus d x d arrays; keeping the output too
+        # took 8 bytes an entry more
+        per_entry = (peaks[1] - peaks[0]) / 4 / (n * d)
+        assert per_entry <= (8 + 1 + (dropout_p > 0)) * 1.05
 
 
 def _sparse_split_bundle():
@@ -1159,3 +1228,34 @@ class TestFinalForward:
             assert calls["plan-less"] == 0
         else:
             assert calls["all"] == calls["plan-less"] == 2 * epochs + 1
+
+    def test_report_holds_one_head_input(self, monkeypatch):
+        # degree about 11, so the report's chunk of edge differences outweighs the
+        # depth-8 forward's outputs, which the report need not keep
+        data = generate_sbm(2, 1000, 0.01, 0.001, f=16, signal=2.0, seed=3)
+        cfg = TrainConfig(depth=8, hidden_dim=16, lora_rank=2, max_epochs=2, patience=2, seed=0)
+        before_final = []
+        stack_fwd = ly.stack_forward
+
+        def marking_forward(*a, **kw):
+            if kw.get("return_hidden"):
+                tracemalloc.reset_peak()
+                before_final.append(tracemalloc.get_traced_memory()[0])
+            return stack_fwd(*a, **kw)
+
+        monkeypatch.setattr(ly, "stack_forward", marking_forward)
+        tracemalloc.start()
+        try:
+            stack, report = train(data, cfg, trainer="lgt")
+            final = tracemalloc.get_traced_memory()[1] - before_final[0]
+            assert len(before_final) == 1
+            H = ly.eval_forward(stack, normalized_laplacian(data.adjacency), data.X,
+                                return_hidden=True)[1][-1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert collapse_from_hidden([H], data.adjacency) == report.collapse
+            transient = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the logits and a few hundred bytes come on top; each layer kept took one H more
+        assert final <= transient + 1.5 * H.nbytes
