@@ -147,10 +147,9 @@ def build_adjacency(edges, n):
     """Build an undirected 0/1 adjacency from an edge list.
 
     Self-loops are dropped, duplicates collapse, both orientations are
-    stored. ``edges`` is an m×2 integer array or an iterable of (i, j) pairs.
+    stored. ``edges`` is an m×2 integer array or a sequence of (i, j) pairs.
     """
-    e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
-                   dtype=np.int64).reshape(-1, 2)
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if e.size:
         bad = (e < 0) | (e >= n)
         if bad.any():

@@ -265,7 +265,8 @@ def _fit(forward, mutable, groups, target, cfg, dropout_p):
     is ``(labels, train_idx, val_idx)`` for their rows (see ``_target``).
     Each epoch ends with an eval forward on the updated weights for the val
     accuracy. At ``dropout_p == 0`` it computes the training graph, so it is
-    the next epoch's, and a stage of E epochs runs E + 1 forwards, not 2E.
+    the next epoch's, and a stage of E epochs runs E + 1 forwards, not 2E;
+    otherwise it records no graph.
     A graph is dropped before the next ``forward``, which may overwrite its
     arrays (the trainers' workspace does). Returns a StageReport.
     """
@@ -287,10 +288,12 @@ def _fit(forward, mutable, groups, target, cfg, dropout_p):
         adam.step()
         curve.append(float(loss.data))
         loss = logits = None  # arrays of the graph's own, such as PairNorm's, go first
-        logits = forward(False)
-        val_acc = _accuracy(logits.data, labels, val_idx)
-        if dropout_p > 0.0:
-            logits = None  # the next epoch draws its masks in a training forward
+        if dropout_p > 0.0:  # the next epoch draws its masks in a training forward
+            with ad.no_grad():
+                val_acc = _accuracy(forward(False).data, labels, val_idx)
+        else:
+            logits = forward(False)
+            val_acc = _accuracy(logits.data, labels, val_idx)
         if val_acc > stopper.best:
             best_snap = _snapshot(mutable)
         if stopper.update(val_acc):
