@@ -44,42 +44,22 @@ class Parser(argparse.ArgumentParser):
 
 # ---------------------------------------------------------------- config file
 
-CONFIG_KEYS = {f.name for f in fields(TrainConfig)} | {
-    "trainer", "variant", "repeats", "fixed_splits",
-}
-
 _BOOLS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
-BOOL_KEYS = {f.name for f in fields(TrainConfig) if f.type is bool} | {"fixed_splits"}
+# the keys a config file may set to none or null, which leaves them unset
+_UNSET_KEYS = {f.name for f in fields(TrainConfig) if f.default is None}
 
 
-def _coerce(key, raw):
-    """A config value: a bool for a bool key, else None, an int, a float or the text."""
-    raw = raw.strip()
-    if key in ("trainer", "variant", "loss_reduction", "new_layer_init"):
-        return raw
-    low = raw.lower()
-    if key in BOOL_KEYS and low in _BOOLS:
-        return _BOOLS[low]
-    if low in ("none", "null"):
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        pass
-    return raw
+def read_config_file(path, flags):
+    """The command-line tokens of a file's ``key = value`` lines ('#' starts a comment).
 
-
-def read_config_file(path):
-    """Parse ``key = value`` lines; '#' starts a comment, blank lines ignored."""
-    out = {}
+    ``flags`` maps each key to its flag's action. A bool key gives its switch when
+    the value is the one the switch sets; a later line overrides an earlier one.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
         raise DataError(str(e), file=path) from e
+    tokens = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -87,75 +67,74 @@ def read_config_file(path):
         if "=" not in line:
             raise DataError("expected 'key = value'", file=path, line=lineno)
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in CONFIG_KEYS:
+        if key not in flags:
             raise DataError(f"unknown config key {key!r}", file=path, line=lineno)
-        out[key] = _coerce(key, raw)
-    return out
-
-
-def _resolve(args, cfg_file, key, default):
-    """Precedence: explicit flag > config file > default."""
-    v = getattr(args, key, None)
-    if v is not None:
-        return v
-    if key in cfg_file:
-        return cfg_file[key]
-    return default
-
-
-def build_train_config(args, cfg_file):
-    """The TrainConfig of the flags over the config file over the defaults; unchecked."""
-    kwargs = {}
-    for f in fields(TrainConfig):
-        kwargs[f.name] = _resolve(args, cfg_file, f.name, f.default)
-    return TrainConfig(**kwargs)
+        flag = flags[key].option_strings[0]
+        if flags[key].nargs == 0:
+            if raw.lower() not in _BOOLS:
+                raise UsageError(f"{path}:{lineno}: {key} must be true or false, not {raw!r}")
+            tokens[key] = flag if _BOOLS[raw.lower()] == flags[key].const else None
+        elif key in _UNSET_KEYS and raw.lower() in ("none", "null"):
+            tokens[key] = None
+        else:
+            tokens[key] = f"{flag}={raw}"
+    return [t for t in tokens.values() if t is not None]
 
 
 def _settings(args, default_trainer, default_repeats):
     """The settings of train and sweep: (cfg, trainer, variant, repeats, fixed_splits)."""
-    cfg_file = read_config_file(args.config) if args.config else {}
-    repeats = _resolve(args, cfg_file, "repeats", default_repeats)
-    if type(repeats) is not int or repeats < 1:
+    repeats = default_repeats if args.repeats is None else args.repeats
+    if repeats < 1:
         raise UsageError("--repeats must be an integer >= 1")
-    trainer = _resolve(args, cfg_file, "trainer", default_trainer)
-    variant = _resolve(args, cfg_file, "variant", "gcn")
-    fixed = bool(_resolve(args, cfg_file, "fixed_splits", False))
-    return build_train_config(args, cfg_file), trainer, variant, repeats, fixed
+    cfg = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)
+                         if getattr(args, f.name) is not None})
+    return (cfg, args.trainer or default_trainer, args.variant or "gcn", repeats,
+            bool(args.fixed_splits))
 
 
 # ---------------------------------------------------------------- data access
 
+def _sbm_flags():
+    """The parser of the block-model generator's flags and {field: action} of each."""
+    parser = Parser(prog="growgcn --sbm", add_help=False)
+    actions = [
+        parser.add_argument("--classes", type=int, default=4),
+        parser.add_argument("--per-class", dest="per_class", type=int, default=100),
+        parser.add_argument("--p-in", dest="p_in", type=float, default=0.1),
+        parser.add_argument("--p-out", dest="p_out", type=float, default=0.01),
+        parser.add_argument("--f", type=int, default=32),
+        parser.add_argument("--signal", type=float, default=2.0),
+        parser.add_argument("--seed", type=int, default=0),
+    ]
+    return parser, {a.dest: a for a in actions}
+
+
 def _parse_sbm_spec(text):
-    spec = {}
+    """The namespace of a ``k=v,...`` spec, each field parsed as its ``prepare sbm`` flag."""
+    parser, actions = _sbm_flags()
+    tokens = []
     for part in text.split(","):
-        if "=" not in part:
+        key, eq, value = (s.strip() for s in part.partition("="))
+        if not eq:
             raise UsageError(f"bad --sbm field {part!r}, expected k=v")
-        k, v = part.split("=", 1)
-        spec[k.strip()] = v.strip()
-    known = {"classes", "per_class", "p_in", "p_out", "f", "signal", "seed"}
-    unknown = set(spec) - known
-    if unknown:
-        raise UsageError(f"unknown --sbm fields {sorted(unknown)}")
+        if key not in actions:
+            raise UsageError(f"unknown --sbm field {key!r}")
+        tokens.append(f"{actions[key].option_strings[0]}={value}")
+    return parser.parse_args(tokens)
+
+
+def _generate_sbm(spec):
+    """The block model of a namespace of generator flags; a bad value is a usage error."""
     try:
-        return dict(
-            classes=int(spec.get("classes", 4)),
-            nodes_per_class=int(spec.get("per_class", 100)),
-            p_in=float(spec.get("p_in", 0.1)),
-            p_out=float(spec.get("p_out", 0.01)),
-            f=int(spec.get("f", 32)),
-            signal=float(spec.get("signal", 2.0)),
-            seed=int(spec.get("seed", 0)),
-        )
+        return gdata.generate_sbm(spec.classes, spec.per_class, spec.p_in, spec.p_out, spec.f,
+                                  spec.signal, spec.seed)
     except ValueError as e:
-        raise UsageError(f"bad --sbm value: {e}") from e
+        raise UsageError(str(e)) from e
 
 
 def _load_dataset(args):
     if getattr(args, "sbm", None):
-        try:
-            return gdata.generate_sbm(**_parse_sbm_spec(args.sbm))
-        except ValueError as e:
-            raise UsageError(str(e)) from e
+        return _generate_sbm(_parse_sbm_spec(args.sbm))
     if not getattr(args, "data", None):
         raise UsageError("either --data or --sbm is required")
     return gdata.load_bundle(args.data)
@@ -226,18 +205,9 @@ def _mean_std(values):
 # ---------------------------------------------------------------- subcommands
 
 def cmd_prepare(args):
-    if args.kind == "sbm":
-        try:
-            ds = gdata.generate_sbm(
-                classes=args.classes, nodes_per_class=args.per_class,
-                p_in=args.p_in, p_out=args.p_out, f=args.f, signal=args.signal,
-                seed=args.seed,
-            )
-        except ValueError as e:
-            raise UsageError(str(e)) from e
-    else:
-        ds = gdata.load_planetoid(args.content, args.cites, name=args.name,
-                                  split_seed=args.split_seed)
+    ds = (_generate_sbm(args) if args.kind == "sbm" else
+          gdata.load_planetoid(args.content, args.cites, name=args.name,
+                               split_seed=args.split_seed))
     gdata.save_bundle(ds, args.out)
     print(f"wrote bundle {ds.name}: n={ds.n} f={ds.f} c={ds.C} "
           f"edges={ds.adjacency.nnz // 2} -> {args.out}")
@@ -425,34 +395,38 @@ def cmd_export(args):
 # ---------------------------------------------------------------- arg parsing
 
 def _add_train_flags(p):
+    """Add the flags of train and sweep; returns {config key: action} of those a file may set."""
     p.add_argument("--data", help="bundle directory")
     p.add_argument("--sbm", help="inline block-model spec, e.g. "
                    "'classes=4,per_class=100,p_in=0.1,p_out=0.01,f=32,signal=2,seed=0'")
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--trainer", choices=TRAINERS)
-    p.add_argument("--variant", choices=VARIANTS)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--hidden-dim", dest="hidden_dim", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p.add_argument("--dropout", dest="dropout_p", type=float)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--rank", dest="lora_rank", type=int)
-    p.add_argument("--alpha", dest="lora_alpha", type=float)
-    p.add_argument("--lora-lr", dest="lora_lr", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--repeats", type=int)
-    p.add_argument("--loss-reduction", dest="loss_reduction", choices=["mean", "sum"])
-    p.add_argument("--no-merge-adapters", dest="merge_adapters", action="store_false",
-                   default=None)
-    p.add_argument("--no-lora", dest="use_lora", action="store_false", default=None)
-    p.add_argument("--new-layer-init", dest="new_layer_init", choices=["identity", "glorot"])
-    p.add_argument("--pairnorm-s", dest="pairnorm_s", type=float)
-    p.add_argument("--no-row-normalize", dest="row_normalize_features",
-                   action="store_false", default=None)
-    p.add_argument("--fixed-splits", dest="fixed_splits", action="store_true",
-                   default=None, help="reuse the bundle's splits for every repeat")
+    add = p.add_argument
+    actions = [
+        add("--trainer", choices=TRAINERS),
+        add("--variant", choices=VARIANTS),
+        add("--depth", type=int),
+        add("--hidden-dim", dest="hidden_dim", type=int),
+        add("--lr", type=float),
+        add("--weight-decay", dest="weight_decay", type=float),
+        add("--dropout", dest="dropout_p", type=float),
+        add("--max-epochs", dest="max_epochs", type=int),
+        add("--patience", type=int),
+        add("--rank", dest="lora_rank", type=int),
+        add("--alpha", dest="lora_alpha", type=float),
+        add("--lora-lr", dest="lora_lr", type=float),
+        add("--seed", type=int),
+        add("--repeats", type=int),
+        add("--loss-reduction", dest="loss_reduction", choices=["mean", "sum"]),
+        add("--no-merge-adapters", dest="merge_adapters", action="store_false", default=None),
+        add("--no-lora", dest="use_lora", action="store_false", default=None),
+        add("--new-layer-init", dest="new_layer_init", choices=["identity", "glorot"]),
+        add("--pairnorm-s", dest="pairnorm_s", type=float),
+        add("--no-row-normalize", dest="row_normalize_features", action="store_false",
+            default=None),
+        add("--fixed-splits", dest="fixed_splits", action="store_true", default=None,
+            help="reuse the bundle's splits for every repeat"),
+    ]
+    return {a.dest: a for a in actions}
 
 
 def make_parser():
@@ -460,37 +434,27 @@ def make_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     prep = sub.add_parser("prepare", help="write a dataset bundle")
+    prep.set_defaults(func=cmd_prepare)
     prep_sub = prep.add_subparsers(dest="kind", required=True)
-    ps = prep_sub.add_parser("sbm", help="stochastic block model")
-    ps.add_argument("--classes", type=int, default=4)
-    ps.add_argument("--per-class", dest="per_class", type=int, default=100)
-    ps.add_argument("--p-in", dest="p_in", type=float, default=0.1)
-    ps.add_argument("--p-out", dest="p_out", type=float, default=0.01)
-    ps.add_argument("--f", type=int, default=32)
-    ps.add_argument("--signal", type=float, default=2.0)
-    ps.add_argument("--seed", type=int, default=0)
+    ps = prep_sub.add_parser("sbm", help="stochastic block model", parents=[_sbm_flags()[0]])
     ps.add_argument("--out", required=True)
-    ps.set_defaults(func=cmd_prepare)
     pp = prep_sub.add_parser("planetoid", help="convert .content/.cites files")
     pp.add_argument("--content", required=True)
     pp.add_argument("--cites", required=True)
     pp.add_argument("--name", default="cora")
     pp.add_argument("--split-seed", dest="split_seed", type=int, default=0)
     pp.add_argument("--out", required=True)
-    pp.set_defaults(func=cmd_prepare)
 
     tr = sub.add_parser("train", help="train one configuration")
-    _add_train_flags(tr)
+    tr.set_defaults(func=cmd_train, config_flags=_add_train_flags(tr))
     tr.add_argument("--out", required=True, help="output directory")
-    tr.set_defaults(func=cmd_train)
 
     sw = sub.add_parser("sweep", help="grid over depth, rank, or ablation cells")
-    _add_train_flags(sw)
+    sw.set_defaults(func=cmd_sweep, config_flags=_add_train_flags(sw))
     sw.add_argument("--axis", choices=["depth", "rank", "ablation"], required=True)
     sw.add_argument("--values", help="comma-separated ints for depth/rank axes")
     sw.add_argument("--workers", type=int, default=1)
     sw.add_argument("--out", required=True, help="output directory")
-    sw.set_defaults(func=cmd_sweep)
 
     gcp = sub.add_parser("gradcheck", help="randomized gradient verification")
     gcp.add_argument("--seeds", type=int, default=100)
@@ -516,9 +480,15 @@ def make_parser():
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # the file's flags go ahead of the command line's, so a flag given on both wins
+            at = argv.index(args.command) + 1
+            file_flags = read_config_file(args.config, args.config_flags)
+            args = parser.parse_args(argv[:at] + file_flags + argv[at:])
         return args.func(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -313,8 +313,10 @@ def generate_sbm(classes, nodes_per_class, p_in, p_out, f, signal, seed):
         raise ValueError("require 0 <= p_out <= p_in <= 1")
     if f < classes:
         raise ValueError(f"need f >= classes to give every class a feature block (f={f})")
-
     n = classes * nodes_per_class
+    if nodes_per_class <= 20:
+        raise ValueError(f"{n} nodes leave no room for val/test after 20/class train")
+
     rng = np.random.default_rng(seed)
     labels = np.repeat(np.arange(classes), nodes_per_class)
 
@@ -335,8 +337,6 @@ def generate_sbm(classes, nodes_per_class, p_in, p_out, f, signal, seed):
     X = means[labels] + rng.standard_normal((n, f))
 
     held = (n - 20 * classes) // 2
-    if nodes_per_class <= 20 or held < 1:
-        raise DataError(f"{n} nodes leave no room for val/test after 20/class train")
     splits = split_per_class(labels, 20, held, held, rng)
 
     ds = GraphDataset(

@@ -1,6 +1,7 @@
 """Model structure: graph-conv layers, low-rank adapters, and the layer stack."""
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,9 @@ class LoraAdapter:
             raise ValueError(f"adapter factors have rank {r_a}/{r_b}, declared {self.rank}")
         if not 1 <= self.rank <= min(d_in, d_out):
             raise ValueError(f"rank {self.rank} outside [1, min({d_in}, {d_out})]")
+        a = self.alpha
+        if isinstance(a, bool) or not isinstance(a, numbers.Real) or not math.isfinite(a):
+            raise ValueError(f"adapter alpha must be a finite number, not {a!r}")
 
     @property
     def scaling(self):

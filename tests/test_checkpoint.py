@@ -168,8 +168,11 @@ class TestCorruptFiles:
         (lambda h: h["arrays"][0].__setitem__(1, [30]), "not 2-D"),
         (lambda h: h["arrays"][0].__setitem__(1, [5, 1e999]), "OverflowError"),
         (lambda h: h.update(sgc_steps=2), "conv layers or propagation steps, not both"),
+        *[(lambda h, a=alpha: h["layers"][0].update(alpha=a),
+           "adapter alpha must be a finite number") for alpha in ("abc", None, [1], 1e999)],
     ], ids=["no-arrays", "unknown-mode", "dropout", "sgc-steps", "pairnorm", "rank",
-            "arrays-type", "flat-array", "infinite-dim", "conv-and-steps"])
+            "arrays-type", "flat-array", "infinite-dim", "conv-and-steps",
+            "alpha-text", "alpha-null", "alpha-list", "alpha-infinite"])
     def test_malformed_header_is_data_error(self, tiny_dataset, tmp_path, edit, match):
         blob = self._good_blob(tiny_dataset, tmp_path)
         (hlen,) = struct.unpack("<I", blob[8:12])

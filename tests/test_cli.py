@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 from argparse import Namespace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -20,13 +21,8 @@ from growgcn import metrics as gmetrics
 from growgcn import (DataError, generate_sbm, load_bundle, load_checkpoint, save_bundle,
                      save_checkpoint)
 from growgcn.data import load_planetoid
-from growgcn.cli import (
-    UsageError,
-    _parse_sbm_spec,
-    build_train_config,
-    main,
-    read_config_file,
-)
+from growgcn.cli import UsageError, main
+from growgcn.train import TrainConfig
 
 SBM = "classes=2,per_class=25,p_in=0.3,p_out=0.05,f=8,signal=2,seed=0"
 FAST = ["--max-epochs", "4", "--patience", "4", "--depth", "2", "--hidden-dim", "8"]
@@ -37,72 +33,193 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+SETTINGS = cli._settings  # the real helper, which `_settings_of` wraps
+
+
+def _settings_of(monkeypatch, argv):
+    """The ``_settings`` result of a train command, taken before any data loads."""
+    seen = []
+
+    def capture(*args):
+        seen.append(SETTINGS(*args))
+        raise UsageError("settings taken")
+
+    monkeypatch.setattr(cli, "_settings", capture)
+    assert main(argv) == 1
+    assert len(seen) == 1
+    return seen[0]
+
+
+def _config_settings(monkeypatch, tmp_path, text, *flags):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    return _settings_of(monkeypatch, ["train", "--sbm", SBM, "--config", str(cfg), *flags,
+                                      "--out", str(tmp_path / "x")])
+
+
+# config key: (value in a config file, the flags that set the same value)
+CONFIG_ROUTES = {
+    "depth": ("3", ["--depth", "3"]),
+    "hidden_dim": ("16", ["--hidden-dim", "16"]),
+    "lr": ("0.5", ["--lr", "0.5"]),
+    "weight_decay": ("0", ["--weight-decay", "0"]),
+    "dropout_p": ("0", ["--dropout", "0"]),
+    "max_epochs": ("7", ["--max-epochs", "7"]),
+    "patience": ("3", ["--patience", "3"]),
+    "lora_rank": ("2", ["--rank", "2"]),
+    "lora_alpha": ("1", ["--alpha", "1"]),
+    "lora_lr": ("1e-3", ["--lora-lr", "1e-3"]),
+    "seed": ("4", ["--seed", "4"]),
+    "loss_reduction": ("sum", ["--loss-reduction", "sum"]),
+    "merge_adapters": ("false", ["--no-merge-adapters"]),
+    "use_lora": ("no", ["--no-lora"]),
+    "new_layer_init": ("glorot", ["--new-layer-init", "glorot"]),
+    "pairnorm_s": ("2", ["--pairnorm-s", "2"]),
+    "row_normalize_features": ("0", ["--no-row-normalize"]),
+    "trainer": ("lgt", ["--trainer", "lgt"]),
+    "variant": ("gcn+pairnorm", ["--variant", "gcn+pairnorm"]),
+    "repeats": ("2", ["--repeats", "2"]),
+    "fixed_splits": ("yes", ["--fixed-splits"]),
+}
+
+
+def test_config_routes_cover_every_setting():
+    assert set(CONFIG_ROUTES) == {f.name for f in fields(TrainConfig)} | {
+        "trainer", "variant", "repeats", "fixed_splits"}
+
+
+@pytest.mark.parametrize("key", list(CONFIG_ROUTES))
+def test_config_key_gives_the_settings_of_its_flag(monkeypatch, tmp_path, key):
+    # repr tells 0 from 0.0, which a checkpoint header keeps
+    value, flags = CONFIG_ROUTES[key]
+    via_file = _config_settings(monkeypatch, tmp_path, f"{key} = {value}\n")
+    via_flags = _settings_of(monkeypatch, ["train", "--sbm", SBM, *flags,
+                                           "--out", str(tmp_path / "x")])
+    default = _settings_of(monkeypatch, ["train", "--sbm", SBM, "--out", str(tmp_path / "x")])
+    assert repr(via_file) == repr(via_flags) != repr(default)
+
+
 class TestConfigFile:
-    def test_parse_types_and_comments(self, tmp_path):
-        p = tmp_path / "run.cfg"
-        p.write_text(
+    def test_parse_types_and_comments(self, monkeypatch, tmp_path):
+        cfg, trainer, *_ = _config_settings(
+            monkeypatch, tmp_path,
             "# a comment\n"
             "depth = 4\n"
             "lr = 0.005  # inline comment\n"
             "merge_adapters = false\n"
+            "dropout_p = 0.3\n"
             "dropout_p = none\n"
             "trainer = lgt\n"
-            "\n"
-        )
-        cfg = read_config_file(p)
-        assert cfg == {"depth": 4, "lr": 0.005, "merge_adapters": False,
-                       "dropout_p": None, "trainer": "lgt"}
+            "\n")
+        assert (cfg.depth, cfg.lr, cfg.merge_adapters, cfg.dropout_p) == (4, 0.005, False, None)
+        assert trainer == "lgt"
 
-    def test_unknown_key(self, tmp_path):
-        p = tmp_path / "run.cfg"
-        p.write_text("learning_rate = 0.1\n")
-        with pytest.raises(DataError, match="unknown config key"):
-            read_config_file(p)
+    def test_unknown_key(self, tmp_path, capsys):
+        self._assert_unknown_key(tmp_path, capsys, "learning_rate")
 
-    def test_malformed_line(self, tmp_path):
-        p = tmp_path / "run.cfg"
-        p.write_text("depth 4\n")
-        with pytest.raises(DataError, match="key = value"):
-            read_config_file(p)
+    @pytest.mark.parametrize("key", ["data", "sbm", "out", "config"])
+    def test_flags_that_are_no_config_keys(self, tmp_path, capsys, key):
+        # the flags that name the data, the output and the file itself
+        self._assert_unknown_key(tmp_path, capsys, key)
 
-    def test_zero_and_one_are_numbers_except_for_bool_keys(self, tmp_path):
-        p = tmp_path / "run.cfg"
-        p.write_text("seed = 0\ndropout_p = 0\nrepeats = 1\npairnorm_s = 1\n"
-                     "use_lora = 0\nfixed_splits = 1\n")
-        cfg = read_config_file(p)
-        assert cfg == {"seed": 0, "dropout_p": 0, "repeats": 1, "pairnorm_s": 1,
-                       "use_lora": False, "fixed_splits": True}
-        assert all(type(cfg[k]) is int for k in ("seed", "dropout_p", "repeats", "pairnorm_s"))
-        build_train_config(Namespace(), cfg).validate()
+    @staticmethod
+    def _assert_unknown_key(tmp_path, capsys, key):
+        (tmp_path / "run.cfg").write_text(f"\n{key} = 0.1\n")
+        rc = main(["train", "--sbm", SBM, "--config", str(tmp_path / "run.cfg"),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert f"run.cfg:2: unknown config key {key!r}" in capsys.readouterr().err
 
-    def test_precedence_flag_over_file_over_default(self, tmp_path):
-        p = tmp_path / "run.cfg"
-        p.write_text("depth = 6\nlr = 0.5\n")
-        cfg_file = read_config_file(p)
-        args = Namespace(depth=2)  # flag set; lr absent
-        cfg = build_train_config(args, cfg_file)
+    def test_malformed_line(self, tmp_path, capsys):
+        (tmp_path / "run.cfg").write_text("depth 4\n")
+        rc = main(["train", "--sbm", SBM, "--config", str(tmp_path / "run.cfg"),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "run.cfg:1: expected 'key = value'" in capsys.readouterr().err
+
+    def test_zero_and_one_are_numbers_except_for_bool_keys(self, monkeypatch, tmp_path):
+        cfg, _, _, repeats, fixed = _config_settings(
+            monkeypatch, tmp_path, "seed = 0\ndropout_p = 0\nrepeats = 1\npairnorm_s = 1\n"
+                                   "use_lora = 0\nfixed_splits = 1\n")
+        assert (type(cfg.seed), type(repeats)) == (int, int)
+        assert (type(cfg.dropout_p), type(cfg.pairnorm_s)) == (float, float)
+        assert (cfg.seed, cfg.dropout_p, repeats, cfg.pairnorm_s) == (0, 0.0, 1, 1.0)
+        assert cfg.use_lora is False and fixed is True
+        cfg.validate()
+
+    def test_precedence_flag_over_file_over_default(self, monkeypatch, tmp_path):
+        cfg, *_ = _config_settings(monkeypatch, tmp_path, "depth = 6\nlr = 0.5\n",
+                                   "--depth", "2")
         assert cfg.depth == 2  # flag wins
         assert cfg.lr == 0.5  # file beats default
         assert cfg.hidden_dim == 64  # default survives
 
+    @pytest.mark.parametrize("line, match", [
+        ("fixed_splits = maybe", "run.cfg:1: fixed_splits must be true or false, not 'maybe'"),
+        ("depth = none", "argument --depth: invalid int value: 'none'"),
+        ("trainer = null", "argument --trainer: invalid choice: 'null'"),
+    ])
+    def test_bad_value_is_usage_error(self, tmp_path, capsys, line, match):
+        # none and null leave unset only the keys whose default is None
+        (tmp_path / "run.cfg").write_text(line + "\n")
+        rc = main(["train", "--sbm", SBM, "--config", str(tmp_path / "run.cfg"),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert match in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+
+def _generator_args(monkeypatch, argv):
+    """The arguments ``generate_sbm`` gets from a command, which then stops."""
+    seen = []
+
+    def capture(*args):
+        seen.append(args)
+        raise ValueError("arguments taken")
+
+    monkeypatch.setattr(gdata, "generate_sbm", capture)
+    assert main(argv) == 1
+    assert len(seen) == 1
+    return seen[0]
+
 
 class TestSbmSpec:
-    def test_defaults_fill(self):
-        spec = _parse_sbm_spec("classes=3")
-        assert spec["classes"] == 3 and spec["nodes_per_class"] == 100
-        assert spec["p_in"] == 0.1 and spec["seed"] == 0
+    def test_defaults_fill(self, monkeypatch, tmp_path):
+        # a field is parsed by its prepare sbm flag, and a missing one takes its default
+        got = _generator_args(monkeypatch, ["train", "--sbm", "classes=3", "--out", str(tmp_path)])
+        want = _generator_args(monkeypatch, ["prepare", "sbm", "--classes", "3",
+                                             "--out", str(tmp_path)])
+        assert repr(got) == repr(want) == repr((3, 100, 0.1, 0.01, 32, 2.0, 0))
 
-    def test_unknown_field(self):
-        with pytest.raises(UsageError, match="unknown --sbm fields"):
-            _parse_sbm_spec("classes=3,density=0.5")
+    def test_unknown_field(self, tmp_path, capsys):
+        rc = main(["train", "--sbm", "classes=3,density=0.5", "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: unknown --sbm field 'density'\n"
 
-    def test_bad_value(self):
-        with pytest.raises(UsageError, match="bad --sbm value"):
-            _parse_sbm_spec("p_in=dense")
+    @pytest.mark.parametrize("field", ["sig", "per-class"])
+    def test_field_is_matched_whole(self, tmp_path, capsys, field):
+        # neither an abbreviation nor the spelling of a flag names a field
+        rc = main(["train", "--sbm", f"{field}=3", "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: unknown --sbm field {field!r}\n"
 
-    def test_missing_equals(self):
-        with pytest.raises(UsageError, match="expected k=v"):
-            _parse_sbm_spec("classes")
+    def test_bad_value(self, tmp_path, capsys):
+        rc = main(["train", "--sbm", "p_in=dense", "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert "argument --p-in: invalid float value: 'dense'" in capsys.readouterr().err
+
+    def test_missing_equals(self, tmp_path, capsys):
+        rc = main(["train", "--sbm", "classes", "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert "expected k=v" in capsys.readouterr().err
+
+    def test_spec_and_prepare_flags_give_equal_bundles(self, tmp_path):
+        assert main(["prepare", "sbm", "--classes", "2", "--per-class", "25", "--p-in", "0.3",
+                     "--p-out", "0.05", "--f", "8", "--out", str(tmp_path / "flags")]) == 0
+        save_bundle(cli._load_dataset(Namespace(sbm=SBM)), tmp_path / "spec")
+        for name in ("meta.json", "edges.tsv", "features.csv", "labels.txt", "splits.json"):
+            assert (tmp_path / "spec" / name).read_bytes() == \
+                (tmp_path / "flags" / name).read_bytes()
 
 
 class TestPrepare:
@@ -124,6 +241,8 @@ class TestPrepare:
     @pytest.mark.parametrize("flags, match", [
         (["--classes", "1"], "at least 2 classes"),
         (["--classes", "4", "--f", "3"], "need f >= classes"),
+        # checked before the 10,000-node graph is drawn
+        (["--classes", "500", "--per-class", "20", "--f", "500"], "no room for val/test"),
     ])
     def test_sbm_bad_shape_is_usage_error(self, tmp_path, capsys, flags, match):
         rc = main(["prepare", "sbm", *flags, "--out", str(tmp_path / "x")])
@@ -375,7 +494,9 @@ class TestExitCodes:
         rc = main(["sweep", "--axis", "depth", "--values", "1", "--sbm", SBM,
                    "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert rc == 1
-        assert f"unknown {line.split()[0]}" in capsys.readouterr().err
+        # the message of the flag the key stands for
+        key, _, value = line.split()
+        assert f"argument --{key}: invalid choice: {value!r}" in capsys.readouterr().err
 
     def test_empty_features_file_prints_one_error_line(self, tmp_path):
         bundle = save_bundle(generate_sbm(2, 25, 0.3, 0.05, f=8, signal=2.0, seed=0),

@@ -208,7 +208,7 @@ class TestGenerateSbm:
             generate_sbm(2, 30, 0.1, 0.2, f=4, signal=1.0, seed=0)
         with pytest.raises(ValueError):
             generate_sbm(4, 30, 0.1, 0.01, f=2, signal=1.0, seed=0)
-        with pytest.raises(DataError, match="no room"):
+        with pytest.raises(ValueError, match="no room"):
             generate_sbm(2, 20, 0.5, 0.1, f=4, signal=1.0, seed=0)
 
 
