@@ -14,7 +14,6 @@ from .layers import (
     GcnLayer,
     LayerStack,
     LoraAdapter,
-    PairNormConfig,
     glorot_init,
     identity_init,
     make_adapter,

@@ -21,6 +21,8 @@ from .errors import DataError
 from . import layers as ly
 
 MAGIC = b"GCNSTCK1"
+# the LayerStack settings the header holds by field name, in header order
+SETTINGS = ("dropout_p", "pairnorm_s", "sgc_steps", "row_normalize")
 
 
 def _header(stack):
@@ -35,10 +37,7 @@ def _header(stack):
         "format": 1,
         "layers": layers,
         "head": list(stack.head.data.shape),
-        "dropout_p": stack.dropout_p,
-        "pairnorm_s": None if stack.pairnorm is None else stack.pairnorm.s,
-        "sgc_steps": stack.sgc_steps,
-        "row_normalize": stack.row_normalize,
+        **{k: getattr(stack, k) for k in SETTINGS},
         "arrays": [[name, list(t.data.shape)] for name, t in stack.named_parameters()],
     }
 
@@ -74,7 +73,7 @@ def load_checkpoint(path):
         raise DataError(f"corrupt checkpoint header: {e}", file=path) from e
     if not isinstance(header, dict):
         raise DataError("checkpoint header is not a JSON object", file=path)
-    if header.get("format") != 1:
+    if type(header.get("format")) is not int or header["format"] != 1:
         raise DataError(f"unsupported checkpoint format {header.get('format')}", file=path)
     try:
         return _stack_from(header, blob, 12 + hlen, path)
@@ -103,6 +102,7 @@ def _stack_from(header, blob, offset, path):
         if mode not in ly.MODES:
             raise DataError(f"unknown layer mode {mode!r}", file=path)
         w = Tensor(data[f"layer{i}.W"], requires_grad=(mode == "trainable"))
+        _check_dims(f"layer {i} dims", [entry["d_in"], entry["d_out"]], w.data.shape)
         adapter = None
         if mode == "frozen_lora":
             adapter = ly.LoraAdapter(
@@ -113,12 +113,13 @@ def _stack_from(header, blob, offset, path):
             )
         layers.append(ly.GcnLayer(w, adapter=adapter))
 
-    stack = ly.LayerStack(
-        layers=layers,
-        head=Tensor(data["head"], requires_grad=True),
-        dropout_p=header["dropout_p"],
-        pairnorm=None if header["pairnorm_s"] is None else ly.PairNormConfig(header["pairnorm_s"]),
-        sgc_steps=header["sgc_steps"],
-        row_normalize=header["row_normalize"],
-    )
+    _check_dims("head", header["head"], data["head"].shape)
+    stack = ly.LayerStack(layers=layers, head=Tensor(data["head"], requires_grad=True),
+                          **{k: header[k] for k in SETTINGS})
     return stack.check()
+
+
+def _check_dims(what, dims, shape):
+    """Raise ValueError unless a header's ``dims`` are ``shape``'s ints, not bools or floats."""
+    if [type(v) for v in dims] != [int] * len(shape) or list(dims) != list(shape):
+        raise ValueError(f"{what} {dims!r} do not match the array's shape {shape}")

@@ -78,6 +78,10 @@ def read_config_file(path, flags):
             tokens[key] = None
         else:
             tokens[key] = f"{flag}={raw}"
+            # the flag's own type and choices, in a parser whose errors name the line
+            check = Parser(prog=f"{path}:{lineno}", add_help=False)
+            check.add_argument(flag, type=flags[key].type, choices=flags[key].choices)
+            check.parse_args([tokens[key]])
     return [t for t in tokens.values() if t is not None]
 
 

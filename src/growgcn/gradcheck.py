@@ -75,7 +75,7 @@ def run_case(seed, eps=1e-5, use_pairnorm=None):
     stack = ly.LayerStack(
         layers=[ly.GcnLayer(w_in), frozen],
         head=Tensor(ly.glorot_init(d, c, rng, dt), requires_grad=True),
-        pairnorm=ly.PairNormConfig(1.0) if use_pairnorm else None, row_normalize=False,
+        pairnorm_s=1.0 if use_pairnorm else None, row_normalize=False,
     ).check()
     err = _check_stack(stack, L, X, labels, mask, eps)
 

@@ -16,6 +16,11 @@ def identity_init(d, dtype=np.float32):
     return np.eye(d, dtype=dtype)
 
 
+def _finite_real(v):
+    """Whether ``v`` is a finite real number that is not a bool."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def glorot_init(d_in, d_out, rng, dtype=np.float32):
     """Uniform(-a, a) with a = sqrt(6 / (d_in + d_out))."""
     rng = np.random.default_rng(rng)
@@ -39,9 +44,8 @@ class LoraAdapter:
             raise ValueError(f"adapter factors have rank {r_a}/{r_b}, declared {self.rank}")
         if not 1 <= self.rank <= min(d_in, d_out):
             raise ValueError(f"rank {self.rank} outside [1, min({d_in}, {d_out})]")
-        a = self.alpha
-        if isinstance(a, bool) or not isinstance(a, numbers.Real) or not math.isfinite(a):
-            raise ValueError(f"adapter alpha must be a finite number, not {a!r}")
+        if not _finite_real(self.alpha):
+            raise ValueError(f"adapter alpha must be a finite number, not {self.alpha!r}")
 
     @property
     def scaling(self):
@@ -122,23 +126,14 @@ class GcnLayer:
         self.adapter = None
 
 
-@dataclass
-class PairNormConfig:
-    s: float = 1.0
-
-    def __post_init__(self):
-        if self.s <= 0:
-            raise ValueError("pairnorm scale must be positive")
-
-
-def pairnorm(h, cfg):
+def pairnorm(h, s):
     """Center columns, then rescale so the Frobenius norm is s * sqrt(n).
 
     A zero matrix (after centering) maps to zero.
     """
     centered = h.data - h.data.mean(axis=0, keepdims=True)
     fro = float(np.sqrt((centered * centered).sum()))
-    k = cfg.s * math.sqrt(h.data.shape[0]) / fro if fro else 0.0
+    k = s * math.sqrt(h.data.shape[0]) / fro if fro else 0.0
 
     def bwd(g):
         if not fro:
@@ -239,22 +234,28 @@ class LayerStack:
 
     ``layers == []`` with ``sgc_steps >= 1`` is the parameter-free propagation
     baseline: features are propagated sgc_steps times, then the head applies.
+    ``pairnorm_s`` None means no PairNorm.
     """
 
     layers: list = field(default_factory=list)
     head: Tensor = None
     dropout_p: float = 0.0
-    pairnorm: PairNormConfig | None = None
+    pairnorm_s: float | None = None
     sgc_steps: int = 0
     row_normalize: bool = True
 
     def check(self):
-        if not isinstance(self.sgc_steps, int) or self.sgc_steps < 0:
-            raise ValueError(f"sgc_steps {self.sgc_steps!r} is not a count")
-        if bool(self.layers) == (self.sgc_steps > 0):
+        steps, p, s = self.sgc_steps, self.dropout_p, self.pairnorm_s
+        if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 0:
+            raise ValueError(f"sgc_steps {steps!r} is not a count")
+        if bool(self.layers) == (steps > 0):
             raise ValueError("a stack has conv layers or propagation steps, not both")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ValueError(f"dropout p={self.dropout_p} outside [0, 1)")
+        if not (_finite_real(p) and 0.0 <= p < 1.0):
+            raise ValueError(f"dropout p={p!r} outside [0, 1)")
+        if s is not None and not (_finite_real(s) and s > 0):
+            raise ValueError(f"pairnorm scale {s!r} is not a positive number")
+        if not isinstance(self.row_normalize, bool):
+            raise ValueError(f"row_normalize {self.row_normalize!r} is not true or false")
         for i, layer in enumerate(self.layers):
             layer.check()
             if i > 0 and layer.d_in != self.layers[i - 1].d_out:
@@ -381,9 +382,9 @@ def stack_forward(stack, L, X, *, training=False, rng=None, return_hidden=False,
             x = h.data
             h = ad.gcn_layer(op(k), h, layer.W, layer.adapter, None, keep, stack.dropout_p, ws=ws)
             done(x)
-        if stack.pairnorm is not None:
+        if stack.pairnorm_s is not None:
             x = h.data
-            h = pairnorm(h, stack.pairnorm)
+            h = pairnorm(h, stack.pairnorm_s)
             done(x)
         record(h.data)
     logits = ad.matmul(dropout(h, stack.dropout_p, training, rng, rows(0), L.n_rows, ws),

@@ -1,7 +1,7 @@
 """Over-smoothing diagnostics and embedding export."""
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -53,11 +53,7 @@ class CollapseReport:
     per_layer: list = field(default_factory=list)
 
     def to_dict(self):
-        return {
-            "distance_to_constant": self.distance_to_constant,
-            "dirichlet_energy": self.dirichlet_energy,
-            "per_layer": self.per_layer,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d):

@@ -1,7 +1,6 @@
 """Training: configs, Adam, early stopping, and the one trainer, standard or staged."""
 
 import json
-import math
 import numbers
 import time
 from dataclasses import dataclass, asdict
@@ -58,7 +57,7 @@ class TrainConfig:
             v = getattr(self, name)
             if v is None and name in ("dropout_p", "lora_alpha", "lora_lr"):
                 continue
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+            if not ly._finite_real(v):
                 raise ValueError(f"{name} must be a finite number, not {v!r}")
         for name in ("merge_adapters", "use_lora", "row_normalize_features"):
             if not isinstance(getattr(self, name), bool):
@@ -205,9 +204,7 @@ class TrainReport:
         return sum(s.epochs_run for s in self.stages)
 
     def to_dict(self):
-        d = asdict(self)
-        d["collapse"] = None if self.collapse is None else self.collapse.to_dict()
-        return d
+        return asdict(self)
 
     def to_json(self, **kw):
         return json.dumps(self.to_dict(), **kw)
@@ -317,7 +314,7 @@ def _build_stack(data, cfg, variant, rng, dropout_p, depth):
                 for a, b in zip(widths, widths[1:])],
         head=Tensor(ly.glorot_init(widths[-1], data.C, rng, np.float32), requires_grad=True),
         dropout_p=dropout_p,
-        pairnorm=ly.PairNormConfig(cfg.pairnorm_s) if variant == "gcn+pairnorm" else None,
+        pairnorm_s=cfg.pairnorm_s if variant == "gcn+pairnorm" else None,
         sgc_steps=depth if variant == "sgc" else 0,
         row_normalize=cfg.row_normalize_features,
     ).check()
@@ -366,39 +363,37 @@ class RowCone:
 def _row_cone(stack, L, data, hops):
     """The ``RowCone`` of the train and val rows, or None for PairNorm, which centres over
     every row. Dropout keeps the cone: it gives the cone's rows their full-input masks."""
-    if stack.pairnorm is not None:
+    if stack.pairnorm_s is not None:
         return None
     return RowCone(L, np.union1d(data.splits.train, data.splits.val), hops)
 
 
-def _stage_plan(stack, L, Xp, LX, cone):
+def _stage_plan(stack, L, LX, cone):
     """The ``ForwardPlan`` of one stage; None under dropout without a cone.
 
-    ``LX`` is formed once per call: ``L @ Xp`` (None under dropout), or
-    ``L^K @ Xp`` for the propagation-only stack, whose plan starts at the
-    head from it at any dropout (formed here when None). At dropout 0 a conv
-    stack's plan starts at the first layer that trains or has an adapter,
-    from its input ``L @ H`` formed here once per stage (the leading frozen
-    layers give the same features all stage), plus ``C`` for an adapter.
+    ``LX`` is formed once per call: ``L^K @ Xp`` for the propagation-only
+    stack, whose plan starts at the head from it at any dropout, else
+    ``L @ Xp``, which a conv stack reads only at dropout 0. Then its plan
+    starts at the first layer that trains or has an adapter, from its input
+    ``L @ H`` formed here once per stage (the leading frozen layers give the
+    same features all stage), plus ``C`` for an adapter.
     Dropout redraws its masks before every layer, so then the plan holds
     only the ``cone``, which restricts the plan's constants and forward to
     its rows (not for PairNorm, which centres over every row).
     """
-    if cone is not None and stack.pairnorm is not None:
+    if cone is not None and stack.pairnorm_s is not None:
         raise ValueError("a row cone cannot restrict a stack with PairNorm")
     if stack.sgc_steps:
-        inp = ly.sgc_propagate(L, Xp, stack.sgc_steps) if LX is None else LX
-        return ly.ForwardPlan(inp=inp if cone is None else inp[cone.rows(0)], cone=cone)
+        return ly.ForwardPlan(inp=LX if cone is None else LX[cone.rows(0)], cone=cone)
     if stack.dropout_p > 0.0:
         return None if cone is None else ly.ForwardPlan(cone=cone)
     layers = stack.layers
-    inp = ad.spmm(L, Tensor(Xp)).data if LX is None else LX
-    start = 0
+    inp, start = LX, 0
     while (start < len(layers) - 1 and not layers[start].W.requires_grad
            and layers[start].adapter is None):
         h = ad.gcn_layer(None, Tensor(inp), layers[start].W)
-        if stack.pairnorm is not None:
-            h = ly.pairnorm(h, stack.pairnorm)
+        if stack.pairnorm_s is not None:
+            h = ly.pairnorm(h, stack.pairnorm_s)
         inp = ad.spmm(L, h).data
         start += 1
     if cone is not None:
@@ -477,7 +472,7 @@ def train(data, cfg, trainer="standard", variant="gcn", on_stage_start=None,
         if adapters:
             groups.append({"params": adapters, "lr": cfg.resolved_lora_lr(), "weight_decay": 0.0})
 
-        plan = _stage_plan(stack, L, Xp, LX, cone)
+        plan = _stage_plan(stack, L, LX, cone)
 
         def forward(training):
             ws.reset()

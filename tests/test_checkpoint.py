@@ -10,7 +10,6 @@ from growgcn import (
     DataError,
     GcnLayer,
     LayerStack,
-    PairNormConfig,
     Tensor,
     TrainConfig,
     build_adjacency,
@@ -37,7 +36,7 @@ def _lora_stack(f, c):
         layers=[inp, mid, new],
         head=Tensor(glorot_init(d, c, rng), requires_grad=True),
         dropout_p=0.25,
-        pairnorm=PairNormConfig(1.5),
+        pairnorm_s=1.5,
     ).check()
 
 
@@ -58,9 +57,7 @@ def _assert_same_stack(a, b):
     assert a.dropout_p == b.dropout_p
     assert a.sgc_steps == b.sgc_steps
     assert a.row_normalize == b.row_normalize
-    assert (a.pairnorm is None) == (b.pairnorm is None)
-    if a.pairnorm is not None:
-        assert a.pairnorm.s == b.pairnorm.s
+    assert repr(a.pairnorm_s) == repr(b.pairnorm_s)
 
 
 class TestRoundtrip:
@@ -91,6 +88,12 @@ class TestRoundtrip:
         back = load_checkpoint(save_checkpoint(stack, tmp_path / "lgt.ckpt"))
         _assert_same_stack(stack, back)
         assert any(l.adapter is not None for l in back.layers)
+
+    def test_pairnorm_scale_roundtrips_as_a_float(self, tiny_dataset, tmp_path):
+        stack = _lora_stack(tiny_dataset.f, tiny_dataset.C)
+        stack.pairnorm_s = 0.3
+        back = load_checkpoint(save_checkpoint(stack, tmp_path / "pn.ckpt"))
+        assert type(back.pairnorm_s) is float and back.pairnorm_s == 0.3
 
     def test_file_is_stable_across_saves(self, tiny_dataset, tmp_path):
         stack = _lora_stack(tiny_dataset.f, tiny_dataset.C)
@@ -170,9 +173,22 @@ class TestCorruptFiles:
         (lambda h: h.update(sgc_steps=2), "conv layers or propagation steps, not both"),
         *[(lambda h, a=alpha: h["layers"][0].update(alpha=a),
            "adapter alpha must be a finite number") for alpha in ("abc", None, [1], 1e999)],
+        *[(lambda h, s=s: h.update(pairnorm_s=s), "pairnorm scale")
+          for s in (float("nan"), 1e999, True)],
+        (lambda h: h.update(sgc_steps=True), "sgc_steps"),
+        *[(lambda h, r=r: h.update(row_normalize=r), "row_normalize") for r in ("no", 0)],
+        (lambda h: h.update(dropout_p=False), "dropout p="),
+        (lambda h: h["layers"][0].update(d_in=999), r"layer 0 dims \[999, 6\] do not match"),
+        (lambda h: h["layers"][1].update(d_out="x"), r"layer 1 dims \[6, 'x'\]"),
+        (lambda h: h["layers"][0].update(d_in=float(h["layers"][0]["d_in"])), "layer 0 dims"),
+        (lambda h: h["head"].reverse(), r"head \[\d+, 6\] do not match"),
+        (lambda h: h.update(format=True), "unsupported checkpoint format"),
     ], ids=["no-arrays", "unknown-mode", "dropout", "sgc-steps", "pairnorm", "rank",
             "arrays-type", "flat-array", "infinite-dim", "conv-and-steps",
-            "alpha-text", "alpha-null", "alpha-list", "alpha-infinite"])
+            "alpha-text", "alpha-null", "alpha-list", "alpha-infinite",
+            "pairnorm-nan", "pairnorm-infinite", "pairnorm-bool", "sgc-steps-bool",
+            "row-normalize-text", "row-normalize-int", "dropout-bool",
+            "d-in", "d-out-text", "d-in-float", "head", "format-bool"])
     def test_malformed_header_is_data_error(self, tiny_dataset, tmp_path, edit, match):
         blob = self._good_blob(tiny_dataset, tmp_path)
         (hlen,) = struct.unpack("<I", blob[8:12])

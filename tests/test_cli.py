@@ -168,6 +168,28 @@ class TestConfigFile:
         assert match in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("line, match", [
+        ("depth = none", "argument --depth: invalid int value: 'none'"),
+        ("variant = gat", "argument --variant: invalid choice: 'gat'"),
+    ])
+    def test_bad_value_names_the_file_and_line(self, tmp_path, capsys, line, match):
+        # each value is parsed by its flag's type and choices as its line is read
+        (tmp_path / "run.cfg").write_text(f"# a comment\n{line}\n")
+        rc = main(["train", "--sbm", SBM, "--config", str(tmp_path / "run.cfg"),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"run.cfg:2: {match}" in err
+
+    def test_bad_flag_value_is_not_blamed_on_the_file(self, tmp_path, capsys):
+        (tmp_path / "run.cfg").write_text("depth = 3\n")
+        rc = main(["train", "--sbm", SBM, "--config", str(tmp_path / "run.cfg"),
+                   "--depth", "none", "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: growgcn train: argument --depth: invalid int value: 'none'\n"
+
 
 def _generator_args(monkeypatch, argv):
     """The arguments ``generate_sbm`` gets from a command, which then stops."""

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from growgcn import (
     GcnLayer,
     LayerStack,
-    PairNormConfig,
     Tensor,
     build_adjacency,
     glorot_init,
@@ -124,13 +123,13 @@ class TestPairNorm:
         rng = np.random.default_rng(0)
         h = Tensor(rng.standard_normal((13, 6)))
         for s in (1.0, 2.5):
-            out = ly.pairnorm(h, PairNormConfig(s)).data
+            out = ly.pairnorm(h, s).data
             assert abs(np.linalg.norm(out) - s * np.sqrt(13)) < 1e-5
             assert np.allclose(out.mean(axis=0), 0.0, atol=1e-12)
 
     def test_zero_input_maps_to_zero(self):
         h = Tensor(np.zeros((4, 3)), requires_grad=True)
-        out = ly.pairnorm(h, PairNormConfig(1.0))
+        out = ly.pairnorm(h, 1.0)
         assert np.all(out.data == 0.0)
         loss = ad.masked_cross_entropy(ad.log_softmax_rows(out), [0, 1, 2, 0], [0, 1])
         loss.backward()
@@ -138,22 +137,18 @@ class TestPairNorm:
 
     def test_constant_rows_map_to_zero(self):
         h = Tensor(np.ones((5, 2)) * 3.7)
-        assert np.all(ly.pairnorm(h, PairNormConfig(1.0)).data == 0.0)
+        assert np.all(ly.pairnorm(h, 1.0).data == 0.0)
 
     def test_gradient(self):
         rng = np.random.default_rng(4)
         h = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
 
         def f():
-            out = ly.pairnorm(h, PairNormConfig(1.5))
+            out = ly.pairnorm(h, 1.5)
             return ad.masked_cross_entropy(ad.log_softmax_rows(out), [0, 1, 2, 3, 0, 1],
                                            [0, 2, 4])
 
         assert grad_check(f, [h]) < 1e-7
-
-    def test_rejects_bad_scale(self):
-        with pytest.raises(ValueError):
-            PairNormConfig(0.0)
 
 
 class TestDropout:
@@ -300,6 +295,29 @@ class TestLayerStack:
         st = _plain_stack(rng, 6, 4, 4, 2)
         st.layers.append(GcnLayer(Tensor(np.ones((5, 4)), requires_grad=True)))
         with pytest.raises(ValueError, match="input dim"):
+            st.check()
+
+    @pytest.mark.parametrize("setting, value, match", [
+        ("sgc_steps", True, "sgc_steps"),
+        ("sgc_steps", 1.0, "sgc_steps"),
+        ("sgc_steps", -1, "sgc_steps"),
+        ("dropout_p", False, "dropout p="),
+        ("dropout_p", float("nan"), "dropout p="),
+        ("dropout_p", 1.0, "dropout p="),
+        ("dropout_p", "0.5", "dropout p="),
+        ("pairnorm_s", 0.0, "pairnorm scale"),
+        ("pairnorm_s", float("inf"), "pairnorm scale"),
+        ("pairnorm_s", float("nan"), "pairnorm scale"),
+        ("pairnorm_s", True, "pairnorm scale"),
+        ("row_normalize", "no", "row_normalize"),
+        ("row_normalize", 0, "row_normalize"),
+    ], ids=["steps-bool", "steps-float", "steps-negative", "dropout-bool", "dropout-nan",
+            "dropout-one", "dropout-text", "pairnorm-zero", "pairnorm-inf", "pairnorm-nan",
+            "pairnorm-bool", "row-normalize-text", "row-normalize-int"])
+    def test_check_rejects_bad_setting(self, setting, value, match):
+        st = _plain_stack(np.random.default_rng(0), 6, 4, 4, 2).check()
+        setattr(st, setting, value)
+        with pytest.raises(ValueError, match=match):
             st.check()
 
     def test_sgc_stack_needs_steps(self):

@@ -250,7 +250,7 @@ class TestStandardTrainer:
     def test_pairnorm_variant_builds(self, tiny_dataset):
         cfg = make_cfg(depth=2, max_epochs=3, patience=3, pairnorm_s=2.0)
         stack, _ = train(tiny_dataset, cfg, trainer="standard", variant="gcn+pairnorm")
-        assert stack.pairnorm is not None and stack.pairnorm.s == 2.0
+        assert stack.pairnorm_s == 2.0
 
     def test_loss_reduction_scales_first_epoch(self, tiny_dataset):
         kw = dict(depth=2, max_epochs=1, patience=1, seed=5)
@@ -404,7 +404,7 @@ class TestStageCaches:
         stack = self._lora_stack(tiny_dataset.f, 6, tiny_dataset.C, rng, zero_b=True)
         L = normalized_laplacian(tiny_dataset.adjacency)
         Xp = ly.prepare_features(stack, tiny_dataset.X)
-        plan = _stage_plan(stack, L, Xp, None, None)
+        plan = _stage_plan(stack, L, ad.spmm(L, Tensor(Xp)).data, None)
         # the frozen layer 0 is folded into the plan; layer 1 starts from S and C
         assert plan.start == 1 and plan.C is not None
         fast = ly.stack_forward(stack, L, Xp, prepared=True, plan=plan).data
@@ -416,7 +416,7 @@ class TestStageCaches:
         stack = self._lora_stack(tiny_dataset.f, 6, tiny_dataset.C, rng, zero_b=False)
         L = normalized_laplacian(tiny_dataset.adjacency)
         Xp = ly.prepare_features(stack, tiny_dataset.X)
-        plan = _stage_plan(stack, L, Xp, None, None)
+        plan = _stage_plan(stack, L, ad.spmm(L, Tensor(Xp)).data, None)
         fast = ly.stack_forward(stack, L, Xp, prepared=True, plan=plan).data
         plain = ly.stack_forward(stack, L, Xp, prepared=True).data
         assert np.allclose(fast, plain, rtol=1e-9, atol=1e-12)
@@ -426,8 +426,8 @@ class TestStageCaches:
         stack = self._lora_stack(tiny_dataset.f, 6, tiny_dataset.C, rng, zero_b=False)
         stack.dropout_p = 0.4
         L = normalized_laplacian(tiny_dataset.adjacency)
-        Xp = ly.prepare_features(stack, tiny_dataset.X)
-        assert _stage_plan(stack, L, Xp, None, None) is None
+        # train forms no L @ Xp for a conv stack under dropout
+        assert _stage_plan(stack, L, None, None) is None
 
 
 def _random_stage_stack(rng, f, d, c, stage, pairnorm, lora, merged):
@@ -449,7 +449,7 @@ def _random_stage_stack(rng, f, d, c, stage, pairnorm, lora, merged):
     return LayerStack(
         layers=frozen + [new],
         head=Tensor(glorot_init(d, c, rng, np.float64), requires_grad=True),
-        pairnorm=ly.PairNormConfig(1.5) if pairnorm else None, row_normalize=False,
+        pairnorm_s=1.5 if pairnorm else None, row_normalize=False,
     ).check()
 
 
@@ -487,7 +487,7 @@ class TestCachedForwardOracle:
         plain = _loss_and_grads(
             stack, ly.stack_forward(stack, L, Xp, training=True, prepared=True),
             labels, train_idx)
-        plan = _stage_plan(stack, L, Xp, LX, None)
+        plan = _stage_plan(stack, L, LX, None)
         # from stage 2 on, layer 0 is frozen and leaves the per-epoch forward:
         # the plan starts past it, or its product with W0 is the plan's C
         assert (plan.start > 0 or plan.C is not None) == (stage > 1)
@@ -712,11 +712,10 @@ class TestRowConeOracle:
         lora=st.booleans(),
         merged=st.lists(st.booleans(), min_size=3, max_size=3),
         every_row=st.booleans(),
-        use_lx=st.booleans(),
         dropout=st.booleans(),
     )
     def test_rows_loss_and_gradients_match_plain_forward(self, seed, stage, lora, merged,
-                                                         every_row, use_lx, dropout):
+                                                         every_row, dropout):
         rng = np.random.default_rng(seed)
         n, f, d, c = 16, 7, 5, 3
         adjacency, isolated = _graph_with_components(rng, n, int(rng.integers(1, 4)))
@@ -744,8 +743,9 @@ class TestRowConeOracle:
         plain_logits = ly.stack_forward(stack, L, Xp, training=True, rng=rng_plain,
                                         prepared=True)
         plain = _loss_and_grads(stack, plain_logits, labels, train_idx)
-        LX = ad.spmm(L, Tensor(Xp)).data if use_lx else None
-        plan = _stage_plan(stack, L, Xp, LX, cone)
+        # train forms no L @ Xp for a conv stack under dropout
+        LX = None if dropout else ad.spmm(L, Tensor(Xp)).data
+        plan = _stage_plan(stack, L, LX, cone)
         # under dropout the plan holds only the cone, and the forward starts at the input
         assert (plan.inp is None) == dropout
         logits = ly.stack_forward(stack, L, Xp, training=True, rng=rng_cone, prepared=True,
@@ -778,9 +778,9 @@ class TestRowConeOracle:
         np.testing.assert_allclose(logits.data, plain.data[cone.rows(0)], rtol=1e-12,
                                    atol=1e-12)
 
-    @pytest.mark.parametrize("use_lx", [False, True])
+    @pytest.mark.parametrize("use_cone", [False, True])
     @pytest.mark.parametrize("dropout_p", [0.0, 0.5])
-    def test_stage_plan_of_propagation_only_stack(self, dropout_p, use_lx):
+    def test_stage_plan_of_propagation_only_stack(self, dropout_p, use_cone):
         rng = np.random.default_rng(6)
         n, f, c, steps = 18, 6, 3, 3
         L = normalized_laplacian(random_graph(rng, n))
@@ -788,18 +788,20 @@ class TestRowConeOracle:
         stack = LayerStack(sgc_steps=steps, dropout_p=dropout_p,
                            head=Tensor(glorot_init(f, c, rng, np.float64), requires_grad=True),
                            row_normalize=False).check()
-        cone = RowCone(L, [1, 4, 12], 0)
+        cone = RowCone(L, [1, 4, 12], 0) if use_cone else None
+        rows = cone.rows(0) if use_cone else np.arange(n)
         LKX = ly.sgc_propagate(L, Xp, steps)
-        plan = _stage_plan(stack, L, Xp, LKX.copy() if use_lx else None, cone)
-        # at any dropout the plan starts at the head, from L^K Xp on the cone's rows
+        plan = _stage_plan(stack, L, LKX, cone)
+        # at any dropout the plan starts at the head, from L^K Xp on the cone's rows (all
+        # rows without a cone)
         assert plan.cone is cone and plan.C is None
-        assert np.array_equal(plan.inp, LKX[cone.rows(0)])
+        assert np.array_equal(plan.inp, LKX[rows])
         rng_plain, rng_plan = np.random.default_rng(0), np.random.default_rng(0)
         plain = ly.stack_forward(stack, L, Xp, training=True, rng=rng_plain, prepared=True)
         logits = ly.stack_forward(stack, L, Xp, training=True, rng=rng_plan, prepared=True,
                                   plan=plan)
         assert rng_plan.bit_generator.state == rng_plain.bit_generator.state
-        np.testing.assert_allclose(logits.data, plain.data[cone.rows(0)], rtol=1e-12,
+        np.testing.assert_allclose(logits.data, plain.data[rows], rtol=1e-12,
                                    atol=1e-12)
 
     def test_pairnorm_stack_refuses_a_cone(self, tiny_dataset):
@@ -808,7 +810,7 @@ class TestRowConeOracle:
         L = normalized_laplacian(tiny_dataset.adjacency)
         Xp = ly.prepare_features(stack, tiny_dataset.X)
         with pytest.raises(ValueError, match="PairNorm"):
-            _stage_plan(stack, L, Xp, None, RowCone(L, [0], 2))
+            _stage_plan(stack, L, ad.spmm(L, Tensor(Xp)).data, RowCone(L, [0], 2))
 
 
 def _graph_arrays(loss, dead=frozenset()):
@@ -860,7 +862,8 @@ class TestWorkspaceOracle:
         stack.dropout_p = 0.3 if dropout else 0.0
         # a cone needs a stack without PairNorm
         cone = RowCone(L, rows, 4) if use_cone and not pairnorm else None
-        plan = _stage_plan(stack, L, Xp, None, cone)
+        LX = None if dropout else ad.spmm(L, Tensor(Xp)).data
+        plan = _stage_plan(stack, L, LX, cone)
         if cone is not None:
             labels, train_idx = labels[rows], np.searchsorted(rows, train_idx)
         params = stack.trainable_parameters()
@@ -1030,7 +1033,8 @@ class TestActivationMemory:
             stack = _random_stage_stack(np.random.default_rng(depth), 16, d, 2, depth, False,
                                         True, [False] * depth)
             stack.dropout_p = dropout_p
-            plan = _stage_plan(stack, L, data.X, None, None)
+            LX = None if dropout_p else ad.spmm(L, Tensor(data.X)).data
+            plan = _stage_plan(stack, L, LX, None)
             params = stack.trainable_parameters()
             ws = ad.Workspace()
             tracemalloc.start()
