@@ -18,6 +18,7 @@ import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,22 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+def count(text):
+    """The argparse type of a count: what ``int`` accepts, if it is >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {text!r}")
+    return value
+
+
+def counts(text):
+    """The argparse type of comma-separated counts."""
+    return [count(v) for v in text.split(",")]
+
+
 # ---------------------------------------------------------------- config file
 
 _BOOLS = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
@@ -55,12 +72,8 @@ def read_config_file(path, flags):
     ``flags`` maps each key to its flag's action. A bool key gives its switch when
     the value is the one the switch sets; a later line overrides an earlier one.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as e:
-        raise DataError(str(e), file=path) from e
     tokens = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(gdata._read_text(path).splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -88,8 +101,6 @@ def read_config_file(path, flags):
 def _settings(args, default_trainer, default_repeats):
     """The settings of train and sweep: (cfg, trainer, variant, repeats, fixed_splits)."""
     repeats = default_repeats if args.repeats is None else args.repeats
-    if repeats < 1:
-        raise UsageError("--repeats must be an integer >= 1")
     cfg = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)
                          if getattr(args, f.name) is not None})
     return (cfg, args.trainer or default_trainer, args.variant or "gcn", repeats,
@@ -200,10 +211,12 @@ def run_repeats(data, cfg, trainer, variant, repeats, fixed_splits):
     return stacks, reports
 
 
-def _mean_std(values):
-    if len(values) == 1:
-        return values[0], 0.0
-    return statistics.fmean(values), statistics.stdev(values)
+def _summary(reports):
+    """(mean, std) of the reports' test accuracies, then their mean wall clock and epochs."""
+    accs = [r.test_acc for r in reports]
+    return (statistics.fmean(accs), statistics.stdev(accs) if len(accs) > 1 else 0.0,
+            statistics.fmean(r.total_wall_clock for r in reports),
+            statistics.fmean(r.total_epochs for r in reports))
 
 
 # ---------------------------------------------------------------- subcommands
@@ -236,13 +249,11 @@ def cmd_train(args):
         (out / f"report_seed{cfg.seed + k}.json").write_text(report.to_json(indent=1))
         ckpt.save_checkpoint(stack, out / f"model_seed{cfg.seed + k}.ckpt")
 
-    accs = [r.test_acc for r in reports]
-    walls = [r.total_wall_clock for r in reports]
-    mean, std = _mean_std(accs)
+    mean, std, wall, _ = _summary(reports)
     _write_summary_csv(
         out / "summary.csv",
         [[data.name, trainer, variant, cfg.depth, repeats,
-          f"{mean:.6f}", f"{std:.6f}", f"{statistics.fmean(walls):.3f}"]],
+          f"{mean:.6f}", f"{std:.6f}", f"{wall:.3f}"]],
         ["dataset", "trainer", "variant", "depth", "repeats",
          "mean_test_acc", "std_test_acc", "mean_wall_clock_s"],
     )
@@ -259,22 +270,12 @@ ABLATION_CELLS = (
 )
 
 
-def _run_cell(payload):
-    """Train one checked sweep grid cell; module-level so process pools can pickle it."""
-    _, reports = run_repeats(
-        payload["data"], payload["cfg"], payload["trainer"], payload["variant"],
-        payload["repeats"], payload["fixed_splits"],
-    )
-    accs = [r.test_acc for r in reports]
-    mean, std = _mean_std(accs)
-    return {
-        "label": payload["label"],
-        "value": payload["value"],
-        "mean_acc": mean,
-        "std_acc": std,
-        "mean_wall_clock": statistics.fmean(r.total_wall_clock for r in reports),
-        "mean_epochs": statistics.fmean(r.total_epochs for r in reports),
-    }
+def _run_cell(data, variant, repeats, fixed_splits, cell):
+    """Train one checked sweep cell, ``(label, value, trainer, cfg)``; returns
+    ``(label, value, mean, std, wall, epochs)``. Module-level so process pools can pickle it."""
+    label, value, trainer, cfg = cell
+    _, reports = run_repeats(data, cfg, trainer, variant, repeats, fixed_splits)
+    return (label, value, *_summary(reports))
 
 
 def _format_table(rows, columns):
@@ -288,80 +289,59 @@ def _format_table(rows, columns):
 
 def cmd_sweep(args):
     cfg, trainer, variant, repeats, fixed = _settings(args, "lgt", 5)
-    if args.axis in ("depth", "rank"):
-        if not args.values:
-            raise UsageError(f"--values required for the {args.axis} axis")
-        try:
-            values = [int(v) for v in args.values.split(",")]
-        except ValueError:
-            raise UsageError(f"--values must be comma-separated ints") from None
-        if any(v < 1 for v in values):
-            raise UsageError("axis values must be >= 1")
-    elif args.values:
-        raise UsageError("--values only applies to depth/rank axes")
-    if args.workers < 1:
-        raise UsageError("--workers must be >= 1")
-
     # (label, value, trainer, cfg) of each cell
-    if args.axis == "depth":
-        cells = [(f"depth{v}", v, trainer, replace(cfg, depth=v)) for v in values]
-    elif args.axis == "rank":
-        cells = [(f"rank{v}", v, "lgt", replace(cfg, lora_rank=v)) for v in values]
-    else:
+    if args.axis == "ablation":
+        if args.values:
+            raise UsageError("--values only applies to depth/rank axes")
         cells = [(label, label, cell_trainer, replace(cfg, **overrides))
                  for label, cell_trainer, overrides in ABLATION_CELLS]
-    data = _load_checked(args, [cell[2:] for cell in cells], variant, fixed)
-    payloads = [dict(label=label, value=value, trainer=cell_trainer, cfg=cell_cfg, data=data,
-                     variant=variant, repeats=repeats, fixed_splits=fixed)
-                for label, value, cell_trainer, cell_cfg in cells]
-
-    # the pool forks all its workers at once, so it gets no more than there are cells
-    workers = min(args.workers, len(payloads))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell, payloads))
+    elif not args.values:
+        raise UsageError(f"--values required for the {args.axis} axis")
+    elif args.axis == "depth":
+        cells = [(f"depth{v}", v, trainer, replace(cfg, depth=v)) for v in args.values]
     else:
-        results = [_run_cell(p) for p in payloads]
-
+        cells = [(f"rank{v}", v, "lgt", replace(cfg, lora_rank=v)) for v in args.values]
+    data = _load_checked(args, [cell[2:] for cell in cells], variant, fixed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    csv_rows = [
-        [args.axis, r["label"], r["value"], f"{r['mean_acc']:.6f}", f"{r['std_acc']:.6f}",
-         f"{r['mean_epochs']:.1f}", f"{r['mean_wall_clock']:.3f}"]
-        for r in results
-    ]
-    _write_summary_csv(out / "sweep.csv", csv_rows,
+
+    run = partial(_run_cell, data, variant, repeats, fixed)
+    # the pool forks all its workers at once, so it gets no more than there are cells
+    workers = min(args.workers, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run, cells))
+    else:
+        results = list(map(run, cells))
+
+    _write_summary_csv(out / "sweep.csv",
+                       [[args.axis, label, value, f"{mean:.6f}", f"{std:.6f}", f"{epochs:.1f}",
+                         f"{wall:.3f}"] for label, value, mean, std, wall, epochs in results],
                        ["axis", "cell", "value", "mean_test_acc", "std_test_acc",
                         "mean_epochs", "mean_wall_clock_s"])
-
-    table_rows = [
-        [r["label"], f"{r['mean_acc']:.4f} +/- {r['std_acc']:.4f}",
-         f"{r['mean_epochs']:.1f}", f"{r['mean_wall_clock']:.2f}s"]
-        for r in results
-    ]
-    table = _format_table(table_rows, ["cell", "test_acc", "epochs", "wall_clock"])
+    table = _format_table(
+        [[label, f"{mean:.4f} +/- {std:.4f}", f"{epochs:.1f}", f"{wall:.2f}s"]
+         for label, _, mean, std, wall, epochs in results],
+        ["cell", "test_acc", "epochs", "wall_clock"])
     if args.axis == "rank":
-        best = max(results, key=lambda r: r["mean_acc"])
-        table += f"\nbest mean accuracy at {best['label']}"
+        best = max(results, key=lambda r: r[2])
+        table += f"\nbest mean accuracy at {best[0]}"
     (out / "table.txt").write_text(table + "\n")
     print(table)
     return 0
 
 
 def cmd_gradcheck(args):
-    if args.seeds < 1:
-        raise UsageError("--seeds must be >= 1")
     lo, hi = GRAD_CHECK_EPS
     if not lo <= args.eps <= hi:
         raise UsageError(f"--eps must be in [{lo:g}, {hi:g}]")
     if not 0 < args.threshold < float("inf"):
         raise UsageError("--threshold must be a positive finite number")
-    result = gc.run_suite(seeds=args.seeds, eps=args.eps, threshold=args.threshold,
-                          corrupt_backward=args.corrupt_backward)
+    err = gc.run_suite(seeds=args.seeds, eps=args.eps, corrupt_backward=args.corrupt_backward)
     head_err = max(gc.sgc_head_case(s, eps=args.eps) for s in range(min(args.seeds, 10)))
-    print(f"stack checks: {result.seeds} seeds, max relative error {result.max_error:.3e}")
+    print(f"stack checks: {args.seeds} seeds, max relative error {err:.3e}")
     print(f"propagation head check: max relative error {head_err:.3e}")
-    ok = result.passed and head_err < args.threshold
+    ok = err < args.threshold and head_err < args.threshold
     print(f"{'PASS' if ok else 'FAIL'} (threshold {args.threshold:.1e})")
     if not ok:
         raise NumericalAbort("gradient check failed")
@@ -419,7 +399,7 @@ def _add_train_flags(p):
         add("--alpha", dest="lora_alpha", type=float),
         add("--lora-lr", dest="lora_lr", type=float),
         add("--seed", type=int),
-        add("--repeats", type=int),
+        add("--repeats", type=count),
         add("--loss-reduction", dest="loss_reduction", choices=["mean", "sum"]),
         add("--no-merge-adapters", dest="merge_adapters", action="store_false", default=None),
         add("--no-lora", dest="use_lora", action="store_false", default=None),
@@ -456,12 +436,12 @@ def make_parser():
     sw = sub.add_parser("sweep", help="grid over depth, rank, or ablation cells")
     sw.set_defaults(func=cmd_sweep, config_flags=_add_train_flags(sw))
     sw.add_argument("--axis", choices=["depth", "rank", "ablation"], required=True)
-    sw.add_argument("--values", help="comma-separated ints for depth/rank axes")
-    sw.add_argument("--workers", type=int, default=1)
+    sw.add_argument("--values", type=counts, help="comma-separated ints for depth/rank axes")
+    sw.add_argument("--workers", type=count, default=1)
     sw.add_argument("--out", required=True, help="output directory")
 
     gcp = sub.add_parser("gradcheck", help="randomized gradient verification")
-    gcp.add_argument("--seeds", type=int, default=100)
+    gcp.add_argument("--seeds", type=count, default=100)
     gcp.add_argument("--eps", type=float, default=1e-5)
     gcp.add_argument("--threshold", type=float, default=1e-6)
     gcp.add_argument("--corrupt-backward", action="store_true",
@@ -503,6 +483,9 @@ def main(argv=None):
     except NumericalAbort as e:
         print(f"numerical abort: {e}", file=sys.stderr)
         return 3
+    except OSError as e:  # an unwritable output path; a failed read is a DataError
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     except MemoryError as e:  # an input too large for this machine is a data problem
         print(f"data error: out of memory: {str(e) or 'an allocation failed'}", file=sys.stderr)
         return 2

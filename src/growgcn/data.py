@@ -160,6 +160,8 @@ def load_bundle(path):
             X = np.loadtxt(fpath, delimiter=",", dtype=np.float64, ndmin=2)
     except ValueError as e:
         raise DataError(f"malformed float field ({e})", file=fpath) from e
+    except OSError as e:
+        raise DataError(str(e), file=fpath) from e
     if X.shape[0] == 0:
         raise DataError(f"no data rows, expected n={n} rows of f={f} values", file=fpath)
     if X.shape != (n, f):
@@ -172,18 +174,19 @@ def load_bundle(path):
         raise DataError("non-finite feature value", file=fpath, line=_data_line(fpath, row))
 
     lpath = path / "labels.txt"
-    lines = [ln for ln in _read_text(lpath).splitlines() if ln.strip()]
+    # (file line, text) of each non-blank line
+    lines = [(k, ln) for k, ln in enumerate(_read_text(lpath).splitlines(), 1) if ln.strip()]
     if len(lines) != n:
         raise DataError(f"expected {n} labels, found {len(lines)}", file=lpath)
     labels = np.empty(n, dtype=np.int64)
-    for lineno, line in enumerate(lines, 1):
+    for row, (lineno, line) in enumerate(lines):
         try:
             v = int(line)
         except ValueError:
             raise DataError(f"non-integer label {line!r}", file=lpath, line=lineno) from None
         if not 0 <= v < c:
             raise DataError(f"label {v} outside [0, {c})", file=lpath, line=lineno)
-        labels[lineno - 1] = v
+        labels[row] = v
 
     spath = path / "splits.json"
     raw = _read_json_object(spath)

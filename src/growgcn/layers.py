@@ -55,9 +55,6 @@ class LoraAdapter:
         """(alpha/rank) * A @ B, the array ``GcnLayer.merge_adapter`` adds to W0."""
         return self.scaling * (self.A.data @ self.B.data)
 
-    def param_count(self):
-        return self.A.data.size + self.B.data.size
-
 
 def make_adapter(d_in, d_out, rank, alpha, rng, dtype=np.float32):
     """Fresh adapter: A ~ N(0, 0.02^2), B = 0, so the initial delta is exactly zero."""
@@ -272,14 +269,6 @@ class LayerStack:
     def in_dim(self):
         """Feature width the stack reads: layer 0's, else the head's."""
         return self.layers[0].d_in if self.layers else self.head.data.shape[0]
-
-    @property
-    def hidden_dim(self):
-        return self.head.data.shape[0]
-
-    @property
-    def n_classes(self):
-        return self.head.data.shape[1]
 
     def named_parameters(self):
         """(checkpoint name, tensor) for every weight, in the checkpoint's order:

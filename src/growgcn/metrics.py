@@ -1,7 +1,7 @@
 """Over-smoothing diagnostics and embedding export."""
 
 import csv
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,17 +51,6 @@ class CollapseReport:
     distance_to_constant: float
     dirichlet_energy: float
     per_layer: list = field(default_factory=list)
-
-    def to_dict(self):
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(d):
-        return CollapseReport(
-            distance_to_constant=d["distance_to_constant"],
-            dirichlet_energy=d["dirichlet_energy"],
-            per_layer=list(d.get("per_layer", [])),
-        )
 
 
 def collapse_report(stack, data, per_layer=False):

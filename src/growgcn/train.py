@@ -196,31 +196,15 @@ class StageReport:
 class TrainReport:
     stages: list
     test_acc: float
-    collapse: CollapseReport | None
+    collapse: CollapseReport
     total_wall_clock: float
 
     @property
     def total_epochs(self):
         return sum(s.epochs_run for s in self.stages)
 
-    def to_dict(self):
-        return asdict(self)
-
     def to_json(self, **kw):
-        return json.dumps(self.to_dict(), **kw)
-
-    @staticmethod
-    def from_dict(d):
-        return TrainReport(
-            stages=[StageReport(**s) for s in d["stages"]],
-            test_acc=d["test_acc"],
-            collapse=None if d["collapse"] is None else CollapseReport.from_dict(d["collapse"]),
-            total_wall_clock=d["total_wall_clock"],
-        )
-
-    @staticmethod
-    def from_json(s):
-        return TrainReport.from_dict(json.loads(s))
+        return json.dumps(asdict(self), **kw)
 
 
 def _accuracy(logits, labels, idx):
@@ -252,7 +236,7 @@ def _snapshot(tensors):
 
 def _restore(tensors, snap):
     for t, s in zip(tensors, snap):
-        t.data = s.copy()
+        t.data = s
 
 
 def _fit(forward, mutable, groups, target, cfg, dropout_p):
@@ -269,7 +253,6 @@ def _fit(forward, mutable, groups, target, cfg, dropout_p):
     """
     adam = Adam(groups)
     stopper = EarlyStopper(cfg.patience)
-    best_snap = None
     curve = []
     labels, train_idx, val_idx = target
     logits = None
@@ -291,12 +274,11 @@ def _fit(forward, mutable, groups, target, cfg, dropout_p):
         else:
             logits = forward(False)
             val_acc = _accuracy(logits.data, labels, val_idx)
-        if val_acc > stopper.best:
+        if val_acc > stopper.best:  # always on the first epoch: best starts at -inf
             best_snap = _snapshot(mutable)
         if stopper.update(val_acc):
             break
-    if best_snap is not None:
-        _restore(mutable, best_snap)
+    _restore(mutable, best_snap)
     adam.zero_grad()  # the last gradients may sit in buffers that later forwards reuse
     return StageReport(
         epochs_run=len(curve),

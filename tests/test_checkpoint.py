@@ -234,4 +234,4 @@ def test_damaged_checkpoint_loads_or_is_data_error(tmp_path, cut, edits):
     L = normalized_laplacian(build_adjacency([(0, 1), (1, 2)], 3))
     with np.errstate(all="ignore"):
         logits = stack_forward(back, L, np.ones((3, back.in_dim)))
-    assert logits.shape == (3, back.n_classes)
+    assert logits.shape == (3, back.head.data.shape[1])

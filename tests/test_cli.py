@@ -171,6 +171,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("line, match", [
         ("depth = none", "argument --depth: invalid int value: 'none'"),
         ("variant = gat", "argument --variant: invalid choice: 'gat'"),
+        ("repeats = 0", "argument --repeats: must be an integer >= 1, not '0'"),
     ])
     def test_bad_value_names_the_file_and_line(self, tmp_path, capsys, line, match):
         # each value is parsed by its flag's type and choices as its line is read
@@ -520,6 +521,21 @@ class TestExitCodes:
         key, _, value = line.split()
         assert f"argument --{key}: invalid choice: {value!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["train"], ["sweep", "--axis", "depth", "--values", "1,2"],
+                                         ["prepare", "sbm"]])
+    def test_unwritable_out_prints_one_error_line(self, tmp_path, capsys, monkeypatch, command):
+        # a regular file stands where the output directory goes; no run starts
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        trained = []
+        monkeypatch.setattr(cli, "run_repeats", lambda *args: trained.append(args))
+        flags = [] if command[0] == "prepare" else ["--sbm", SBM, "--rank", "2", *FAST]
+        out = blocker / "x" if command[0] == "prepare" else blocker
+        assert main([*command, *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(blocker) in err
+        assert trained == []
+
     def test_empty_features_file_prints_one_error_line(self, tmp_path):
         bundle = save_bundle(generate_sbm(2, 25, 0.3, 0.05, f=8, signal=2.0, seed=0),
                              tmp_path / "bundle")
@@ -706,6 +722,16 @@ class TestEvalAndExport:
         assert rc == 0
         rows = read_csv(out)
         assert rows[0][:2] == ["node_id", "label"] and len(rows) == 51
+
+    def test_export_to_a_missing_directory_prints_one_error_line(self, trained, tmp_path,
+                                                                 capsys):
+        bundle, run = trained
+        out = tmp_path / "missing" / "e.csv"
+        rc = main(["export-embeddings", "--checkpoint", str(run / "model_seed0.ckpt"),
+                   "--data", str(bundle), "--layer", "1", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
 
     def test_export_bad_layer(self, trained, tmp_path, capsys):
         bundle, run = trained
@@ -950,7 +976,7 @@ class TestSweep:
         rc = main(["sweep", "--axis", "ablation", "--sbm", SBM, "--workers", workers,
                    "--out", str(tmp_path / "x")])
         assert rc == 1
-        assert "--workers must be >= 1" in capsys.readouterr().err
+        assert "argument --workers: must be an integer >= 1" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_values_required_for_depth(self, tmp_path, capsys):

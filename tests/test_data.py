@@ -71,6 +71,10 @@ class TestBundleIO:
         (b / "labels.txt").write_text("0\n5\n1\n")
         with pytest.raises(DataError, match=r"labels.txt:2.*label 5 outside"):
             load_bundle(b)
+        # the file's own line, counting the blank ones
+        (b / "labels.txt").write_text("0\n0\n\n\n7\n")
+        with pytest.raises(DataError, match=r"labels.txt:5: label 7 outside \[0, 2\)"):
+            load_bundle(b)
 
     def test_bad_edge_line_number(self, tmp_path):
         b = self._write_valid(tmp_path / "b")

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from growgcn import (
-    CollapseReport,
     GcnLayer,
     LayerStack,
     NumericalAbort,
@@ -222,11 +221,6 @@ class TestCollapseReport:
             warnings.simplefilter("error")
             with pytest.raises(NumericalAbort, match="non-finite logits"):
                 collapse_report(stack, tiny_dataset)
-
-    def test_dict_roundtrip(self):
-        rep = CollapseReport(0.25, 1.5, [{"distance_to_constant": 0.5,
-                                          "dirichlet_energy": 2.0}])
-        assert CollapseReport.from_dict(rep.to_dict()) == rep
 
 
 class TestExportEmbeddings:
