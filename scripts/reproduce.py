@@ -9,12 +9,11 @@ sweeps also run there at paper scale, which takes a while on CPU.
     python scripts/reproduce.py [--fast] [--workers N]
 """
 
-import argparse
 import os
 import sys
 from pathlib import Path
 
-from growgcn.cli import main as cli
+from growgcn.cli import Parser, UsageError, count, main as cli
 
 SBM = "classes=4,per_class=100,p_in=0.1,p_out=0.01,f=32,signal=2,seed=0"
 
@@ -36,12 +35,17 @@ def find_cora():
 
 
 if __name__ == "__main__":
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    # a bad flag exits 1 with one line, as the growgcn commands do, before any step runs
+    ap = Parser(description=__doc__.splitlines()[0])
     ap.add_argument("--fast", action="store_true",
                     help="smaller budgets, for smoke-testing the pipeline")
-    ap.add_argument("--workers", type=int, default=1)
+    ap.add_argument("--workers", type=count, default=1)
     ap.add_argument("--out", default="results")
-    args = ap.parse_args()
+    try:
+        args = ap.parse_args()
+    except UsageError as e:
+        print(f"error: {e}", file=sys.stderr)
+        sys.exit(1)
 
     out = Path(args.out)
     repeats = "2" if args.fast else "5"

@@ -43,15 +43,18 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def count(text):
-    """The argparse type of a count: what ``int`` accepts, if it is >= 1."""
+def count(text, least=1):
+    """The argparse type of a count: what ``int`` accepts, if it is >= ``least``."""
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {text!r}")
+        value = least - 1
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be an integer >= {least}, not {text!r}")
     return value
+
+
+seed = partial(count, least=0)  # the argparse type of a random generator's seed
 
 
 def counts(text):
@@ -119,7 +122,7 @@ def _sbm_flags():
         parser.add_argument("--p-out", dest="p_out", type=float, default=0.01),
         parser.add_argument("--f", type=int, default=32),
         parser.add_argument("--signal", type=float, default=2.0),
-        parser.add_argument("--seed", type=int, default=0),
+        parser.add_argument("--seed", type=seed, default=0),
     ]
     return parser, {a.dest: a for a in actions}
 
@@ -426,7 +429,7 @@ def make_parser():
     pp.add_argument("--content", required=True)
     pp.add_argument("--cites", required=True)
     pp.add_argument("--name", default="cora")
-    pp.add_argument("--split-seed", dest="split_seed", type=int, default=0)
+    pp.add_argument("--split-seed", dest="split_seed", type=seed, default=0)
     pp.add_argument("--out", required=True)
 
     tr = sub.add_parser("train", help="train one configuration")

@@ -25,21 +25,25 @@ def dirichlet_energy(H, adjacency):
     """0.5 * sum over edges of ||h_i/sqrt(1+d_i) - h_j/sqrt(1+d_j)||^2.
 
     Both directions of each undirected edge are stored, so each contributes
-    twice at weight 0.5, i.e. once per unordered pair. Holds one float64 n x f
-    array, one chunk of 4e6 entries (32 MB) and one gather of 2^18 entries.
+    twice at weight 0.5, i.e. once per unordered pair. Forms no whole float64
+    H/sqrt(1+d): holds one chunk of 4e6 entries (32 MB), the float64 rows of
+    the nodes the chunk's sources span (nearly all when one chunk holds every
+    entry), and one gather of 2^16 entries.
     """
-    deg = adjacency.row_sums()
-    Hn = np.divide(H, np.sqrt(1.0 + deg)[:, None], dtype=np.float64)
+    H = np.asarray(H)
+    norm = np.sqrt(1.0 + adjacency.row_sums())[:, None]
     rows = adjacency.row_indices()
     cols = adjacency.col_indices
     total = 0.0
     # one sum per chunk of 4e6 entries fixes the rounding; the gather block does not
-    step = max(1, int(4e6 // max(1, Hn.shape[1])))
-    block = max(1, 2**18 // max(1, Hn.shape[1]))
+    step = max(1, int(4e6 // max(1, H.shape[1])))
+    block = max(1, 2**16 // max(1, H.shape[1]))
     for lo in range(0, rows.shape[0], step):
-        d = Hn[rows[lo : lo + step]]
+        r = rows[lo : lo + step]  # sorted, so the sources are nodes r[0]..r[-1]
+        d = np.divide(H[r[0] : r[-1] + 1], norm[r[0] : r[-1] + 1], dtype=np.float64)[r - r[0]]
         for s in range(0, d.shape[0], block):
-            d[s : s + block] -= Hn[cols[lo + s : lo + min(s + block, d.shape[0])]]
+            c = cols[lo + s : lo + min(s + block, d.shape[0])]
+            d[s : s + block] -= np.divide(np.take(H, c, axis=0), norm[c], dtype=np.float64)
         d *= d
         total += float(d.sum())
         del d  # before the next chunk's gather

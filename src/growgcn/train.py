@@ -454,6 +454,7 @@ def train(data, cfg, trainer="standard", variant="gcn", on_stage_start=None,
         if adapters:
             groups.append({"params": adapters, "lr": cfg.resolved_lora_lr(), "weight_decay": 0.0})
 
+        plan = None  # the last stage's constants go before this stage's are formed
         plan = _stage_plan(stack, L, LX, cone)
 
         def forward(training):
@@ -481,7 +482,8 @@ def train(data, cfg, trainer="standard", variant="gcn", on_stage_start=None,
     with ad.no_grad():
         logits, hidden = ly.stack_forward(stack, L, Xp, prepared=True, return_hidden=True,
                                           plan=None if LX is None else ly.ForwardPlan(inp=LX))
-    hidden = hidden[-1:]  # the other layers' outputs go before the report's transients
+    # the other layers' outputs and the inputs go before the report's transients
+    hidden, Xp, LX, plan = hidden[-1:], None, None, None
     return stack, TrainReport(
         stages=stages,
         test_acc=_accuracy(logits.data, data.labels, data.splits.test),

@@ -272,6 +272,17 @@ class TestPrepare:
         assert rc == 1
         assert match in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, prog", [
+        (["prepare", "sbm", "--seed", "-1"], "growgcn prepare sbm"),
+        (["train", "--sbm", "seed=-1"], "growgcn --sbm"),
+    ])
+    def test_negative_generator_seed_names_its_flag(self, tmp_path, capsys, argv, prog):
+        rc = main([*argv, "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {prog}: argument --seed: must be an integer >= 0, not '-1'\n")
+        assert not (tmp_path / "x").exists()
+
 
 def write_planetoid_files(tmp_path):
     rng = np.random.default_rng(0)
@@ -307,6 +318,14 @@ class TestPlanetoid:
         assert ds.labels[0] == 1 and ds.labels[43] == 0
         assert len(ds.splits.train) == 40
         assert len(ds.splits.val) == 2 and len(ds.splits.test) == 2
+
+    def test_negative_split_seed_is_usage_error(self, tmp_path, capsys):
+        content, cites = write_planetoid_files(tmp_path)
+        rc = main(["prepare", "planetoid", "--content", str(content), "--cites", str(cites),
+                   "--split-seed", "-1", "--out", str(tmp_path / "bundle")])
+        assert rc == 1
+        assert "argument --split-seed: must be an integer >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "bundle").exists()
 
     def test_direct_loader_skips_junk_edges(self, tmp_path):
         content, cites = write_planetoid_files(tmp_path)
@@ -978,6 +997,17 @@ class TestSweep:
         assert rc == 1
         assert "argument --workers: must be an integer >= 1" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    def test_reproduce_script_rejects_workers_below_one_before_any_step(self, tmp_path):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce.py"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        res = subprocess.run([sys.executable, str(script), "--fast", "--workers", "0",
+                              "--out", str(tmp_path / "results")],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert res.returncode == 1
+        assert res.stdout == ""  # the gradient check would print its banner first
+        assert res.stderr == ("error: reproduce.py: argument --workers: "
+                              "must be an integer >= 1, not '0'\n")
 
     def test_values_required_for_depth(self, tmp_path, capsys):
         rc = main(["sweep", "--axis", "depth", "--sbm", SBM,

@@ -117,7 +117,7 @@ def _one_pass_dirichlet_energy(H, adjacency):
 @pytest.fixture(scope="module")
 def wide_graph():
     """3,000 nodes, about 12,000 stored entries and node 2,999 isolated: at f = 1,500
-    the energy sums 5 edge chunks of 2,666 rows and gathers in blocks of 174 rows."""
+    the energy sums 5 edge chunks of 2,666 rows and gathers in blocks of 43 rows."""
     rng = np.random.default_rng(7)
     pairs = rng.integers(0, 2_999, size=(6_000, 2))
     pairs = {(int(min(i, j)), int(max(i, j))) for i, j in pairs if i != j}
@@ -165,6 +165,19 @@ class TestOneCopyOracle:
         H = np.random.default_rng(2).standard_normal((n, f)).astype(dtype)
         peak = _traced_peak(dirichlet_energy, H, wide_graph)
         assert peak <= n * f * 8 + 32 * 2**20 + 4 * 2**20
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dirichlet_energy_holds_one_chunk_and_its_source_rows(self, wide_graph, dtype):
+        n, f = 3_000, 1_500
+        H = np.random.default_rng(2).standard_normal((n, f)).astype(dtype)
+        rows, step = wide_graph.row_indices(), int(4e6 // f)
+        # the float64 rows of the most nodes one chunk's sources span
+        span = max(rows[min(lo + step, rows.size) - 1] - rows[lo] + 1
+                   for lo in range(0, rows.size, step))
+        assert span * f * 8 + 2**20 < n * f * 8  # a float64 copy of H beside the chunk fails
+        peak = _traced_peak(dirichlet_energy, H, wide_graph)
+        # the 32 MB chunk, the source rows and 1 MB for the gather blocks and indices
+        assert peak <= step * f * 8 + span * f * 8 + 2**20
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_distance_to_constant_holds_one_copy(self, dtype):

@@ -1171,6 +1171,11 @@ class TestRestrictedTrainer:
             assert flops_new["spmm"] == flops_ref["spmm"] == 0
 
 
+def _plan_bytes(plan, LX):
+    """The bytes of the constants a ``ForwardPlan`` holds beside the call's ``LX``."""
+    return sum(a.nbytes for a in (plan.inp, plan.C) if a is not None and a is not LX)
+
+
 class TestFinalForward:
     """The final test accuracy and collapse report come from one ``stack_forward``.
 
@@ -1245,3 +1250,75 @@ class TestFinalForward:
             tracemalloc.stop()
         # the logits and a few hundred bytes come on top; each layer kept took one H more
         assert final <= transient + 1.5 * H.nbytes
+
+    def test_sgc_report_holds_no_prepared_features(self, monkeypatch):
+        # unnormalised float64 features, so the prepared float32 Xp is a copy as large
+        # as the head input L^K @ Xp
+        data = generate_sbm(2, 500, 0.01, 0.001, f=300, signal=2.0, seed=3)
+        cfg = TrainConfig(depth=2, max_epochs=2, patience=2, row_normalize_features=False,
+                          seed=0)
+        normalized_laplacian(data.adjacency)  # cached before tracing
+        at_report = []
+        report_fn = gtrain.collapse_from_hidden
+
+        def marking_report(hidden, adjacency):
+            at_report.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return report_fn(hidden, adjacency)
+
+        monkeypatch.setattr(gtrain, "collapse_from_hidden", marking_report)
+        tracemalloc.start()
+        try:
+            stack, report = train(data, cfg, variant="sgc")
+            peak = tracemalloc.get_traced_memory()[1]
+            H = ly.sgc_propagate(normalized_laplacian(data.adjacency),
+                                 ly.prepare_features(stack, data.X), cfg.depth)
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert report_fn([H], data.adjacency) == report.collapse
+            transient = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert H.dtype == np.float32 and len(at_report) == 1
+        # the head input and the logits; the training run's Xp and plan took 1.6 H more
+        assert at_report[0] <= 1.1 * H.nbytes
+        # on top, the report's own float64 copy of H or its edge chunk
+        assert transient >= 2 * H.nbytes
+        assert peak <= at_report[0] + transient + 2**16
+
+    def test_stage_plan_holds_one_stage_of_constants(self, monkeypatch):
+        # f is wide against d, so each stage's constants are mostly its cone's rows of L @ Xp
+        data = generate_sbm(2, 500, 0.004, 0.0004, f=300, signal=2.0, seed=3)
+        cfg = TrainConfig(depth=5, hidden_dim=16, lora_rank=2, max_epochs=2, patience=2,
+                          seed=0)
+        normalized_laplacian(data.adjacency)
+        fit_fn, plan_fn = gtrain._fit, gtrain._stage_plan
+        ends, plans, checked = [], [], []
+
+        def marking_fit(*a, **kw):
+            stage = fit_fn(*a, **kw)
+            ends.append(tracemalloc.get_traced_memory()[0])
+            return stage
+
+        def marking_plan(*a, **kw):
+            tracemalloc.reset_peak()
+            plan = plan_fn(*a, **kw)
+            plans.append(_plan_bytes(plan, a[2]))
+            if len(plans) > 1:
+                # what the last stage ended with, less its constants, plus this stage's
+                held = ends[-1] - plans[-2] + plans[-1]
+                checked.append((tracemalloc.get_traced_memory()[1], held, plans[-1]))
+            return plan
+
+        monkeypatch.setattr(gtrain, "_fit", marking_fit)
+        monkeypatch.setattr(gtrain, "_stage_plan", marking_plan)
+        tracemalloc.start()
+        try:
+            train(data, cfg, trainer="lgt")
+        finally:
+            tracemalloc.stop()
+        assert len(checked) == cfg.depth - 1
+        for peak, held, plan_bytes in checked:
+            # the new layer and adapters take a few kB; the last plan kept took plan_bytes
+            assert plan_bytes > 2**17
+            assert peak <= held + 2**15
