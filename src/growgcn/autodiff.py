@@ -1,10 +1,11 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
 Only the operations the model needs exist, each with a hand-written backward
-closure. Gradients accumulate additively at fan-out, and anything reachable
-only through tensors with ``requires_grad=False`` is skipped entirely, which
-is what makes frozen layers free of gradient traffic. A backward forms an
-input's gradient only when that input requires grad.
+closure. The tape is a chain, as the model is: an op's ``_prev`` is its one
+input with a ``_backward`` (two raise ValueError), and ``backward()`` walks these
+links from the loss. Tensors with ``requires_grad=False`` get no gradient, which
+makes frozen layers free of gradient traffic: a backward forms an input's
+gradient only when that input requires grad.
 
 Every gradient a backward hands on is a new array held by the receiving tensor
 alone, and ``backward()`` keeps only the gradients of leaves. ``gcn_layer``, a
@@ -106,13 +107,13 @@ def _csr_times(m, x, ws):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents = ()
+        self._prev = None
         self._backward = None
 
     @property
@@ -122,23 +123,12 @@ class Tensor:
     def backward(self):
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
-        topo = []
-        seen = {id(self)}
-        stack = [(self, iter(self._parents))]
-        while stack:
-            node, parents = stack[-1]
-            nxt = next(parents, None)
-            if nxt is None:
-                topo.append(node)
-                stack.pop()
-            elif id(nxt) not in seen:
-                seen.add(id(nxt))
-                stack.append((nxt, iter(nxt._parents)))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                g, node.grad = node.grad, None
-                node._backward(g)
+        node = self
+        while node is not None and node._backward is not None and node.grad is not None:
+            g, node.grad = node.grad, None
+            node._backward(g)  # read here: a tracer may have replaced it since the op ran
+            node = node._prev
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -158,24 +148,26 @@ def no_grad():
         _grad_enabled = enabled
 
 
-def _records(parents):
-    """Whether an op on ``parents`` records a graph, so that its backward will run."""
-    return _grad_enabled and any(p.requires_grad for p in parents)
+def _records(inputs):
+    """Whether an op on ``inputs`` records a graph, so that its backward will run."""
+    return _grad_enabled and any(x.requires_grad for x in inputs)
 
 
-def _compose(data, parents, backward):
+def _compose(data, inputs, backward):
     out = Tensor(data)
-    if _records(parents):
+    if _records(inputs):
+        prev = [x for x in inputs if x._backward is not None]
+        if len(prev) > 1:
+            raise ValueError("an op takes at most one computed input: the tape is a chain")
         out.requires_grad = True
-        out._parents = tuple(parents)
+        out._prev = prev[0] if prev else None
         out._backward = backward
     return out
 
 
-def _accum(t, g, ws=None):
+def _accum(t, g):
     if t.requires_grad:
-        t.grad = g if t.grad is None else np.add(
-            t.grad, g, out=_buffer(ws, g.shape, np.result_type(t.grad, g)))
+        t.grad = g if t.grad is None else t.grad + g
 
 
 def _matmul(a, b, ws):
@@ -189,9 +181,9 @@ def matmul(x, w, *, ws=None):
 
     def bwd(g):
         if x.requires_grad:
-            _accum(x, _matmul(g, w.data.T, ws), ws)
+            _accum(x, _matmul(g, w.data.T, ws))
         if w.requires_grad:
-            _accum(w, _matmul(x.data.T, g, ws), ws)
+            _accum(w, _matmul(x.data.T, g, ws))
 
     return _compose(out, (x, w), bwd)
 
@@ -204,7 +196,7 @@ def spmm(s, x, *, ws=None):
     out = _csr_times(s.to_scipy(dtype), x.data, ws)
 
     def bwd(g):
-        _accum(x, _csr_times(s.transpose_scipy(dtype), g, ws), ws)
+        _accum(x, _csr_times(s.transpose_scipy(dtype), g, ws))
 
     return _compose(out, (x,), bwd)
 
@@ -254,9 +246,9 @@ def gcn_layer(op, h, W, adapter=None, C=None, keep=None, p=0.0, *, ws=None):
             np.add(W.data, np.multiply(weight, s, out=weight), out=weight)
         out = _matmul(Lh, weight, ws)
     np.maximum(out, 0, out=out)
-    parents = (h, W) if adapter is None else (h, W, A, B)
+    inputs = (h, W) if adapter is None else (h, W, A, B)
     # where the product is positive: the backward reads this, and never ``out``
-    relu = np.greater(out, 0, out=_buffer(ws, out.shape, bool)) if _records(parents) else None
+    relu = np.greater(out, 0, out=_buffer(ws, out.shape, bool)) if _records(inputs) else None
 
     def bwd(g):
         gz = np.multiply(g, relu, out=_buffer(ws, g.shape, np.result_type(g, relu)))
@@ -264,17 +256,17 @@ def gcn_layer(op, h, W, adapter=None, C=None, keep=None, p=0.0, *, ws=None):
         gLh = _matmul(gz, weight.T, ws) if h.requires_grad else None
         if C is not None:  # the gradient of (Lh @ A) @ B at s * gz
             gP = _matmul(np.multiply(gz, s, out=gz), B.data.T, ws)
-            _accum(B, _matmul(P.T, gz, ws), ws)
-            _accum(A, _matmul(Lh.T, gP, ws), ws)
+            _accum(B, _matmul(P.T, gz, ws))
+            _accum(A, _matmul(Lh.T, gP, ws))
             _release(ws, gP)
         elif adapter is not None:  # the gradient of A @ B at s * (Lh.T @ gz)
             gAB = _matmul(Lh.T, gz, ws)
             gAB *= s
-            _accum(A, _matmul(gAB, B.data.T, ws), ws)
-            _accum(B, _matmul(A.data.T, gAB, ws), ws)
+            _accum(A, _matmul(gAB, B.data.T, ws))
+            _accum(B, _matmul(A.data.T, gAB, ws))
             _release(ws, gAB)
         elif W.requires_grad:
-            _accum(W, _matmul(Lh.T, gz, ws), ws)
+            _accum(W, _matmul(Lh.T, gz, ws))
         _release(ws, gz)
         if gLh is not None and op is not None:
             gx = _csr_times(op.transpose_scipy(dtype), gLh, ws)
@@ -283,9 +275,9 @@ def gcn_layer(op, h, W, adapter=None, C=None, keep=None, p=0.0, *, ws=None):
             if keep is not None:
                 _release(ws, gx)
         if gLh is not None:
-            _accum(h, gLh, ws)
+            _accum(h, gLh)
 
-    return _compose(out, parents, bwd)
+    return _compose(out, inputs, bwd)
 
 
 def log_softmax_rows(x):

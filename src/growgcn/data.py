@@ -225,11 +225,11 @@ def save_bundle(dataset, path):
 def load_planetoid(content_path, cites_path, name="cora", split_seed=0):
     """Convert the classic citation-network distribution to a bundle.
 
-    ``.content`` lines: <paper_id> <f binary features> <class_name>;
-    ``.cites`` lines: <cited> <citing>. Unknown ids in .cites are skipped
+    ``.content`` lines: <paper_id> <f binary features> <class_name>, each id
+    once; ``.cites`` lines: <cited> <citing>. Unknown ids in .cites are skipped
     (the public files contain a handful).
     """
-    ids, rows, class_names = [], [], []
+    ids, rows, class_names = {}, [], []  # ids: each paper id's line
     for lineno, line in enumerate(_read_text(content_path).splitlines(), 1):
         if not line.strip():
             continue
@@ -237,7 +237,10 @@ def load_planetoid(content_path, cites_path, name="cora", split_seed=0):
         if len(parts) < 3:
             raise DataError("expected <id> <features...> <label>",
                             file=content_path, line=lineno)
-        ids.append(parts[0])
+        first = ids.setdefault(parts[0], lineno)
+        if first != lineno:
+            raise DataError(f"repeated paper id {parts[0]!r}, first on line {first}",
+                            file=content_path, line=lineno)
         try:
             row = [float(x) for x in parts[1:-1]]
         except ValueError:
@@ -316,6 +319,8 @@ def generate_sbm(classes, nodes_per_class, p_in, p_out, f, signal, seed):
         raise ValueError("require 0 <= p_out <= p_in <= 1")
     if f < classes:
         raise ValueError(f"need f >= classes to give every class a feature block (f={f})")
+    if not math.isfinite(signal):
+        raise ValueError(f"signal must be a finite number, not {signal!r}")
     n = classes * nodes_per_class
     if nodes_per_class <= 20:
         raise ValueError(f"{n} nodes leave no room for val/test after 20/class train")

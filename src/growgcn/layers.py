@@ -209,7 +209,7 @@ def dropout(h, p, training, rng=None, rows=None, n_rows=None, ws=None):
     scale = 1.0 / (1.0 - p)
 
     def bwd(g):
-        ad._accum(h, ad._masked(g, keep, scale, ws), ws)
+        ad._accum(h, ad._masked(g, keep, scale, ws))
 
     return ad._compose(ad._masked(h.data, keep, scale, ws), (h,), bwd)
 
@@ -384,10 +384,10 @@ def stack_forward(stack, L, X, *, training=False, rng=None, return_hidden=False,
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def eval_forward(stack, L, X, return_hidden=False):
-    """``stack_forward`` with no autodiff graph; NumericalAbort, not numpy warnings, on overflow."""
+def eval_forward(stack, L, X, return_hidden=False, **kw):
+    """``stack_forward`` with no autodiff graph; NumericalAbort, not warnings, on overflow."""
     with ad.no_grad():
-        out = stack_forward(stack, L, X, return_hidden=return_hidden)
+        out = stack_forward(stack, L, X, return_hidden=return_hidden, **kw)
     if not np.isfinite((out[0] if return_hidden else out).data).all():
         raise NumericalAbort("non-finite logits in the evaluation forward")
     return out

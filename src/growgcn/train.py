@@ -405,7 +405,7 @@ def train(data, cfg, trainer="standard", variant="gcn", on_stage_start=None,
     skips constant work and (without PairNorm) the rows outside the train and
     val nodes' ``RowCone``: the results equal the full forward's up to rounding.
     Every epoch reuses the buffers of one workspace per call. The final test
-    accuracy and collapse report come from one full forward.
+    accuracy and collapse report come from one full ``eval_forward``.
 
     Callbacks, both optional, fire inside each stage: ``on_stage_start(stage,
     stack, L, Xp)`` after growth but before any optimizer step, and
@@ -479,9 +479,8 @@ def train(data, cfg, trainer="standard", variant="gcn", on_stage_start=None,
     total = time.perf_counter() - t_total
     del ws  # free the buffers before the final forward
     # the report reads hidden[-1], the head's input, bitwise as evaluate and collapse_report do
-    with ad.no_grad():
-        logits, hidden = ly.stack_forward(stack, L, Xp, prepared=True, return_hidden=True,
-                                          plan=None if LX is None else ly.ForwardPlan(inp=LX))
+    logits, hidden = ly.eval_forward(stack, L, Xp, return_hidden=True, prepared=True,
+                                     plan=None if LX is None else ly.ForwardPlan(inp=LX))
     # the other layers' outputs and the inputs go before the report's transients
     hidden, Xp, LX, plan = hidden[-1:], None, None, None
     return stack, TrainReport(

@@ -105,6 +105,25 @@ class TestBackward:
         assert out.grad is None
         assert x.grad is not a.grad and np.array_equal(x.grad, a.grad + b.grad)
 
+    def test_op_on_two_computed_inputs_raises(self):
+        # the tape is a chain: a computed tensor may not feed both sides of one op
+        h = ad.matmul(t64([[1.0, 2.0], [-0.5, 0.3]], grad=True), t64(np.eye(2)))
+        with pytest.raises(ValueError, match="chain"):
+            ad.matmul(h, h)
+        with ad.no_grad():  # an op that records nothing has no chain to break
+            ad.matmul(h, h)
+
+    def test_backward_follows_the_chain(self):
+        # each node links to its one computed input; leaves are not on the walk
+        x, w = t64(np.ones((2, 2)), grad=True), t64(np.eye(2), grad=True)
+        h = ad.matmul(x, w)
+        lp = ad.log_softmax_rows(ad.matmul(h, w))
+        loss = ad.masked_cross_entropy(lp, [0, 1], [0, 1])
+        assert loss._prev is lp and lp._prev._prev is h and h._prev is None
+        loss.backward()
+        assert all(t.grad is None for t in (loss, lp, h)) and x.grad is not None
+        assert w.grad is not None  # w feeds two ops: the sum of its two gradients
+
     def test_requires_grad_gating(self):
         frozen = t64(np.ones((2, 2)), grad=False)
         live = t64(np.ones((2, 2)), grad=True)
@@ -134,7 +153,7 @@ class TestBackward:
     def test_constant_graph_backward_noop(self):
         a = t64([[1.0, 2.0]])
         out = ad.matmul(a, t64([[2.0], [1.0]]))
-        assert out.requires_grad is False and out._parents == ()
+        assert out.requires_grad is False and out._prev is None and out._backward is None
 
     def test_backward_requires_scalar(self):
         x = t64(np.ones((2, 2)), grad=True)
@@ -209,8 +228,8 @@ class TestNoGrad:
             out = ad.gcn_layer(L, h, W)
             logits = ad.matmul(out, W)
         for t in (out, logits):
-            assert t._parents == () and t._backward is None and not t.requires_grad
-        assert np.array_equal(out.data, want.data) and want._parents
+            assert t._prev is None and t._backward is None and not t.requires_grad
+        assert np.array_equal(out.data, want.data) and want._backward is not None
 
     def test_mode_comes_back_after_an_exception_and_nesting(self):
         x, w = t64(np.ones((2, 2)), True), t64(np.eye(2))
@@ -218,9 +237,9 @@ class TestNoGrad:
             with ad.no_grad():
                 with ad.no_grad():
                     pass
-                assert ad.matmul(x, w)._parents == ()
+                assert ad.matmul(x, w)._backward is None
                 raise RuntimeError("inside")
-        assert ad.matmul(x, w)._parents == (x, w)
+        assert ad.matmul(x, w)._backward is not None
 
 
 class TestGradCheck:

@@ -272,6 +272,19 @@ class TestPrepare:
         assert rc == 1
         assert match in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["prepare", "train"])
+    def test_non_finite_signal_is_usage_error(self, tmp_path, capsys, value, command):
+        # a flag and a spec field: both end before any bundle or run is written
+        argv = (["prepare", "sbm", "--classes", "2", "--per-class", "25", "--f", "8",
+                 "--signal", value] if command == "prepare" else
+                ["train", "--sbm", f"classes=2,per_class=25,f=8,signal={value}", *FAST])
+        rc = main([*argv, "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: signal must be a finite number, not {float(value)!r}\n")
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("argv, prog", [
         (["prepare", "sbm", "--seed", "-1"], "growgcn prepare sbm"),
         (["train", "--sbm", "seed=-1"], "growgcn --sbm"),
@@ -325,6 +338,19 @@ class TestPlanetoid:
                    "--split-seed", "-1", "--out", str(tmp_path / "bundle")])
         assert rc == 1
         assert "argument --split-seed: must be an integer >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "bundle").exists()
+
+    def test_repeated_paper_id_is_a_data_error(self, tmp_path, capsys):
+        # a second paper4 would leave node 4 isolated and send its citations to node 5
+        content, cites = write_planetoid_files(tmp_path)
+        lines = content.read_text().splitlines()
+        lines[5] = lines[5].replace("paper5", "paper4")
+        content.write_text("\n".join(lines) + "\n")
+        rc = main(["prepare", "planetoid", "--content", str(content), "--cites", str(cites),
+                   "--out", str(tmp_path / "bundle")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"data error: {content}:6: repeated paper id 'paper4', first on line 5\n")
         assert not (tmp_path / "bundle").exists()
 
     def test_direct_loader_skips_junk_edges(self, tmp_path):
@@ -565,6 +591,18 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("data error:"), proc.stderr
         # the message names the missing rows, not the (0, 1) shape numpy gives
         assert lines[0].endswith("features.csv: no data rows, expected n=50 rows of f=8 values")
+
+    def test_non_finite_final_forward_writes_no_report(self, tmp_path):
+        # one Adam step at lr 1e30 leaves the restored weights with non-finite logits:
+        # the final forward aborts as `growgcn eval` of those weights would
+        bundle = save_bundle(generate_sbm(2, 25, 0.3, 0.05, f=8, signal=2.0, seed=0),
+                             tmp_path / "bundle")
+        proc = _cli_process("train", "--data", str(bundle), "--fixed-splits", "--lr", "1e30",
+                            "--max-epochs", "1", "--patience", "1", "--out", str(tmp_path / "x"))
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            "numerical abort: non-finite logits in the evaluation forward"]
+        assert list((tmp_path / "x").iterdir()) == []
 
     @pytest.mark.parametrize("line", ["lr = 1e308", "weight_decay = 1e308"])
     def test_huge_rate_prints_one_error_line(self, tmp_path, line):

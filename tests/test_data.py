@@ -215,6 +215,12 @@ class TestGenerateSbm:
         with pytest.raises(ValueError, match="no room"):
             generate_sbm(2, 20, 0.5, 0.1, f=4, signal=1.0, seed=0)
 
+    @pytest.mark.parametrize("signal", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_signal(self, signal):
+        # the features would be non-finite, which a bundle refuses to load
+        with pytest.raises(ValueError, match="signal must be a finite number"):
+            generate_sbm(2, 25, 0.3, 0.05, f=8, signal=signal, seed=0)
+
 
 def _one_draw_sbm(classes, nodes_per_class, p_in, p_out, f, signal, seed):
     """The generator before its row blocks: one n x n draw, probability matrix and mask."""

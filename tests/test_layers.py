@@ -359,9 +359,9 @@ class TestLayerStack:
         stack = _plain_stack(rng, small_sbm.f, 8, small_sbm.C, 3)
         L = normalized_laplacian(small_sbm.adjacency)
         logits, hidden = ly.eval_forward(stack, L, small_sbm.X, return_hidden=True)
-        assert logits._parents == () and logits._backward is None
+        assert logits._prev is None and logits._backward is None
         want = stack_forward(stack, L, small_sbm.X)
-        assert want._parents and np.array_equal(logits.data, want.data)
+        assert want._prev is not None and np.array_equal(logits.data, want.data)
         assert np.array_equal(ad.matmul(Tensor(hidden[-1]), stack.head).data, want.data)
 
     def test_eval_forward_holds_a_constant_number_of_layer_outputs(self):

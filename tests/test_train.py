@@ -811,19 +811,52 @@ class TestRowConeOracle:
             _stage_plan(stack, L, ad.spmm(L, Tensor(Xp)).data, RowCone(L, [0], 2))
 
 
-def _graph_arrays(loss, dead=frozenset()):
+class TestTrainingForwardGradients:
+    """Finite differences through the stage forward under dropout, in float64: the head
+    input's mask (``layers.dropout``) and each conv layer's ``keep`` along one chain."""
+
+    @pytest.mark.parametrize("pairnorm", [False, True], ids=["cone", "pairnorm"])
+    def test_dropout_chain_matches_finite_differences(self, pairnorm):
+        rng = np.random.default_rng(5)
+        n, f, d, c = 12, 6, 4, 3
+        L = normalized_laplacian(random_graph(rng, n))
+        Xp = rng.standard_normal((n, f))
+        labels = rng.integers(0, c, n)
+        rows = np.sort(rng.choice(n, 6, replace=False))
+        stack = _random_stage_stack(rng, f, d, c, 3, pairnorm, True, [False, False])
+        stack.dropout_p = 0.3
+        # PairNorm centres over every row, so its stack runs without a cone
+        cone = None if pairnorm else RowCone(L, rows, stack.depth)
+        plan = _stage_plan(stack, L, None, cone)
+        assert (plan is None) == pairnorm
+        if cone is not None:
+            labels = labels[rows]
+        train_idx = np.arange(0, labels.size, 2)
+
+        def f():
+            # a fresh generator per call: every probe draws the same masks
+            logits = ly.stack_forward(stack, L, Xp, training=True, rng=np.random.default_rng(9),
+                                      prepared=True, plan=plan)
+            return ad.masked_cross_entropy(ad.log_softmax_rows(logits), labels, train_idx)
+
+        params = stack.trainable_parameters()
+        assert len(params) == 6  # the new layer, two adapters and the head
+        assert ad.grad_check(f, params) < 1e-6
+
+
+def _graph_arrays(loss, params, dead=frozenset()):
     """Every distinct array on a backward-ed graph: each node's gradient, and its value
-    unless its id is in ``dead`` (a conv output the forward gave back to the workspace)."""
-    arrays, seen, todo = {}, set(), [loss]
-    while todo:
-        node = todo.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        for a in (None if id(node.data) in dead else node.data, node.grad):
+    unless its id is in ``dead`` (a conv output the forward gave back to the workspace),
+    then each of ``params``' value and gradient, which the walk down ``_prev`` never reaches."""
+    arrays, nodes = {}, []
+    node = loss
+    while node is not None:
+        nodes.append(node)
+        node = node._prev
+    for t in nodes + list(params):
+        for a in (None if id(t.data) in dead else t.data, t.grad):
             if a is not None:
                 arrays[id(a)] = a
-        todo.extend(node._parents)
     return list(arrays.values())
 
 
@@ -885,17 +918,17 @@ class TestWorkspaceOracle:
         ws = ad.Workspace()
         loss1, grads1, _ = cycle(ws)
         n_buffers = len(ws)
-        logits1 = loss1._parents[0]._parents[0].data
+        logits1 = loss1._prev._prev.data
         loss2, grads2, dead = cycle(ws)
         assert n_buffers > 0 and len(ws) == n_buffers
         # the second cycle wrote into the first one's arrays
-        assert loss2._parents[0]._parents[0].data is logits1
+        assert loss2._prev._prev.data is logits1
         for loss, grads in ((loss1, grads1), (loss2, grads2)):
             assert float(loss.data) == float(ref_loss.data)
             for g, g_ref in zip(grads, ref_grads, strict=True):
                 assert np.array_equal(g, g_ref)
         # the live arrays share no memory; the conv outputs the forward gave back may
-        arrays = _graph_arrays(loss2, dead)
+        arrays = _graph_arrays(loss2, stack.parameters(), dead)
         for i, a in enumerate(arrays):
             for b in arrays[i + 1:]:
                 assert not np.shares_memory(a, b)
