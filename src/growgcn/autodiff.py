@@ -290,19 +290,17 @@ def log_softmax_rows(x):
     return _compose(out, (x,), bwd)
 
 
-def masked_cross_entropy(log_probs, labels, mask, reduction="mean"):
-    """Negative log-likelihood of the true class, averaged (or summed) over mask.
+def masked_cross_entropy(log_probs, labels, mask):
+    """Negative log-likelihood of the true class, averaged over mask.
 
     ``mask`` holds row indices; a repeated index counts once per occurrence,
     in the loss and in its gradient.
     """
-    if reduction not in ("mean", "sum"):
-        raise ValueError(f"unknown reduction {reduction!r}")
     idx = np.asarray(mask, dtype=np.int64)
     if idx.size == 0:
         raise ValueError("empty mask")
     labels = np.asarray(labels, dtype=np.int64)
-    denom = float(idx.size) if reduction == "mean" else 1.0
+    denom = float(idx.size)
     picked = log_probs.data[idx, labels[idx]]
     out = np.asarray(-picked.sum() / denom, dtype=log_probs.data.dtype)
 

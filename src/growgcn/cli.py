@@ -13,6 +13,7 @@ Subcommands:
 """
 
 import argparse
+import contextlib
 import csv
 import statistics
 import sys
@@ -234,6 +235,21 @@ def cmd_prepare(args):
     return 0
 
 
+@contextlib.contextmanager
+def _output_dir(path):
+    """Make the directory ``path`` before a run writes into it; if the run raises,
+    remove the directory again when it was made here and is still empty."""
+    out = Path(path)
+    made = not out.exists()
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        yield out
+    except BaseException:
+        if made and not any(out.iterdir()):
+            out.rmdir()
+        raise
+
+
 def _write_summary_csv(path, rows, header):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -244,9 +260,8 @@ def _write_summary_csv(path, rows, header):
 def cmd_train(args):
     cfg, trainer, variant, repeats, fixed = _settings(args, "standard", 1)
     data = _load_checked(args, [(trainer, cfg)], variant, fixed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    stacks, reports = run_repeats(data, cfg, trainer, variant, repeats, fixed)
+    with _output_dir(args.out) as out:
+        stacks, reports = run_repeats(data, cfg, trainer, variant, repeats, fixed)
 
     for k, (stack, report) in enumerate(zip(stacks, reports)):
         (out / f"report_seed{cfg.seed + k}.json").write_text(report.to_json(indent=1))
@@ -305,17 +320,15 @@ def cmd_sweep(args):
     else:
         cells = [(f"rank{v}", v, "lgt", replace(cfg, lora_rank=v)) for v in args.values]
     data = _load_checked(args, [cell[2:] for cell in cells], variant, fixed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     run = partial(_run_cell, data, variant, repeats, fixed)
     # the pool forks all its workers at once, so it gets no more than there are cells
     workers = min(args.workers, len(cells))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, cells))
-    else:
-        results = list(map(run, cells))
+    with _output_dir(args.out) as out:
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(run, cells))
+        else:
+            results = list(map(run, cells))
 
     _write_summary_csv(out / "sweep.csv",
                        [[args.axis, label, value, f"{mean:.6f}", f"{std:.6f}", f"{epochs:.1f}",
@@ -399,12 +412,8 @@ def _add_train_flags(p):
         add("--max-epochs", dest="max_epochs", type=int),
         add("--patience", type=int),
         add("--rank", dest="lora_rank", type=int),
-        add("--alpha", dest="lora_alpha", type=float),
-        add("--lora-lr", dest="lora_lr", type=float),
         add("--seed", type=int),
         add("--repeats", type=count),
-        add("--loss-reduction", dest="loss_reduction", choices=["mean", "sum"]),
-        add("--no-merge-adapters", dest="merge_adapters", action="store_false", default=None),
         add("--no-lora", dest="use_lora", action="store_false", default=None),
         add("--new-layer-init", dest="new_layer_init", choices=["identity", "glorot"]),
         add("--pairnorm-s", dest="pairnorm_s", type=float),

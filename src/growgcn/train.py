@@ -33,11 +33,7 @@ class TrainConfig:
     max_epochs: int = 500
     patience: int = 50
     lora_rank: int = 10
-    lora_alpha: float | None = None
-    lora_lr: float | None = None
     seed: int = 0
-    loss_reduction: str = "mean"
-    merge_adapters: bool = True
     use_lora: bool = True
     new_layer_init: str = "identity"
     pairnorm_s: float = 1.0
@@ -53,13 +49,11 @@ class TrainConfig:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low:
                 raise ValueError(f"{name} must be an integer >= {low}, not {v!r}")
-        for name in ("lr", "weight_decay", "dropout_p", "lora_alpha", "lora_lr", "pairnorm_s"):
+        for name in ("lr", "weight_decay", "dropout_p", "pairnorm_s"):
             v = getattr(self, name)
-            if v is None and name in ("dropout_p", "lora_alpha", "lora_lr"):
-                continue
-            if not ly._finite_real(v):
+            if not (ly._finite_real(v) or v is None and name == "dropout_p"):
                 raise ValueError(f"{name} must be a finite number, not {v!r}")
-        for name in ("merge_adapters", "use_lora", "row_normalize_features"):
+        for name in ("use_lora", "row_normalize_features"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be true or false")
         if self.lr <= 0:
@@ -70,12 +64,8 @@ class TrainConfig:
             raise ValueError("dropout_p outside [0, 1)")
         if self.patience > self.max_epochs:
             raise ValueError("patience must be in [1, max_epochs]")
-        if self.lora_lr is not None and self.lora_lr <= 0:
-            raise ValueError("lora_lr must be positive")
         if self.pairnorm_s <= 0:
             raise ValueError("pairnorm_s must be positive")
-        if self.loss_reduction not in ("mean", "sum"):
-            raise ValueError("loss_reduction must be 'mean' or 'sum'")
         if self.new_layer_init not in ("identity", "glorot"):
             raise ValueError("new_layer_init must be 'identity' or 'glorot'")
         return self
@@ -84,9 +74,6 @@ class TrainConfig:
         if self.dropout_p is not None:
             return self.dropout_p
         return 0.0 if variant == "sgc" else DROPOUT_DEFAULTS[trainer]
-
-    def resolved_lora_lr(self):
-        return self.lr if self.lora_lr is None else self.lora_lr
 
 
 def check_run(cfg, trainer, variant, f=None):
@@ -259,8 +246,7 @@ def _fit(forward, mutable, groups, target, cfg, dropout_p):
     for _ in range(cfg.max_epochs):
         if logits is None:
             logits = forward(True)
-        loss = ad.masked_cross_entropy(ad.log_softmax_rows(logits), labels, train_idx,
-                                       cfg.loss_reduction)
+        loss = ad.masked_cross_entropy(ad.log_softmax_rows(logits), labels, train_idx)
         if not np.isfinite(loss.data):
             raise NumericalAbort(f"non-finite training loss at epoch {len(curve) + 1}")
         adam.zero_grad()
@@ -376,7 +362,7 @@ def _stage_plan(stack, L, LX, cone):
         h = ad.gcn_layer(None, Tensor(inp), layers[start].W)
         if stack.pairnorm_s is not None:
             h = ly.pairnorm(h, stack.pairnorm_s)
-        inp = ad.spmm(L, h).data
+        inp = ly.sgc_propagate(L, h.data, 1)
         start += 1
     if cone is not None:
         # the layer k hops below the output writes cone.rows(k)
@@ -397,9 +383,10 @@ def train(data, cfg, trainer="standard", variant="gcn", on_stage_start=None,
     model at depth 1, and every later stage appends a new layer
     (identity-initialized by default), attaches fresh low-rank adapters to
     all frozen layers, and trains only the new layer, the head, and the
-    adapters. Adapters are folded into their frozen weights at stage end
-    when cfg.merge_adapters is set, and the new layer is frozen. Each stage
-    stops early on val accuracy and restores its best weights.
+    adapters, all at cfg.lr (the adapters without weight decay). At stage
+    end the adapters are folded into their frozen weights and the new
+    layer is frozen. Each stage stops early on val accuracy and restores
+    its best weights.
 
     Each stage runs ``stack_forward`` with the plan of ``_stage_plan``, which
     skips constant work and (without PairNorm) the rows outside the train and
@@ -420,11 +407,10 @@ def train(data, cfg, trainer="standard", variant="gcn", on_stage_start=None,
     stack = _build_stack(data, cfg, variant, rng, cfg.resolved_dropout(trainer, variant),
                          1 if staged else cfg.depth)
     Xp = ly.prepare_features(stack, data.X)
-    if stack.sgc_steps:
-        LX = ly.sgc_propagate(L, Xp, cfg.depth)
-    else:
-        # every stage starts from the same L @ Xp while no dropout precedes layer 0
-        LX = ad.spmm(L, Tensor(Xp)).data if stack.dropout_p == 0.0 else None
+    # L^K @ Xp for the propagation-only stack; a conv stack's every stage starts from
+    # the same L @ Xp while no dropout precedes layer 0
+    LX = (ly.sgc_propagate(L, Xp, cfg.depth if stack.sgc_steps else 1)
+          if stack.sgc_steps or stack.dropout_p == 0.0 else None)
     cone = _row_cone(stack, L, data, 0 if stack.sgc_steps else cfg.depth)
     target = _target(data, None if cone is None else cone.rows(0))
 
@@ -436,11 +422,10 @@ def train(data, cfg, trainer="standard", variant="gcn", on_stage_start=None,
             w = (ly.identity_init(d, dtype) if cfg.new_layer_init == "identity"
                  else ly.glorot_init(d, d, rng, dtype))
             stack.layers.append(ly.GcnLayer(Tensor(w, requires_grad=True)))
-            if cfg.use_lora:
+            if cfg.use_lora:  # alpha = rank: the adapters' scaling is 1
                 for layer in stack.layers[:-1]:
-                    if layer.adapter is None:
-                        layer.attach_adapter(ly.make_adapter(
-                            layer.d_in, layer.d_out, cfg.lora_rank, cfg.lora_alpha, rng, dtype))
+                    layer.attach_adapter(ly.make_adapter(
+                        layer.d_in, layer.d_out, cfg.lora_rank, None, rng, dtype))
             stack.check()
 
         if on_stage_start is not None:
@@ -452,7 +437,7 @@ def train(data, cfg, trainer="standard", variant="gcn", on_stage_start=None,
                     for p in (layer.adapter.A, layer.adapter.B)]
         groups = [{"params": main, "lr": cfg.lr, "weight_decay": cfg.weight_decay}]
         if adapters:
-            groups.append({"params": adapters, "lr": cfg.resolved_lora_lr(), "weight_decay": 0.0})
+            groups.append({"params": adapters, "lr": cfg.lr, "weight_decay": 0.0})
 
         plan = None  # the last stage's constants go before this stage's are formed
         plan = _stage_plan(stack, L, LX, cone)
@@ -471,9 +456,8 @@ def train(data, cfg, trainer="standard", variant="gcn", on_stage_start=None,
             on_stage_end(stage_idx, stack)
 
         if staged:
-            if cfg.merge_adapters:
-                for layer in layers[:-1]:
-                    layer.merge_adapter()
+            for layer in layers[:-1]:
+                layer.merge_adapter()
             layers[-1].freeze()
 
     total = time.perf_counter() - t_total

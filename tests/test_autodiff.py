@@ -68,18 +68,8 @@ class TestForwardValues:
         logits = t64([[2.0, 0.0]])
         loss = ad.masked_cross_entropy(ad.log_softmax_rows(logits), [0], [0])
         assert math.isclose(float(loss.data), math.log(1 + math.exp(-2)), rel_tol=1e-12)
-
-    def test_cross_entropy_mean_vs_sum(self):
-        logits = t64(np.random.default_rng(0).standard_normal((5, 3)))
-        lp = ad.log_softmax_rows(logits)
-        labels, mask = [0, 1, 2, 0, 1], [0, 2, 4]
-        mean = ad.masked_cross_entropy(lp, labels, mask, "mean")
-        total = ad.masked_cross_entropy(lp, labels, mask, "sum")
-        assert math.isclose(float(total.data), 3 * float(mean.data), rel_tol=1e-12)
-        with pytest.raises(ValueError):
-            ad.masked_cross_entropy(lp, labels, mask, "max")
         with pytest.raises(ValueError, match="empty"):
-            ad.masked_cross_entropy(lp, labels, [])
+            ad.masked_cross_entropy(ad.log_softmax_rows(logits), [0], [])
 
 
 class TestBackward:
@@ -261,20 +251,7 @@ class TestGradCheck:
 
         assert grad_check(f, [w, w2, w3]) < 1e-7
 
-    def test_sum_reduction_gradient(self, path3):
-        L = normalized_laplacian(path3)
-        rng = np.random.default_rng(3)
-        w = t64(rng.standard_normal((3, 2)), grad=True)
-        x = t64(rng.standard_normal((3, 3)))
-
-        def f():
-            h = ad.matmul(ad.spmm(L, x), w)
-            return ad.masked_cross_entropy(ad.log_softmax_rows(h), [0, 1, 0], [0, 2], "sum")
-
-        assert grad_check(f, [w]) < 1e-7
-
-    @pytest.mark.parametrize("reduction", ["mean", "sum"])
-    def test_duplicate_mask_indices_accumulate(self, path3, reduction):
+    def test_duplicate_mask_indices_accumulate(self, path3):
         L = normalized_laplacian(path3)
         rng = np.random.default_rng(4)
         w = t64(rng.standard_normal((3, 2)), grad=True)
@@ -282,8 +259,7 @@ class TestGradCheck:
 
         def f():
             h = ad.matmul(ad.spmm(L, x), w)
-            return ad.masked_cross_entropy(ad.log_softmax_rows(h), [0, 1, 0], [1, 1],
-                                           reduction)
+            return ad.masked_cross_entropy(ad.log_softmax_rows(h), [0, 1, 0], [1, 1])
 
         assert grad_check(f, [w]) < 1e-7
 

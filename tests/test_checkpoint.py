@@ -11,7 +11,6 @@ from growgcn import (
     GcnLayer,
     LayerStack,
     Tensor,
-    TrainConfig,
     build_adjacency,
     glorot_init,
     load_checkpoint,
@@ -19,7 +18,6 @@ from growgcn import (
     normalized_laplacian,
     save_checkpoint,
     stack_forward,
-    train,
 )
 from growgcn.checkpoint import MAGIC
 
@@ -80,14 +78,6 @@ class TestRoundtrip:
         back = load_checkpoint(save_checkpoint(stack, tmp_path / "sgc.ckpt"))
         _assert_same_stack(stack, back)
         assert back.layers == [] and back.sgc_steps == 4
-
-    def test_trained_lgt_with_adapters(self, tiny_dataset, tmp_path):
-        cfg = TrainConfig(depth=3, hidden_dim=8, max_epochs=4, patience=4,
-                          lora_rank=2, merge_adapters=False, seed=1)
-        stack, _ = train(tiny_dataset, cfg, trainer="lgt")
-        back = load_checkpoint(save_checkpoint(stack, tmp_path / "lgt.ckpt"))
-        _assert_same_stack(stack, back)
-        assert any(l.adapter is not None for l in back.layers)
 
     def test_pairnorm_scale_roundtrips_as_a_float(self, tiny_dataset, tmp_path):
         stack = _lora_stack(tiny_dataset.f, tiny_dataset.C)

@@ -67,11 +67,7 @@ CONFIG_ROUTES = {
     "max_epochs": ("7", ["--max-epochs", "7"]),
     "patience": ("3", ["--patience", "3"]),
     "lora_rank": ("2", ["--rank", "2"]),
-    "lora_alpha": ("1", ["--alpha", "1"]),
-    "lora_lr": ("1e-3", ["--lora-lr", "1e-3"]),
     "seed": ("4", ["--seed", "4"]),
-    "loss_reduction": ("sum", ["--loss-reduction", "sum"]),
-    "merge_adapters": ("false", ["--no-merge-adapters"]),
     "use_lora": ("no", ["--no-lora"]),
     "new_layer_init": ("glorot", ["--new-layer-init", "glorot"]),
     "pairnorm_s": ("2", ["--pairnorm-s", "2"]),
@@ -106,12 +102,12 @@ class TestConfigFile:
             "# a comment\n"
             "depth = 4\n"
             "lr = 0.005  # inline comment\n"
-            "merge_adapters = false\n"
+            "use_lora = false\n"
             "dropout_p = 0.3\n"
             "dropout_p = none\n"
             "trainer = lgt\n"
             "\n")
-        assert (cfg.depth, cfg.lr, cfg.merge_adapters, cfg.dropout_p) == (4, 0.005, False, None)
+        assert (cfg.depth, cfg.lr, cfg.use_lora, cfg.dropout_p) == (4, 0.005, False, None)
         assert trainer == "lgt"
 
     def test_unknown_key(self, tmp_path, capsys):
@@ -404,7 +400,7 @@ class TestTrainCommand:
     def test_lgt_config_file_and_flag_precedence(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("trainer = lgt\ndepth = 3\nmax_epochs = 3\npatience = 3\n"
-                           "hidden_dim = 8\nlora_rank = 4\nmerge_adapters = false\n")
+                           "hidden_dim = 8\nlora_rank = 4\nrow_normalize_features = false\n")
         out1 = tmp_path / "from-file"
         assert main(["train", "--sbm", SBM, "--config", str(cfgfile),
                      "--out", str(out1)]) == 0
@@ -415,9 +411,8 @@ class TestTrainCommand:
                      "--out", str(out2)]) == 0
         r2 = json.loads((out2 / "report_seed0.json").read_text())
         assert len(r2["stages"]) == 2
-        # merge_adapters=false from the config survives into the checkpoint
-        stack = load_checkpoint(out2 / "model_seed0.ckpt")
-        assert any(l.adapter is not None for l in stack.layers)
+        # row_normalize_features=false from the config survives into the checkpoint
+        assert load_checkpoint(out2 / "model_seed0.ckpt").row_normalize is False
 
     def test_missing_data_source(self, tmp_path, capsys):
         rc = main(["train", "--out", str(tmp_path / "x"), *FAST])
@@ -481,7 +476,7 @@ EXIT_CASES = {
     "config-zeros-and-ones": (0, ["--config", "run.cfg", "--rank", "2"],
                               {"run.cfg": b"seed = 0\ndropout_p = 0\nrepeats = 1\n"
                                           b"pairnorm_s = 1\nweight_decay = 0\ndepth = 1\n"
-                                          b"lora_rank = 1\npatience = 1\nlora_alpha = 1\n"}),
+                                          b"lora_rank = 1\npatience = 1\nmax_epochs = 1\n"}),
     "config-depth-true": (1, ["--config", "run.cfg"], {"run.cfg": b"depth = true\n"}),
     "config-not-utf8": (2, ["--config", "run.cfg"], {"run.cfg": b"depth = \xff2\n"}),
     "variant-sgc": (1, ["--variant", "sgc", "--rank", "2"], {}),
@@ -602,7 +597,17 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert proc.stderr.splitlines() == [
             "numerical abort: non-finite logits in the evaluation forward"]
-        assert list((tmp_path / "x").iterdir()) == []
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", [["train"], ["sweep", "--axis", "depth", "--values", "2"]])
+    def test_aborted_run_removes_the_out_it_made(self, tmp_path, command):
+        # a run that aborts before writing takes away the --out it made, not one made before
+        flags = [*command, "--sbm", SBM, "--lr", "1e308", "--rank", "2", "--repeats", "1", *FAST]
+        assert main([*flags, "--out", str(tmp_path / "new")]) == 3
+        assert not (tmp_path / "new").exists()
+        (tmp_path / "old").mkdir()
+        assert main([*flags, "--out", str(tmp_path / "old")]) == 3
+        assert list((tmp_path / "old").iterdir()) == []
 
     @pytest.mark.parametrize("line", ["lr = 1e308", "weight_decay = 1e308"])
     def test_huge_rate_prints_one_error_line(self, tmp_path, line):
@@ -837,9 +842,9 @@ class TestEvalAndExport:
 
 
 CONFIG_TEXT = (b"# a staged run\ntrainer = lgt\nvariant = gcn\nlora_rank = 2\n"
-               b"lora_alpha = 4\ndropout_p = 0.5\nlr = 0.01\nweight_decay = 5e-4\n"
+               b"dropout_p = 0.5\nlr = 0.01\nweight_decay = 5e-4\n"
                b"seed = 3\nuse_lora = true\nnew_layer_init = identity\n"
-               b"loss_reduction = mean\nfixed_splits = no\n")
+               b"fixed_splits = no\n")
 
 
 @settings(max_examples=150, deadline=None)

@@ -144,11 +144,11 @@ class TestConfig:
             dict(depth=0), dict(hidden_dim=0), dict(lr=0.0), dict(weight_decay=-1.0),
             dict(dropout_p=1.0), dict(max_epochs=0), dict(patience=0),
             dict(max_epochs=10, patience=11), dict(lora_rank=0),
-            dict(loss_reduction="median"), dict(new_layer_init="zeros"),
+            dict(new_layer_init="zeros"),
             # counts are integers, rates and scales finite, switches booleans
             dict(depth=2.0), dict(depth=True), dict(hidden_dim=float("inf")),
             dict(seed=-1), dict(lr=float("nan")), dict(weight_decay=float("inf")),
-            dict(lora_alpha=float("nan")), dict(lora_lr=0.0), dict(pairnorm_s=0.0),
+            dict(pairnorm_s=float("nan")), dict(pairnorm_s=0.0),
             dict(lr=None), dict(use_lora=3),
         ]
         for kw in bad:
@@ -187,10 +187,6 @@ class TestConfig:
         check_run(TrainConfig(), "standard", "sgc")
         with pytest.raises(ValueError, match=match):
             check_run(TrainConfig(), trainer, variant)
-
-    def test_lora_lr_resolution(self):
-        assert TrainConfig(lr=0.03).resolved_lora_lr() == 0.03
-        assert TrainConfig(lr=0.03, lora_lr=0.5).resolved_lora_lr() == 0.5
 
 
 class TestStandardTrainer:
@@ -252,15 +248,6 @@ class TestStandardTrainer:
         stack, _ = train(tiny_dataset, cfg, trainer="standard", variant="gcn+pairnorm")
         assert stack.pairnorm_s == 2.0
 
-    def test_loss_reduction_scales_first_epoch(self, tiny_dataset):
-        kw = dict(depth=2, max_epochs=1, patience=1, seed=5)
-        _, r_mean = train(tiny_dataset, make_cfg(**kw), trainer="standard", variant="gcn")
-        _, r_sum = train(tiny_dataset, make_cfg(loss_reduction="sum", **kw), trainer="standard",
-                         variant="gcn")
-        n_train = len(tiny_dataset.splits.train)
-        assert r_sum.stages[0].train_loss[0] == pytest.approx(
-            r_mean.stages[0].train_loss[0] * n_train, rel=1e-5)
-
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_forward_aborts(self, tiny_dataset):
         blown = dataclasses.replace(tiny_dataset, X=tiny_dataset.X * 1e39)
@@ -303,6 +290,24 @@ class TestLgtTrainer:
               on_stage_start=on_start)
         assert seen == expected
 
+    def test_every_stage_attaches_fresh_adapters(self, tiny_dataset):
+        # the last stage's adapters were merged: each frozen layer starts the
+        # stage with a new one whose delta is zero and whose alpha is its rank
+        seen = []
+
+        def on_start(stage, stack, L, Xp):
+            for layer in stack.layers[:-1]:
+                a = layer.adapter
+                assert layer.mode == "frozen_lora"
+                assert not np.any(a.B.data)
+                assert a.alpha == a.rank == 2 and a.scaling == 1.0
+            assert stack.layers[-1].mode == "trainable"
+            seen.append((stage, len(stack.layers) - 1))
+
+        train(tiny_dataset, lgt_cfg(depth=4, max_epochs=3, patience=3), trainer="lgt",
+              on_stage_start=on_start)
+        assert seen == [(1, 0), (2, 1), (3, 2), (4, 3)]
+
     def test_no_lora_trains_only_new_and_head(self, tiny_dataset):
         seen = {}
 
@@ -314,23 +319,6 @@ class TestLgtTrainer:
         f, c, d = tiny_dataset.f, tiny_dataset.C, 8
         assert seen == {1: f * d + d * c, 2: d * d + d * c, 3: d * d + d * c}
         assert all(l.adapter is None for l in stack.layers)
-
-    def test_frozen_weights_immutable_without_merge(self, tiny_dataset):
-        frozen_at = {}
-
-        def on_end(stage, stack):
-            # every conv layer W is about to be (or already is) frozen; none may
-            # change after this point when merging is off
-            for i, layer in enumerate(stack.layers):
-                frozen_at.setdefault(i, layer.W.data.copy())
-
-        stack, _ = train(tiny_dataset, lgt_cfg(merge_adapters=False), trainer="lgt",
-                         on_stage_end=on_end)
-        for i, layer in enumerate(stack.layers):
-            assert np.array_equal(layer.W.data, frozen_at[i])
-        # adapters persist on every layer that ever got one
-        assert all(l.mode == "frozen_lora" for l in stack.layers[:-1])
-        assert stack.layers[-1].adapter is None
 
     def test_merge_accounting_bitwise(self, tiny_dataset):
         last = {}
@@ -542,9 +530,7 @@ def _fit_two_forwards(forward, mutable, groups, target, cfg, dropout_p):
     labels, train_idx, val_idx = target
     for _ in range(cfg.max_epochs):
         logits = forward(True)
-        loss = ad.masked_cross_entropy(
-            ad.log_softmax_rows(logits), labels, train_idx, cfg.loss_reduction
-        )
+        loss = ad.masked_cross_entropy(ad.log_softmax_rows(logits), labels, train_idx)
         if not np.isfinite(loss.data):
             raise NumericalAbort(f"non-finite training loss at epoch {len(curve) + 1}")
         adam.zero_grad()
@@ -1169,18 +1155,15 @@ class TestRestrictedTrainer:
             assert flops_new["matmul"] < flops_ref["matmul"]
         return flops_new, flops_ref
 
-    @pytest.mark.parametrize("variant, dropout_p, use_lora, merge", [
-        ("gcn", None, True, True),
-        ("gcn", None, True, False),
-        ("gcn", None, False, True),
-        ("gcn+pairnorm", None, True, True),
-        ("gcn", 0.3, True, True),
+    @pytest.mark.parametrize("variant, dropout_p, use_lora", [
+        ("gcn", None, True),
+        ("gcn", None, False),
+        ("gcn+pairnorm", None, True),
+        ("gcn", 0.3, True),
     ])
-    def test_matches_full_forward_oracle(self, monkeypatch, variant, dropout_p, use_lora,
-                                         merge):
+    def test_matches_full_forward_oracle(self, monkeypatch, variant, dropout_p, use_lora):
         cfg = TrainConfig(depth=5, hidden_dim=8, lora_rank=2, max_epochs=30, patience=8,
-                          dropout_p=dropout_p, use_lora=use_lora, merge_adapters=merge,
-                          seed=1)
+                          dropout_p=dropout_p, use_lora=use_lora, seed=1)
         flops_new, flops_ref = self._check(monkeypatch, cfg, "lgt", variant)
         # without LoRA each stage at dropout 0 starts at its new layer from a
         # propagated input, so neither side runs a per-epoch spmm
