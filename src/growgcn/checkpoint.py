@@ -116,6 +116,10 @@ def _stack_from(header, blob, offset, path):
     _check_dims("head", header["head"], data["head"].shape)
     stack = ly.LayerStack(layers=layers, head=Tensor(data["head"], requires_grad=True),
                           **{k: header[k] for k in SETTINGS})
+    listed = [name for name, _ in header["arrays"]]
+    if listed != [name for name, _ in stack.named_parameters()]:
+        raise DataError(f"the header's arrays {listed} are not the layers' parameters in "
+                        "order", file=path)
     return stack.check()
 
 

@@ -111,20 +111,36 @@ def adam_step(param, grad, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8,
 
 
 class Adam:
-    """Adam over parameter groups; each group carries its own lr and weight decay."""
+    """Adam over parameter groups; each group carries its own lr and weight decay.
+
+    A group's tensors and their gradients share one dtype (another gradient dtype
+    is a TypeError), and no tensor is in two groups. Each group lives in one flat
+    buffer, so a step makes one finiteness check and one element-wise
+    ``adam_step`` per group, bitwise the per-tensor update. Lifetime: from
+    ``Adam(...)`` until someone rebinds it, a tensor's ``data`` is a view into its
+    group's buffer; ``_fit``'s ``_restore`` rebinds them all, so no view outlives
+    a stage.
+    """
 
     def __init__(self, groups, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.groups = [
-            {"params": list(g["params"]), "lr": float(g["lr"]),
-             "weight_decay": float(g.get("weight_decay", 0.0))}
-            for g in groups
-        ]
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self._state = {}
-        for g in self.groups:
-            for p in g["params"]:
-                self._state[id(p)] = (np.zeros_like(p.data), np.zeros_like(p.data))
+        self.groups, seen = [], set()
+        for g in groups:
+            params = list(g["params"])
+            ids = {id(p) for p in params}
+            if len(ids) < len(params) or ids & seen:
+                raise ValueError("a tensor is listed twice in Adam's groups")
+            if len({p.data.dtype for p in params}) > 1:
+                raise ValueError("an Adam group mixes dtypes")
+            seen |= ids
+            flat = np.concatenate([p.data for p in params] or [np.empty(0)], axis=None)
+            for p, end in zip(params, np.cumsum([p.data.size for p in params])):
+                p.data = flat[end - p.data.size:end].reshape(p.data.shape)
+            self.groups.append({"params": params, "lr": float(g["lr"]),
+                                "weight_decay": float(g.get("weight_decay", 0.0)),
+                                "flat": flat, "grad": np.empty_like(flat),
+                                "m": np.zeros_like(flat), "v": np.zeros_like(flat)})
 
     def zero_grad(self):
         for g in self.groups:
@@ -134,17 +150,19 @@ class Adam:
     def step(self):
         self.t += 1
         for g in self.groups:
-            for p in g["params"]:
-                if p.grad is None:
-                    continue
-                if not np.all(np.isfinite(p.grad)):
-                    raise NumericalAbort(
-                        f"non-finite gradient for parameter of shape {p.data.shape} "
-                        f"at step {self.t}"
-                    )
-                m, v = self._state[id(p)]
-                adam_step(p.data, p.grad, m, v, self.t, g["lr"],
-                          self.beta1, self.beta2, self.eps, g["weight_decay"])
+            params = g["params"]
+            with_grad = sum(p.grad is not None for p in params)
+            if with_grad == 0:
+                continue
+            if with_grad < len(params):
+                raise ValueError("some tensors of an Adam group have no gradient")
+            np.concatenate([p.grad for p in params], axis=None, out=g["grad"], casting="no")
+            if not np.isfinite(g["grad"]).all():
+                bad = next(p for p in params if not np.isfinite(p.grad).all())
+                raise NumericalAbort(f"non-finite gradient for parameter of shape "
+                                     f"{bad.data.shape} at step {self.t}")
+            adam_step(g["flat"], g["grad"], g["m"], g["v"], self.t, g["lr"],
+                      self.beta1, self.beta2, self.eps, g["weight_decay"])
 
 
 class EarlyStopper:
@@ -236,7 +254,10 @@ def _fit(forward, mutable, groups, target, cfg, dropout_p):
     the next epoch's, and a stage of E epochs runs E + 1 forwards, not 2E;
     otherwise it records no graph.
     A graph is dropped before the next ``forward``, which may overwrite its
-    arrays (the trainers' workspace does). Returns a StageReport.
+    arrays (the trainers' workspace does). ``Adam`` makes each tensor of
+    ``groups`` a view into its group's buffer; ``_restore`` rebinds every
+    tensor of ``mutable`` (the groups' tensors) to its snapshot's own array, so
+    none is a view after the stage. Returns a StageReport.
     """
     adam = Adam(groups)
     stopper = EarlyStopper(cfg.patience)

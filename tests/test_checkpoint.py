@@ -93,6 +93,12 @@ class TestRoundtrip:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+def _list_extra_array(header, name, shape):
+    """List one more array after the others; returns its bytes, so the file's size fits."""
+    header["arrays"].append([name, list(shape)])
+    return np.ones(shape, dtype="<f4").tobytes()
+
+
 class TestCorruptFiles:
     def _good_blob(self, tiny_dataset, tmp_path):
         stack = _lora_stack(tiny_dataset.f, tiny_dataset.C)
@@ -173,20 +179,24 @@ class TestCorruptFiles:
         (lambda h: h["layers"][0].update(d_in=float(h["layers"][0]["d_in"])), "layer 0 dims"),
         (lambda h: h["head"].reverse(), r"head \[\d+, 6\] do not match"),
         (lambda h: h.update(format=True), "unsupported checkpoint format"),
+        (lambda h: _list_extra_array(h, "junk", [1, 1]), "not the layers' parameters"),
+        (lambda h: _list_extra_array(h, "head", h["head"]), "not the layers' parameters"),
     ], ids=["no-arrays", "unknown-mode", "dropout", "sgc-steps", "pairnorm", "rank",
             "arrays-type", "flat-array", "infinite-dim", "conv-and-steps",
             "alpha-text", "alpha-null", "alpha-list", "alpha-infinite",
             "pairnorm-nan", "pairnorm-infinite", "pairnorm-bool", "sgc-steps-bool",
             "row-normalize-text", "row-normalize-int", "dropout-bool",
-            "d-in", "d-out-text", "d-in-float", "head", "format-bool"])
+            "d-in", "d-out-text", "d-in-float", "head", "format-bool",
+            "extra-array", "array-listed-twice"])
     def test_malformed_header_is_data_error(self, tiny_dataset, tmp_path, edit, match):
         blob = self._good_blob(tiny_dataset, tmp_path)
         (hlen,) = struct.unpack("<I", blob[8:12])
         header = json.loads(blob[12 : 12 + hlen])
-        edit(header)
+        extra = edit(header)  # an edit that lists another array returns its bytes
         raw = json.dumps(header).encode()
         p = tmp_path / "edited.ckpt"
-        p.write_bytes(MAGIC + struct.pack("<I", len(raw)) + raw + blob[12 + hlen :])
+        p.write_bytes(MAGIC + struct.pack("<I", len(raw)) + raw + blob[12 + hlen :]
+                      + (extra if isinstance(extra, bytes) else b""))
         with pytest.raises(DataError, match=match):
             load_checkpoint(p)
 

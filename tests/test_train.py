@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib
 import json
 import tracemalloc
@@ -58,10 +59,38 @@ class TestAdam:
         assert np.allclose(p, -0.1, atol=1e-8)
 
     def test_none_grad_skipped(self):
-        p = Tensor(np.ones((2, 2)), requires_grad=True)
-        opt = Adam([{"params": [p], "lr": 0.5}])
+        p, q = (Tensor(np.ones((2, 2)), requires_grad=True) for _ in range(2))
+        r = Tensor(np.zeros(2), requires_grad=True)
+        r.grad = np.ones(2)
+        opt = Adam([{"params": [p, q], "lr": 0.5}, {"params": [r], "lr": 0.1}])
         opt.step()
         assert np.array_equal(p.data, np.ones((2, 2)))
+        assert np.array_equal(q.data, np.ones((2, 2)))
+        assert np.allclose(r.data, -0.1, atol=1e-8)  # the other group still steps
+
+    def test_tensor_in_two_groups_rejected(self):
+        p = Tensor(np.zeros(2), requires_grad=True)
+        with pytest.raises(ValueError, match="listed twice"):
+            Adam([{"params": [p], "lr": 0.1}, {"params": [p], "lr": 0.01}])
+        with pytest.raises(ValueError, match="listed twice"):
+            Adam([{"params": [p, p], "lr": 0.1}])
+
+    def test_mixed_dtype_group_rejected(self):
+        a = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
+        b = Tensor(np.zeros(2, dtype=np.float64), requires_grad=True)
+        with pytest.raises(ValueError, match="mixes dtypes"):
+            Adam([{"params": [a, b], "lr": 0.1}])
+        opt = Adam([{"params": [a], "lr": 0.1}, {"params": [b], "lr": 0.1}])  # one per group
+        a.grad = np.ones(2)  # float64: not the group's dtype, so not a bitwise update
+        with pytest.raises(TypeError):
+            opt.step()
+
+    def test_group_with_some_gradients_missing_rejected(self):
+        a, b = (Tensor(np.zeros(2), requires_grad=True) for _ in range(2))
+        a.grad = np.ones(2)
+        opt = Adam([{"params": [a, b], "lr": 0.1}])
+        with pytest.raises(ValueError, match="no gradient"):
+            opt.step()
 
     def test_decoupled_weight_decay(self):
         p = Tensor(np.ones(4), requires_grad=True)
@@ -82,10 +111,17 @@ class TestAdam:
         assert np.allclose(b.data, -0.01, atol=1e-9)
 
     def test_nonfinite_grad_aborts(self):
-        p = Tensor(np.ones(2), requires_grad=True)
-        p.grad = np.array([1.0, np.inf])
-        opt = Adam([{"params": [p], "lr": 0.1}])
-        with pytest.raises(NumericalAbort, match="non-finite gradient"):
+        ok, bad, worse = (Tensor(np.ones(shape), requires_grad=True)
+                          for shape in ((3,), (2, 2), (4,)))
+        opt = Adam([{"params": [ok, bad, worse], "lr": 0.1}])
+        for p in (ok, bad, worse):
+            p.grad = np.ones(p.data.shape)
+        opt.step()
+        bad.grad[1, 0] = np.inf
+        worse.grad[0] = np.nan
+        # names the group's first tensor with a non-finite gradient, and the step
+        with pytest.raises(NumericalAbort,
+                           match=r"non-finite gradient .* shape \(2, 2\) at step 2"):
             opt.step()
 
     def test_zero_grad_clears(self):
@@ -94,6 +130,139 @@ class TestAdam:
         opt = Adam([{"params": [p], "lr": 0.1}])
         opt.zero_grad()
         assert p.grad is None
+
+
+class _PerTensorAdam:
+    """Reference Adam: one finiteness check and one ``adam_step`` per tensor."""
+
+    def __init__(self, groups, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.groups = [
+            {"params": list(g["params"]), "lr": float(g["lr"]),
+             "weight_decay": float(g.get("weight_decay", 0.0))}
+            for g in groups
+        ]
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.t = 0
+        self._state = {}
+        for g in self.groups:
+            for p in g["params"]:
+                self._state[id(p)] = (np.zeros_like(p.data), np.zeros_like(p.data))
+
+    def zero_grad(self):
+        for g in self.groups:
+            for p in g["params"]:
+                p.grad = None
+
+    def step(self):
+        self.t += 1
+        for g in self.groups:
+            for p in g["params"]:
+                if p.grad is None:
+                    continue
+                if not np.all(np.isfinite(p.grad)):
+                    raise NumericalAbort(
+                        f"non-finite gradient for parameter of shape {p.data.shape} "
+                        f"at step {self.t}"
+                    )
+                m, v = self._state[id(p)]
+                adam_step(p.data, p.grad, m, v, self.t, g["lr"],
+                          self.beta1, self.beta2, self.eps, g["weight_decay"])
+
+
+def _fingerprint(stack, report):
+    """sha256 over every weight's dtype, shape and bytes, and the report's JSON without
+    its wall clocks."""
+    h = hashlib.sha256()
+    for p in stack.parameters():
+        h.update(f"{p.data.dtype}{p.data.shape}".encode() + p.data.tobytes())
+    report.total_wall_clock = 0.0
+    for st_rep in report.stages:
+        st_rep.wall_clock_seconds = 0.0
+    return h.hexdigest(), report.to_json()
+
+
+class TestFlatAdamOracle:
+    """Adam's one update per flat group against the per-tensor reference, bitwise."""
+
+    @staticmethod
+    def _tensors():
+        r = np.random.default_rng(0)
+        f32 = [Tensor(r.standard_normal((5, 3)).astype(np.float32), requires_grad=True),
+               # a transposed, so non-contiguous, tensor
+               Tensor(r.standard_normal((4, 6)).astype(np.float32).T, requires_grad=True),
+               Tensor(r.standard_normal(7).astype(np.float32), requires_grad=True)]
+        f64 = [Tensor(r.standard_normal((3, 3)), requires_grad=True),
+               Tensor(r.standard_normal((2, 8)), requires_grad=True)]
+        return f32, f64
+
+    @pytest.mark.parametrize("wd32, wd64", [(0.0, 0.1), (5e-4, 0.0)])
+    def test_twenty_steps_match_reference(self, wd32, wd64):
+        sides = []
+        for cls in (Adam, _PerTensorAdam):
+            f32, f64 = self._tensors()
+            opt = cls([{"params": f32, "lr": 0.01, "weight_decay": wd32},
+                       {"params": f64, "lr": 0.003, "weight_decay": wd64}])
+            sides.append((f32 + f64, opt))
+        (flat_params, flat), (ref_params, ref) = sides
+        assert not ref_params[1].data.flags.c_contiguous  # the reference steps the view
+        grad_rng = np.random.default_rng(1)
+        for _ in range(20):
+            for p, q in zip(flat_params, ref_params):
+                g = grad_rng.standard_normal(p.data.shape[::-1]).astype(p.data.dtype).T
+                p.grad, q.grad = g, g.copy()  # one non-contiguous and one contiguous copy
+            flat.step()
+            ref.step()
+        for p, q in zip(flat_params, ref_params):
+            assert p.data.dtype == q.data.dtype and p.data.shape == q.data.shape
+            assert p.data.tobytes() == q.data.tobytes()
+        for g, ref_g in zip(flat.groups, ref.groups):
+            for k, key in enumerate(("m", "v")):
+                want = np.concatenate([ref._state[id(q)][k] for q in ref_g["params"]],
+                                      axis=None)
+                assert g[key].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("trainer, variant, dropout_p", [
+        ("lgt", "gcn", 0.0),
+        ("lgt", "gcn", 0.3),
+        ("lgt", "gcn+pairnorm", None),
+        ("standard", "gcn", None),
+        ("standard", "sgc", None),
+    ])
+    def test_train_matches_reference(self, monkeypatch, small_sbm, trainer, variant,
+                                     dropout_p):
+        cfg = TrainConfig(depth=4, hidden_dim=8, lora_rank=2, max_epochs=30, patience=6,
+                          dropout_p=dropout_p, seed=3)
+        runs = []
+        for cls in (Adam, _PerTensorAdam):
+            with monkeypatch.context() as m:
+                m.setattr(gtrain, "Adam", cls)
+                stack, report, _ = _run(monkeypatch, gtrain._fit, trainer, variant, cfg,
+                                        small_sbm)
+            runs.append(_fingerprint(stack, report))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("trainer", ["lgt", "standard"])
+    def test_no_parameter_outlives_its_stage_as_a_view(self, monkeypatch, small_sbm,
+                                                       trainer):
+        made = []
+
+        class Recording(Adam):
+            def __init__(self, groups):
+                super().__init__(groups)
+                # while the stage trains, every group tensor is a view into its buffer
+                assert all(np.shares_memory(p.data, g["flat"])
+                           for g in self.groups for p in g["params"])
+                made.append(self)
+
+        cfg = TrainConfig(depth=3, hidden_dim=8, lora_rank=2, max_epochs=5, patience=5)
+        with monkeypatch.context() as m:
+            m.setattr(gtrain, "Adam", Recording)
+            stack, _ = train(small_sbm, cfg, trainer=trainer)
+        assert len(made) == (cfg.depth if trainer == "lgt" else 1)
+        buffers = [g[key] for adam in made for g in adam.groups
+                   for key in ("flat", "grad", "m", "v")]
+        assert not any(np.shares_memory(p.data, b)
+                       for p in stack.parameters() for b in buffers)
 
 
 class TestEarlyStopper:
