@@ -9,8 +9,10 @@ gradient only when that input requires grad.
 
 Every gradient a backward hands on is a new array held by the receiving tensor
 alone, and ``backward()`` keeps only the gradients of leaves. ``gcn_layer``, a
-graph convolution in one node, keeps for its backward the propagated input and
-two bool masks, the ReLU's and dropout's, and gives every other buffer, its
+graph convolution in one node, applies a narrowing weight before it propagates,
+any other after. It keeps for its backward the input the weight multiplied (the
+propagated one, or the dropped one for a narrowing weight) and two bool masks,
+the ReLU's and dropout's, and gives every other buffer, its
 incoming gradient too, back to the workspace once read. Its backward never
 reads its output, so the caller may release that once the op above has read it.
 Ops write their results into a ``Workspace`` when given ``ws=``, else allocate.
@@ -214,37 +216,47 @@ def gcn_layer(op, h, W, adapter=None, C=None, keep=None, p=0.0, *, ws=None):
 
     ``W' = W + (alpha/rank)·A@B`` for an ``adapter``, else ``W``; ``keep`` is the bool
     dropout mask at rate ``p``, or None. With ``op`` None, ``h`` is the propagated
-    input. ``C = h @ W``, formed once for an adapter and a constant ``h``, leaves
+    input. A narrowing ``W'`` (more rows than columns) multiplies before the
+    propagation, ``op @ (dropout(h) @ W')``, so the sparse product runs over the
+    fewer columns; otherwise ``(op @ dropout(h)) @ W'``. The order reads shapes only,
+    so a recorded and an unrecorded forward agree bitwise. ``C = h @ W``, formed once
+    for an adapter and a constant propagated ``h`` (``op`` None), leaves
     ``C + (alpha/rank)·(h@A)@B`` per call. A node that records a graph keeps the
-    propagated input, ``keep`` and the bool ReLU mask ``out > 0`` (and ``h@A`` with
-    ``C``), not its output; it forms every value with the kernels and in the order
-    of the ops it replaces, so its results are theirs bitwise.
+    input ``W'`` multiplies (the propagated one, or the dropped one when ``W'``
+    narrows), ``keep`` and the bool ReLU mask ``out > 0`` (and ``h@A`` with ``C``),
+    not its output; it forms every value with the kernels of the ops it replaces,
+    in its order, so its results are theirs bitwise.
     """
     x, dtype, scale = h.data, h.data.dtype, 1.0 / (1.0 - p)
     if (op is not None and op.n_cols != x.shape[0]) or x.shape[1] != W.data.shape[0]:
         raise ValueError(f"gcn_layer dims disagree: {getattr(op, 'shape', None)} @ {x.shape} @ "
                          f"{W.data.shape}")
-    if (C is not None and (adapter is None or h.requires_grad)) or (keep is not None
-                                                                    and op is None):
-        raise ValueError("gcn_layer: C needs an adapter and a constant input, dropout an op")
-    Lh = x
-    if op is not None:
-        x = x if keep is None else _masked(x, keep, scale, ws)
-        Lh = _csr_times(op.to_scipy(dtype), x, ws)
+    if (C is not None and (adapter is None or h.requires_grad or op is not None)) or (
+            keep is not None and op is None):
+        raise ValueError("gcn_layer: C needs an adapter and a constant input, no op; dropout an op")
+    narrow = op is not None and W.data.shape[0] > W.data.shape[1]
+    if keep is not None:
+        x = _masked(x, keep, scale, ws)
+    xin = x  # the input W' multiplies
+    if op is not None and not narrow:
+        xin = _csr_times(op.to_scipy(dtype), x, ws)
         if keep is not None:
             _release(ws, x)
     weight = W.data
     if adapter is not None:
         A, B, s = adapter.A, adapter.B, float(adapter.scaling)
     if C is not None:
-        P = _matmul(Lh, A.data, ws)
+        P = _matmul(xin, A.data, ws)
         out = _matmul(P, B.data, ws)
         np.add(C, np.multiply(out, s, out=out), out=out)
     else:
         if adapter is not None:
             weight = _matmul(A.data, B.data, ws)
             np.add(W.data, np.multiply(weight, s, out=weight), out=weight)
-        out = _matmul(Lh, weight, ws)
+        out = _matmul(xin, weight, ws)
+    if narrow:
+        xw, out = out, _csr_times(op.to_scipy(dtype), out, ws)
+        _release(ws, xw)
     np.maximum(out, 0, out=out)
     inputs = (h, W) if adapter is None else (h, W, A, B)
     # where the product is positive: the backward reads this, and never ``out``
@@ -253,29 +265,32 @@ def gcn_layer(op, h, W, adapter=None, C=None, keep=None, p=0.0, *, ws=None):
     def bwd(g):
         gz = np.multiply(g, relu, out=_buffer(ws, g.shape, np.result_type(g, relu)))
         _release(ws, relu, g)
-        gLh = _matmul(gz, weight.T, ws) if h.requires_grad else None
-        if C is not None:  # the gradient of (Lh @ A) @ B at s * gz
+        if narrow:  # back through the propagation first: gz becomes that of xin @ W'
+            gz, done = _csr_times(op.transpose_scipy(dtype), gz, ws), gz
+            _release(ws, done)
+        gx = _matmul(gz, weight.T, ws) if h.requires_grad else None
+        if C is not None:  # the gradient of (xin @ A) @ B at s * gz
             gP = _matmul(np.multiply(gz, s, out=gz), B.data.T, ws)
             _accum(B, _matmul(P.T, gz, ws))
-            _accum(A, _matmul(Lh.T, gP, ws))
+            _accum(A, _matmul(xin.T, gP, ws))
             _release(ws, gP)
-        elif adapter is not None:  # the gradient of A @ B at s * (Lh.T @ gz)
-            gAB = _matmul(Lh.T, gz, ws)
+        elif adapter is not None:  # the gradient of A @ B at s * (xin.T @ gz)
+            gAB = _matmul(xin.T, gz, ws)
             gAB *= s
             _accum(A, _matmul(gAB, B.data.T, ws))
             _accum(B, _matmul(A.data.T, gAB, ws))
             _release(ws, gAB)
         elif W.requires_grad:
-            _accum(W, _matmul(Lh.T, gz, ws))
+            _accum(W, _matmul(xin.T, gz, ws))
         _release(ws, gz)
-        if gLh is not None and op is not None:
-            gx = _csr_times(op.transpose_scipy(dtype), gLh, ws)
-            _release(ws, gLh)
-            gLh = gx if keep is None else _masked(gx, keep, scale, ws)
-            if keep is not None:
-                _release(ws, gx)
-        if gLh is not None:
-            _accum(h, gLh)
+        if gx is not None and op is not None and not narrow:
+            gx, done = _csr_times(op.transpose_scipy(dtype), gx, ws), gx
+            _release(ws, done)
+        if gx is not None and keep is not None:
+            gx, done = _masked(gx, keep, scale, ws), gx
+            _release(ws, done)
+        if gx is not None:
+            _accum(h, gx)
 
     return _compose(out, inputs, bwd)
 

@@ -300,7 +300,10 @@ class ForwardPlan:
     The forward starts at ``stack.layers[start]`` from ``inp``, its
     propagated input ``L @ H``, valid while no dropout precedes ``start``;
     with ``start == len(stack.layers)`` ``inp`` is the head's input (e.g.
-    ``L^K @ X`` when ``layers`` is empty), valid at any dropout.
+    ``L^K @ X`` when ``layers`` is empty), valid at any dropout. An ``inp``
+    fixes its start layer's order as ``(L @ H) @ W``, where a plan-less forward
+    of a narrowing layer forms ``L @ (H @ W)`` (see ``autodiff.gcn_layer``): the
+    two agree up to rounding.
     ``C = inp @ W0`` for a start layer with an adapter goes to its
     ``autodiff.gcn_layer``, which forms ``C + (inp @ A) @ B * alpha/rank``.
     With a ``cone`` (a ``RowCone``), the layer k hops below the output

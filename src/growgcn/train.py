@@ -413,7 +413,8 @@ def train(data, cfg, trainer="standard", variant="gcn", on_stage_start=None,
     skips constant work and (without PairNorm) the rows outside the train and
     val nodes' ``RowCone``: the results equal the full forward's up to rounding.
     Every epoch reuses the buffers of one workspace per call. The final test
-    accuracy and collapse report come from one full ``eval_forward``.
+    accuracy and collapse report come from one full ``eval_forward``: for a conv
+    stack ``evaluate``'s plan-less one, and for SGC one from its head input ``L^K @ Xp``.
 
     Callbacks, both optional, fire inside each stage: ``on_stage_start(stage,
     stack, L, Xp)`` after growth but before any optimizer step, and
@@ -483,11 +484,12 @@ def train(data, cfg, trainer="standard", variant="gcn", on_stage_start=None,
 
     total = time.perf_counter() - t_total
     del ws  # free the buffers before the final forward
-    # the report reads hidden[-1], the head's input, bitwise as evaluate and collapse_report do
-    logits, hidden = ly.eval_forward(stack, L, Xp, return_hidden=True, prepared=True,
-                                     plan=None if LX is None else ly.ForwardPlan(inp=LX))
+    # the report reads hidden[-1], the head's input, bitwise as evaluate and collapse_report
+    # do: a conv stack's forward is theirs, plan-less, and SGC's starts from L^K @ Xp
+    plan, LX = (ly.ForwardPlan(inp=LX) if stack.sgc_steps else None), None
+    logits, hidden = ly.eval_forward(stack, L, Xp, return_hidden=True, prepared=True, plan=plan)
     # the other layers' outputs and the inputs go before the report's transients
-    hidden, Xp, LX, plan = hidden[-1:], None, None, None
+    hidden, Xp, plan = hidden[-1:], None, None
     return stack, TrainReport(
         stages=stages,
         test_acc=_accuracy(logits.data, data.labels, data.splits.test),

@@ -41,6 +41,10 @@ class TestForwardValues:
             ad.gcn_layer(s, t64(np.ones((3, 2))), t64(np.ones((2, 2))))
         with pytest.raises(ValueError, match="gcn_layer"):
             ad.gcn_layer(s, t64(np.ones((2, 3))), t64(np.ones((2, 2))))
+        # C is the product of the propagated input, so it goes with no op
+        adapter = make_adapter(2, 2, 1, 1.0, np.random.default_rng(0), np.float64)
+        with pytest.raises(ValueError, match="no op"):
+            ad.gcn_layer(s, t64(np.ones((2, 2))), t64(np.ones((2, 2))), adapter, np.ones((2, 2)))
 
     def test_relu_zero_subgradient(self):
         x = t64([[-1.0, 0.0, 2.0]], grad=True)
@@ -163,20 +167,24 @@ class TestBackward:
 class TestGcnLayer:
     """The one-node conv layer in each of its forms, in float64."""
 
-    @pytest.mark.parametrize("form", ["trainable", "adapter", "adapter+C", "dropout"])
+    @pytest.mark.parametrize("form", ["trainable", "adapter", "adapter+C", "dropout",
+                                      "trainable 5x3", "adapter 5x3", "dropout 5x3"])
     def test_values_gradients_and_workspace(self, path3, form):
+        # a 5x3 weight narrows, so the layer forms L @ (x @ W) and propagates its gradient first
+        form, _, narrow = form.partition(" ")
+        d_in, d_out = (5, 3) if narrow else (4, 4)
         rng = np.random.default_rng(11)
         L = normalized_laplacian(path3)
-        h = t64(rng.standard_normal((3, 4)), grad=form != "adapter+C")
-        W = t64(rng.standard_normal((4, 4)), grad=form in ("trainable", "dropout"))
-        head = t64(rng.standard_normal((4, 2)), grad=True)
+        h = t64(rng.standard_normal((3, d_in)), grad=form != "adapter+C")
+        W = t64(rng.standard_normal((d_in, d_out)), grad=form in ("trainable", "dropout"))
+        head = t64(rng.standard_normal((d_out, 2)), grad=True)
         adapter = keep = None
         if form.startswith("adapter"):
-            adapter = make_adapter(4, 4, 2, 3.0, rng, np.float64)
-            adapter.B.data = rng.standard_normal((2, 4))
+            adapter = make_adapter(d_in, d_out, 2, 3.0, rng, np.float64)
+            adapter.B.data = rng.standard_normal((2, d_out))
         p = 0.4 if form == "dropout" else 0.0
         if p:
-            keep = rng.random((3, 4)) >= p
+            keep = rng.random((3, d_in)) >= p
         # with C the input is the propagated one and constant, and C = input @ W
         op, C = (None, h.data @ W.data) if form == "adapter+C" else (L, None)
         params = [t for t in (h, W, head) if t.requires_grad]
@@ -212,14 +220,16 @@ class TestNoGrad:
     def test_ops_record_no_graph_and_give_equal_values(self, path3):
         L = normalized_laplacian(path3)
         rng = np.random.default_rng(4)
-        h, W = t64(rng.standard_normal((3, 4)), True), t64(rng.standard_normal((4, 4)), True)
-        want = ad.gcn_layer(L, h, W)
-        with ad.no_grad():
-            out = ad.gcn_layer(L, h, W)
-            logits = ad.matmul(out, W)
-        for t in (out, logits):
-            assert t._prev is None and t._backward is None and not t.requires_grad
-        assert np.array_equal(out.data, want.data) and want._backward is not None
+        h = t64(rng.standard_normal((3, 4)), True)
+        for d_out in (4, 2):  # a square weight, then a narrowing one, which multiplies first
+            W, head = t64(rng.standard_normal((4, d_out)), True), t64(np.ones((d_out, 2)), True)
+            want = ad.gcn_layer(L, h, W)
+            with ad.no_grad():
+                out = ad.gcn_layer(L, h, W)
+                logits = ad.matmul(out, head)
+            for t in (out, logits):
+                assert t._prev is None and t._backward is None and not t.requires_grad
+            assert np.array_equal(out.data, want.data) and want._backward is not None
 
     def test_mode_comes_back_after_an_exception_and_nesting(self):
         x, w = t64(np.ones((2, 2)), True), t64(np.eye(2))

@@ -381,6 +381,23 @@ class TestLayerStack:
         # the layer's input, its propagation and its output; with a graph, 2 per layer
         assert peak < 4 * X.nbytes
 
+    @pytest.mark.parametrize("f, widths", [(120, [8, 8, 8]), (4, [4, 8, 8])])
+    def test_sparse_products_run_over_the_narrower_side(self, monkeypatch, f, widths):
+        # f = 120 into 8: layer 0 multiplies by W first, so no product has 120 columns;
+        # f = 4 into 8 widens, so layer 0 still propagates its 4 input columns first
+        rng = np.random.default_rng(5)
+        L = normalized_laplacian(random_graph(rng, 30))
+        stack = _plain_stack(rng, f, 8, 3, 3)
+        columns, csr_times = [], ad._csr_times
+
+        def spy(m, x, ws):
+            columns.append(x.shape[1])
+            return csr_times(m, x, ws)
+
+        monkeypatch.setattr(ad, "_csr_times", spy)
+        ly.eval_forward(stack, L, rng.standard_normal((30, f)))
+        assert columns == widths
+
     def test_gradcheck_full_stack_with_adapter(self, path3):
         # composed check of the exact forward the trainers build
         L = normalized_laplacian(path3)

@@ -660,18 +660,26 @@ class TestCachedForwardOracle:
                 np.testing.assert_allclose(g, g_ref, rtol=1e-9, atol=1e-12, err_msg=name)
 
     def test_lx_rejected_where_dropout_precedes_layer_0(self, tiny_dataset):
-        rng = np.random.default_rng(0)
-        stack = _random_stage_stack(rng, tiny_dataset.f, 4, 2, 1, False, False, [])
-        stack.dropout_p = 0.5
+        f = tiny_dataset.f
         L = normalized_laplacian(tiny_dataset.adjacency)
-        Xp = ly.prepare_features(stack, tiny_dataset.X)
-        plan = ly.ForwardPlan(inp=ad.spmm(L, Tensor(Xp)).data)
-        with pytest.raises(ValueError, match="dropout"):
-            ly.stack_forward(stack, L, Xp, training=True, rng=rng, prepared=True, plan=plan)
-        # an eval forward applies no dropout, so L @ Xp stands in exactly
-        assert np.array_equal(
-            ly.stack_forward(stack, L, Xp, prepared=True, plan=plan).data,
-            ly.stack_forward(stack, L, Xp, prepared=True).data)
+        for hidden in (f, f + 3, f - 1):
+            rng = np.random.default_rng(0)
+            stack = _random_stage_stack(rng, f, hidden, 2, 1, False, False, [])
+            stack.dropout_p = 0.5
+            Xp = ly.prepare_features(stack, tiny_dataset.X)
+            plan = ly.ForwardPlan(inp=ad.spmm(L, Tensor(Xp)).data)
+            with pytest.raises(ValueError, match="dropout"):
+                ly.stack_forward(stack, L, Xp, training=True, rng=rng, prepared=True,
+                                 plan=plan)
+            # an eval forward applies no dropout, so L @ Xp stands in: exactly where
+            # layer 0 does not narrow, since the plan-less forward also forms
+            # (L @ Xp) @ W; up to rounding where it narrows and forms L @ (Xp @ W)
+            planned = ly.stack_forward(stack, L, Xp, prepared=True, plan=plan).data
+            plain = ly.stack_forward(stack, L, Xp, prepared=True).data
+            if hidden >= f:
+                assert np.array_equal(planned, plain), hidden
+            else:
+                np.testing.assert_allclose(planned, plain, rtol=1e-12)
 
 
 class TestReportSerialization:
@@ -1399,9 +1407,9 @@ class TestFinalForward:
         if stack.dropout_p == 0.0:
             # one training forward per stage plus one per epoch, then the final one
             assert calls["all"] == epochs + len(report.stages) + 1
-            # the propagation-only stack's final forward starts from its head
-            # input, which is all its collapse report reads
-            assert calls["plan-less"] == 0
+            # a conv stack's final forward is evaluate's, plan-less; the propagation-only
+            # stack's starts from its head input, which is all its collapse report reads
+            assert calls["plan-less"] == (0 if stack.sgc_steps else 1)
         else:
             assert calls["all"] == calls["plan-less"] == 2 * epochs + 1
 
