@@ -17,9 +17,24 @@ incoming gradient too, back to the workspace once read. Its backward never
 reads its output, so the caller may release that once the op above has read it.
 Ops write their results into a ``Workspace`` when given ``ws=``, else allocate.
 Under ``no_grad()`` no op records a graph, so nothing outlives the op that made it.
+
+A ``gcn_layer`` forward is one row-range step (the op's CSR rows, the dense
+product on those rows, ReLU) written into buffers the calling thread takes. A
+forward that records no graph runs the step as two row halves, the second on
+one persistent thread, when the layer is large (``SPLIT_MIN_ENTRIES``)
+and numpy's BLAS leaves a core idle (``split_rows``); every other forward runs
+it once over all rows. Each output row is formed by the same kernels either way,
+so the halves give the whole step's values bitwise.
 """
 
 import contextlib
+import contextvars
+import ctypes
+import multiprocessing
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -70,6 +85,11 @@ def _buffer(ws, shape, dtype):
     return None if ws is None else ws.take(shape, dtype)
 
 
+def _take(ws, shape, dtype):
+    """A workspace buffer for an op's result, or a new array without one."""
+    return np.empty(shape, dtype) if ws is None else ws.take(shape, dtype)
+
+
 def _release(ws, *arrays):
     if ws is not None:
         ws.release(*arrays)
@@ -99,13 +119,139 @@ def _csr_times(m, x, ws):
 
     The buffer path runs the kernel ``m @ x`` runs, on a zeroed buffer: both round alike.
     """
-    if ws is None or _CSR_MATVECS is None or x.shape[1] == 1 or m.dtype != x.dtype:
+    if ws is None or not _by_rows(m, x):
         return m @ x
     out = ws.take((m.shape[0], x.shape[1]), x.dtype)
-    out.fill(0)
-    _CSR_MATVECS(m.shape[0], m.shape[1], x.shape[1], m.indptr, m.indices, m.data,
-                 x.ravel(), out.reshape(-1))
+    _csr_rows(m, x, out, 0, m.shape[0])
     return out
+
+
+def _by_rows(m, x):
+    """Whether ``m @ x`` runs the CSR kernel on a row range (else scipy's own product)."""
+    return (_CSR_MATVECS is not None and x.shape[1] > 1 and m.dtype == x.dtype
+            and x.flags.c_contiguous)
+
+
+def _csr_rows(m, x, out, lo, hi):
+    """Rows ``lo:hi`` of ``m @ x`` into ``out[lo:hi]``, rounding as ``m @ x`` does.
+
+    The kernel reads the rows' slice of ``m.indptr``, whose offsets index the
+    whole ``indices`` and ``data``; without it the product is formed whole.
+    """
+    if not _by_rows(m, x):
+        out[...] = m @ x
+        return
+    o = out[lo:hi]
+    o.fill(0)
+    _CSR_MATVECS(hi - lo, m.shape[1], x.shape[1], m.indptr[lo:hi + 1], m.indices, m.data,
+                 x.reshape(-1), o.reshape(-1))
+
+
+def _openblas():
+    """numpy's bundled OpenBLAS's ``(get_num_threads, get_config)``, or None when not found."""
+    for lib_path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(lib_path))
+        except OSError:
+            continue
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            config = getattr(lib, f"scipy_openblas_get_config{suffix}", None)
+            if get is not None and config is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                config.restype, config.argtypes = ctypes.c_char_p, []
+                return get, config
+    return None
+
+
+_OPENBLAS = _openblas()
+
+
+def blas_info():
+    """``{"blas": build, "blas_threads": count}`` of numpy's OpenBLAS now, None each when
+    its getter is not found. The build string names the version and the CPU kernel set."""
+    if _OPENBLAS is None:
+        return {"blas": None, "blas_threads": None}
+    get, config = _OPENBLAS
+    return {"blas": config().decode(errors="replace").strip(), "blas_threads": int(get())}
+
+
+def _cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+# An unrecorded conv layer splits its rows in two when its output has at least this
+# many entries (rows x d_out). One 64-wide layer at one BLAS thread on 2 cores of an
+# Intel Xeon VM, called back to back (medians of 300), ran split 1.18x faster at 400
+# rows (2^14.6 entries), 1.4x at 2^16 and 1.6-1.8x from 2^17 to 10,000 rows. The
+# margin leaves room for a busy second core, and keeps a 400-node graph's layers whole.
+SPLIT_MIN_ENTRIES = 2 ** 17
+# Row halves of a dense product round as the whole product does only when it has
+# enough output columns: OpenBLAS's sgemm gave other last bits on halves of products
+# with 8 or fewer, and the same ones with 10 or more. A layer whose narrowest product
+# has fewer columns than this stays whole. This was measured on one kernel set only
+# (SkylakeX, OpenBLAS 0.3.31); ``TestRowSplitOracle`` is the check on any other.
+_SPLIT_MIN_COLS = 16
+
+
+def split_rows(n, d):
+    """Whether an unrecorded step that writes ``n`` rows of ``d`` entries runs as two
+    row halves: a large step, while numpy's BLAS runs on at most half of this
+    process's CPUs, in a process that no multiprocessing pool started.
+
+    A BLAS product that already runs on two threads would share its cores with the
+    halves, so the split waits for one BLAS thread on two CPUs, and an unknown
+    thread count (no getter found) keeps the step whole. A pool's worker (``sweep
+    --workers k``) shares the CPUs it sees with its k - 1 siblings, so it keeps its
+    steps whole too.
+    """
+    return (n * d >= SPLIT_MIN_ENTRIES and _OPENBLAS is not None
+            and multiprocessing.parent_process() is None and _cpus() >= 2 * _OPENBLAS[0]())
+
+
+# The thread that runs the second row half of a split step, started at the first
+# split. It runs only steps that write into arrays the calling thread took, so its
+# own malloc arena stays empty. The lock: one split at a time.
+_pool, _pool_lock = None, threading.Lock()
+
+
+def _forget_pool():
+    """In a forked child: the parent's thread did not survive the fork, so the next
+    split starts a new one (and a lock the fork caught held is let go)."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def run_rows(step, n, split):
+    """``step(lo, hi)`` over rows ``0:n``: with ``split``, as two halves, the second on
+    the pool's thread under this thread's context (``np.errstate`` too) while this
+    thread runs the first. Returns once both are done; re-raises the second's error.
+    While another thread's split holds the pool, the step runs whole."""
+    if not (split and _pool_lock.acquire(blocking=False)):
+        step(0, n)
+        return
+    global _pool
+    try:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="growgcn-rows")
+        mid = n // 2
+        half = _pool.submit(contextvars.copy_context().run, step, mid, n)
+        try:
+            step(0, mid)
+        finally:
+            try:
+                half.result()
+            except BaseException:
+                # an interrupted wait (Ctrl-C) leaves the half writing into the step's
+                # arrays: it finishes before they, or the pool, are used again
+                wait([half])
+                raise
+    finally:
+        _pool_lock.release()
 
 
 class Tensor:
@@ -226,6 +372,15 @@ def gcn_layer(op, h, W, adapter=None, C=None, keep=None, p=0.0, *, ws=None):
     narrows), ``keep`` and the bool ReLU mask ``out > 0`` (and ``h@A`` with ``C``),
     not its output; it forms every value with the kernels of the ops it replaces,
     in its order, so its results are theirs bitwise.
+
+    The forward is one step over a range of output rows: the op's CSR rows (its
+    ``indptr`` slice), the dense product on those rows, ReLU, written into buffers
+    this thread takes (a narrowing ``W'`` first multiplies the input's rows, all of
+    which every output row reads). An unrecorded node runs it as two row halves,
+    the second on the pool's thread, when ``split_rows`` says so for its output and
+    its narrowest dense product has at least ``_SPLIT_MIN_COLS`` columns; a
+    recorded one, and any other, runs it once over all rows. Dropout's mask and an
+    adapter's ``W'`` are formed whole first; the backward runs whole.
     """
     x, dtype, scale = h.data, h.data.dtype, 1.0 / (1.0 - p)
     if (op is not None and op.n_cols != x.shape[0]) or x.shape[1] != W.data.shape[0]:
@@ -237,30 +392,52 @@ def gcn_layer(op, h, W, adapter=None, C=None, keep=None, p=0.0, *, ws=None):
     narrow = op is not None and W.data.shape[0] > W.data.shape[1]
     if keep is not None:
         x = _masked(x, keep, scale, ws)
-    xin = x  # the input W' multiplies
-    if op is not None and not narrow:
-        xin = _csr_times(op.to_scipy(dtype), x, ws)
-        if keep is not None:
-            _release(ws, x)
+    m = None if op is None else op.to_scipy(dtype)
+    # the input W' multiplies
+    xin = x if m is None or narrow else _take(ws, (m.shape[0], x.shape[1]), dtype)
     weight = W.data
     if adapter is not None:
         A, B, s = adapter.A, adapter.B, float(adapter.scaling)
-    if C is not None:
-        P = _matmul(xin, A.data, ws)
-        out = _matmul(P, B.data, ws)
-        np.add(C, np.multiply(out, s, out=out), out=out)
-    else:
-        if adapter is not None:
+        if C is None:
             weight = _matmul(A.data, B.data, ws)
             np.add(W.data, np.multiply(weight, s, out=weight), out=weight)
-        out = _matmul(xin, weight, ws)
-    if narrow:
-        xw, out = out, _csr_times(op.to_scipy(dtype), out, ws)
-        _release(ws, xw)
-    np.maximum(out, 0, out=out)
+    if C is not None:
+        P = _take(ws, (xin.shape[0], A.data.shape[1]), np.result_type(xin, A.data))
+        out = _take(ws, (xin.shape[0], B.data.shape[1]), np.result_type(P, B.data))
+    elif narrow:
+        xw = _take(ws, (x.shape[0], weight.shape[1]), np.result_type(x, weight))
+        out = _take(ws, (m.shape[0], xw.shape[1]), np.result_type(m.dtype, xw))
+    else:
+        out = _take(ws, (xin.shape[0], weight.shape[1]), np.result_type(xin, weight))
     inputs = (h, W) if adapter is None else (h, W, A, B)
+    records = _records(inputs)
+
+    def rows(lo, hi):  # output rows lo:hi, from their propagation through ReLU
+        o = out[lo:hi]
+        if narrow:
+            _csr_rows(m, xw, out, lo, hi)
+        else:
+            if m is not None:
+                _csr_rows(m, x, xin, lo, hi)
+            if C is not None:
+                np.matmul(np.matmul(xin[lo:hi], A.data, out=P[lo:hi]), B.data, out=o)
+                np.add(C[lo:hi], np.multiply(o, s, out=o), out=o)
+            else:
+                np.matmul(xin[lo:hi], weight, out=o)
+        np.maximum(o, 0, out=o)
+
+    cols = out.shape[1] if C is None else min(out.shape[1], P.shape[1])  # narrowest product
+    split = (not records and cols >= _SPLIT_MIN_COLS
+             and (m is None or _by_rows(m, xw if narrow else x)) and split_rows(*out.shape))
+    if narrow:  # W' first, over the input's rows: every output row reads all of them
+        run_rows(lambda lo, hi: np.matmul(x[lo:hi], weight, out=xw[lo:hi]), x.shape[0], split)
+    run_rows(rows, out.shape[0], split)
+    if narrow:
+        _release(ws, xw)
+    elif keep is not None:  # the dropped input, once propagated
+        _release(ws, x)
     # where the product is positive: the backward reads this, and never ``out``
-    relu = np.greater(out, 0, out=_buffer(ws, out.shape, bool)) if _records(inputs) else None
+    relu = np.greater(out, 0, out=_buffer(ws, out.shape, bool)) if records else None
 
     def bwd(g):
         gz = np.multiply(g, relu, out=_buffer(ws, g.shape, np.result_type(g, relu)))

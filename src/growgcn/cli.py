@@ -15,10 +15,11 @@ Subcommands:
 import argparse
 import contextlib
 import csv
+import json
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from . import data as gdata
 from . import gradcheck as gc
 from . import metrics as gmetrics
 from .errors import DataError, NumericalAbort
-from .autodiff import GRAD_CHECK_EPS
+from .autodiff import GRAD_CHECK_EPS, blas_info
 from .train import TRAINERS, VARIANTS, TrainConfig, check_run, evaluate, train
 
 
@@ -263,8 +264,10 @@ def cmd_train(args):
     with _output_dir(args.out) as out:
         stacks, reports = run_repeats(data, cfg, trainer, variant, repeats, fixed)
 
+    blas = blas_info()  # results are bitwise for one BLAS build, kernel set and thread count
     for k, (stack, report) in enumerate(zip(stacks, reports)):
-        (out / f"report_seed{cfg.seed + k}.json").write_text(report.to_json(indent=1))
+        (out / f"report_seed{cfg.seed + k}.json").write_text(
+            json.dumps({**asdict(report), **blas}, indent=1))
         ckpt.save_checkpoint(stack, out / f"model_seed{cfg.seed + k}.ckpt")
 
     mean, std, wall, _ = _summary(reports)

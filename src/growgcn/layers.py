@@ -8,7 +8,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import row_normalize
 from .errors import NumericalAbort
 
 
@@ -179,7 +178,7 @@ def _keep_mask(shape, p, training, rng, rows, n_rows, ws):
         draw = rng.random((n, d), out=ad._buffer(ws, (n, d), np.float64))
     else:
         at = filled = 0  # the next row of the full draw, and of ``draw``
-        draw = (np.empty if ws is None else ws.take)((n - int(skip.sum()), d), np.float64)
+        draw = ad._take(ws, (n - int(skip.sum()), d), np.float64)
         for j in np.flatnonzero(skip):
             stop = filled + ext[j] - skip[j] - at
             rng.random(out=draw[filled:stop])
@@ -289,8 +288,28 @@ class LayerStack:
 
 
 def prepare_features(stack, X):
-    Xp = row_normalize(X) if stack.row_normalize else np.asarray(X)
-    return Xp.astype(stack.head.data.dtype, copy=False)
+    """``X`` as the stack reads it: row-normalised if it asks, in the head's dtype.
+
+    Features already in that dtype and not normalised come back as they are;
+    otherwise the cast or the division goes into one new array, in two row
+    halves when ``autodiff.split_rows`` says so (each row is ``row_normalize``'s).
+    """
+    X, dtype = np.asarray(X), stack.head.data.dtype
+    if not stack.row_normalize and X.dtype == dtype:
+        return X
+    if stack.row_normalize:  # row_normalize's divisors, then its quotients cast
+        s = np.abs(X).sum(axis=1, keepdims=True)  # |X| is gone before ``out`` is taken
+        s[s == 0] = 1.0
+
+        def rows(lo, hi):
+            np.divide(X[lo:hi], s[lo:hi], out=out[lo:hi], casting="unsafe")
+    else:
+        def rows(lo, hi):
+            np.copyto(out[lo:hi], X[lo:hi], casting="unsafe")
+    out = np.empty(X.shape, dtype)
+    n, f = X.shape
+    ad.run_rows(rows, n, ad.split_rows(n, f))
+    return out
 
 
 @dataclass(eq=False)

@@ -22,7 +22,7 @@ from growgcn import (DataError, generate_sbm, load_bundle, load_checkpoint, save
                      save_checkpoint)
 from growgcn.data import load_planetoid
 from growgcn.cli import UsageError, main
-from growgcn.train import TrainConfig
+from growgcn.train import TrainConfig, TrainReport
 
 SBM = "classes=2,per_class=25,p_in=0.3,p_out=0.05,f=8,signal=2,seed=0"
 FAST = ["--max-epochs", "4", "--patience", "4", "--depth", "2", "--hidden-dim", "8"]
@@ -396,6 +396,23 @@ class TestTrainCommand:
         assert s1[1][:7] == s2[1][:7]  # all but the wall-clock column
         assert (outs[0] / "model_seed0.ckpt").read_bytes() == \
             (outs[1] / "model_seed0.ckpt").read_bytes()
+
+    def test_report_records_blas_build_and_thread_count(self, tmp_path):
+        # results are bitwise for one BLAS build, kernel set and thread count, so the
+        # report names them; a process started at one thread records 1
+        out = tmp_path / "run"
+        env = dict(os.environ, PYTHONPATH=str(Path(growgcn.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS="1")
+        res = subprocess.run([sys.executable, "-m", "growgcn.cli", "train", "--sbm", SBM,
+                              "--out", str(out), *FAST], capture_output=True, text=True,
+                             env=env)
+        assert res.returncode == 0, res.stderr
+        report = json.loads((out / "report_seed0.json").read_text())
+        assert set(report) == {f.name for f in fields(TrainReport)} | {"blas", "blas_threads"}
+        if growgcn.autodiff._OPENBLAS is None:
+            assert report["blas"] is None and report["blas_threads"] is None
+        else:
+            assert report["blas_threads"] == 1 and report["blas"].startswith("OpenBLAS")
 
     def test_lgt_config_file_and_flag_precedence(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"

@@ -388,13 +388,13 @@ class TestLayerStack:
         rng = np.random.default_rng(5)
         L = normalized_laplacian(random_graph(rng, 30))
         stack = _plain_stack(rng, f, 8, 3, 3)
-        columns, csr_times = [], ad._csr_times
+        columns, csr_rows = [], ad._csr_rows
 
-        def spy(m, x, ws):
+        def spy(m, x, out, lo, hi):
             columns.append(x.shape[1])
-            return csr_times(m, x, ws)
+            return csr_rows(m, x, out, lo, hi)
 
-        monkeypatch.setattr(ad, "_csr_times", spy)
+        monkeypatch.setattr(ad, "_csr_rows", spy)
         ly.eval_forward(stack, L, rng.standard_normal((30, f)))
         assert columns == widths
 

@@ -2,7 +2,15 @@ import dataclasses
 import hashlib
 import importlib
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from concurrent.futures import Future, ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +36,7 @@ from growgcn import (
     train,
 )
 from growgcn import autodiff as ad
+from growgcn import data as gdata
 from growgcn import layers as ly
 from growgcn.metrics import collapse_from_hidden
 from conftest import BIT_GENERATORS, random_graph, same_state
@@ -1254,6 +1263,25 @@ class TestActivationMemory:
         per_entry = (peaks[1] - peaks[0]) / 4 / (n * d)
         assert per_entry <= (8 + 1 + (dropout_p > 0)) * 1.05
 
+    def test_split_evaluate_peaks_no_higher_than_the_whole(self, monkeypatch, sbm_4x2500):
+        data = sbm_4x2500
+        stack = _float32_stack(np.random.default_rng(0), data.f, 64, data.C, 4)
+        peaks = {}
+        for split in (False, True, False, True):
+            monkeypatch.setattr(ad, "split_rows", _split_by_size if split else
+                                (lambda n, d: False))
+            evaluate(stack, data, data.splits.test)  # L, and the pool's thread, before tracing
+            tracemalloc.start()
+            try:
+                evaluate(stack, data, data.splits.test)
+                peaks[split] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # the split adds no array; its hand-off (a Future and its lock) holds a few kB of
+        # Python objects (a thread that kept its last step's arrays read 5 MB more, two
+        # 10,000 x 64 arrays)
+        assert peaks[True] <= peaks[False] + 4096
+
 
 def _sparse_split_bundle():
     """A low-degree SBM whose train and val nodes are 35 of its 300 nodes."""
@@ -1515,3 +1543,309 @@ class TestFinalForward:
             # the new layer and adapters take a few kB; the last plan kept took plan_bytes
             assert plan_bytes > 2**17
             assert peak <= held + 2**15
+
+
+def _split_by_size(n, d):
+    """``autodiff.split_rows`` with the BLAS thread and CPU counts set aside."""
+    return n * d >= ad.SPLIT_MIN_ENTRIES
+
+
+@pytest.fixture()
+def kernel_rows(monkeypatch):
+    """The row count of every CSR kernel call, from either thread, in call order."""
+    calls, kernel = [], ad._CSR_MATVECS
+
+    def spy(n_row, *args):
+        calls.append(n_row)
+        return kernel(n_row, *args)
+
+    monkeypatch.setattr(ad, "_CSR_MATVECS", spy)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def sbm_4x2500():
+    return generate_sbm(4, 2500, 0.005, 0.00005, f=32, signal=2.0, seed=1)
+
+
+@pytest.fixture(scope="module")
+def sbm_2709():
+    """7 x 387 nodes: an odd row count, so the halves differ by a row."""
+    return generate_sbm(7, 387, 0.0083, 0.00034, f=40, signal=2.0, seed=1)
+
+
+def _float32_stack(rng, f, d, c, depth, rank=None, dropout_p=0.0):
+    """A trainable float32 stack, or with ``rank`` a frozen one with rank-``rank``
+    adapters whose B is not zero."""
+    layers = []
+    for i in range(depth):
+        layer = GcnLayer(Tensor(glorot_init(f if i == 0 else d, d, rng), requires_grad=True))
+        if rank is not None:
+            layer.attach_adapter(make_adapter(layer.d_in, d, rank, None, rng))
+            layer.adapter.B.data = (rng.standard_normal((rank, d)) * 0.1).astype(np.float32)
+        layers.append(layer)
+    return LayerStack(layers=layers, head=Tensor(glorot_init(d, c, rng), requires_grad=True),
+                      dropout_p=dropout_p, row_normalize=False).check()
+
+
+def _assert_same(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+class TestRowSplitOracle:
+    """The split unrecorded forward against the recorded, whole forward: bitwise."""
+
+    @pytest.fixture(autouse=True)
+    def _split(self, monkeypatch):
+        monkeypatch.setattr(ad, "split_rows", _split_by_size)
+
+    def test_merged_width_64_stack_on_4x2500_sbm(self, sbm_4x2500, kernel_rows):
+        data, depth = sbm_4x2500, 6
+        stack = _float32_stack(np.random.default_rng(0), data.f, 64, data.C, depth)
+        L = normalized_laplacian(data.adjacency)
+        want = ly.stack_forward(stack, L, data.X, return_hidden=True)
+        assert want[0]._backward is not None and len(kernel_rows) == depth
+        kernel_rows.clear()
+        got = ly.eval_forward(stack, L, data.X, return_hidden=True)
+        assert sorted(kernel_rows) == [5000] * (2 * depth)  # two halves per layer
+        _assert_same([got[0].data] + got[1], [want[0].data] + want[1])
+
+    def test_adapters_and_a_plans_c_on_an_odd_row_count(self, sbm_2709, kernel_rows):
+        data = sbm_2709
+        # rank 16: the split also needs the adapter's product to have 16 columns
+        stack = _float32_stack(np.random.default_rng(1), data.f, 64, data.C, 3, rank=16)
+        L = normalized_laplacian(data.adjacency)
+        Xp = ly.prepare_features(stack, data.X)
+        LX = ly.sgc_propagate(L, Xp, 1)
+        plan = _stage_plan(stack, L, LX, None)
+        assert plan.start == 0 and plan.C is not None
+        for p in (None, plan):
+            want = ly.stack_forward(stack, L, Xp, return_hidden=True, prepared=True, plan=p)
+            kernel_rows.clear()
+            with ad.no_grad():
+                got = ly.stack_forward(stack, L, Xp, return_hidden=True, prepared=True, plan=p)
+            # with the plan, layer 0 starts from L @ Xp and propagates nothing
+            assert sorted(kernel_rows) == sorted([1354, 1355] * (3 if p is None else 2))
+            _assert_same([got[0].data] + got[1], [want[0].data] + want[1])
+
+    def test_row_cone_of_the_standard_trainers_validation_forward(self, sbm_2709,
+                                                                   kernel_rows):
+        data, depth = sbm_2709, 4
+        stack = _float32_stack(np.random.default_rng(2), data.f, 64, data.C, depth,
+                               dropout_p=0.5)
+        L = normalized_laplacian(data.adjacency)
+        Xp = ly.prepare_features(stack, data.X)
+        plan = ly.ForwardPlan(cone=gtrain._row_cone(stack, L, data, depth))
+        sizes = [plan.cone.rows(k).size for k in range(depth)]
+        want = ly.stack_forward(stack, L, Xp, prepared=True, plan=plan)
+        kernel_rows.clear()
+        with ad.no_grad():  # as _fit runs it under dropout
+            got = ly.stack_forward(stack, L, Xp, prepared=True, plan=plan, ws=ad.Workspace())
+        split = [n for n in sizes if n * 64 >= ad.SPLIT_MIN_ENTRIES]
+        assert split and len(kernel_rows) == depth + len(split)
+        _assert_same([got.data], [want.data])
+
+    def test_standard_training_under_dropout_is_the_same_split_or_whole(self, sbm_2709,
+                                                                         monkeypatch):
+        cfg = TrainConfig(depth=3, hidden_dim=64, max_epochs=3, patience=3, dropout_p=0.5,
+                          seed=4)
+        splits = []
+
+        def counting(n, d):
+            splits.append(_split_by_size(n, d))
+            return splits[-1]
+
+        monkeypatch.setattr(ad, "split_rows", counting)
+        split = _fingerprint(*train(sbm_2709, cfg, trainer="standard"))
+        assert any(splits)
+        monkeypatch.setattr(ad, "split_rows", lambda n, d: False)
+        assert split == _fingerprint(*train(sbm_2709, cfg, trainer="standard"))
+
+    @pytest.mark.parametrize("row_normalize", [False, True])
+    def test_prepared_features_match_the_whole_cast(self, row_normalize):
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((2709, 64))
+        X[[5, 2000]] = 0.0  # all-zero rows stay zero
+        stack = _float32_stack(rng, 64, 16, 2, 1)
+        stack.row_normalize = row_normalize
+        want = (gdata.row_normalize(X) if row_normalize else X).astype(np.float32)
+        _assert_same([ly.prepare_features(stack, X)], [want])
+
+    def test_a_worker_error_reaches_the_caller(self):
+        def step(lo, hi):
+            if lo > 0:
+                raise KeyError("second half")
+
+        with pytest.raises(KeyError, match="second half"):
+            ad.run_rows(step, 10, True)
+        out = np.zeros(10)
+        ad.run_rows(lambda lo, hi: out.__setitem__(slice(lo, hi), lo), 10, True)
+        assert out.tolist() == [0] * 5 + [5] * 5  # the pool's thread still runs
+
+    def test_an_interrupted_wait_lets_the_second_half_finish(self, monkeypatch, sbm_2709):
+        # Ctrl-C while this thread waits for the second half: that half still writes
+        # into the step's arrays, so run_rows raises only once it is done, and the next
+        # split waits for its own half
+        out, result, calls = np.zeros(10), Future.result, []
+
+        def step(lo, hi):
+            if lo > 0:
+                time.sleep(0.2)
+            out[lo:hi] = 1
+
+        def interrupted(self, timeout=None):
+            calls.append(self)
+            if len(calls) == 1:
+                raise KeyboardInterrupt
+            return result(self, timeout)
+
+        monkeypatch.setattr(Future, "result", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            ad.run_rows(step, 10, True)
+        assert out.all()
+        data = sbm_2709
+        stack = _float32_stack(np.random.default_rng(0), data.f, 64, data.C, 3)
+        L = normalized_laplacian(data.adjacency)
+        want = ly.stack_forward(stack, L, data.X, return_hidden=True)
+        got = ly.eval_forward(stack, L, data.X, return_hidden=True)
+        assert len(calls) == 1 + 3  # each layer split, and waited for its own half
+        _assert_same([got[0].data] + got[1], [want[0].data] + want[1])
+
+    def test_a_second_threads_split_runs_whole_while_the_pool_is_held(self):
+        # sharing the pool's one thread, the second caller's half would queue behind
+        # the first caller's
+        ranges, result = [], []
+
+        def other():
+            ad.run_rows(lambda lo, hi: ranges.append((lo, hi)), 8, True)
+
+        def step(lo, hi):
+            if lo == 0:  # the first half of a split: another thread splits meanwhile
+                t = threading.Thread(target=lambda: result.append(other()))
+                t.start()
+                t.join(30)
+
+        ad.run_rows(step, 10, True)
+        assert result == [None] and ranges == [(0, 8)]
+        ad.run_rows(lambda lo, hi: ranges.append((lo, hi)), 8, True)
+        assert sorted(ranges[1:]) == [(0, 4), (4, 8)]  # once free, the pool splits again
+
+
+class TestRowSplitDecision:
+    """Which layers split, seen by a spy on the CSR kernel: two calls per split layer."""
+
+    def _forward(self, data, depth=2):
+        stack = _float32_stack(np.random.default_rng(0), data.f, 64, data.C, depth)
+        ly.eval_forward(stack, normalized_laplacian(data.adjacency), data.X)
+
+    @pytest.mark.parametrize("threads, cpus, calls", [(1, 2, 4), (2, 2, 2), (1, 1, 2),
+                                                      (None, 2, 2)])
+    def test_blas_threads_and_cpus(self, monkeypatch, kernel_rows, sbm_2709, threads, cpus,
+                                   calls):
+        getter = None if threads is None else (lambda: threads, lambda: b"OpenBLAS test")
+        monkeypatch.setattr(ad, "_OPENBLAS", getter)
+        monkeypatch.setattr(ad, "_cpus", lambda: cpus)
+        self._forward(sbm_2709)
+        assert len(kernel_rows) == calls
+
+    def test_a_400_row_graph_stays_whole(self, monkeypatch, kernel_rows):
+        monkeypatch.setattr(ad, "_OPENBLAS", (lambda: 1, lambda: b"OpenBLAS test"))
+        monkeypatch.setattr(ad, "_cpus", lambda: 2)
+        self._forward(generate_sbm(4, 100, 0.1, 0.01, f=32, signal=2.0, seed=1))
+        assert kernel_rows == [400, 400]
+
+    def test_narrow_products_stay_whole(self, monkeypatch, kernel_rows, sbm_4x2500, sbm_2709):
+        monkeypatch.setattr(ad, "split_rows", _split_by_size)
+        data = sbm_4x2500  # 10,000 x 15 entries is large, but 15 columns round otherwise
+        stack = _float32_stack(np.random.default_rng(0), data.f, 15, data.C, 2)
+        ly.eval_forward(stack, normalized_laplacian(data.adjacency), data.X)
+        assert kernel_rows == [10000, 10000]
+        # a plan's C leaves the adapter's rank-8 product: layer 0 whole, layer 1 split
+        data = sbm_2709
+        stack = _float32_stack(np.random.default_rng(0), data.f, 64, data.C, 2, rank=8)
+        L = normalized_laplacian(data.adjacency)
+        Xp = ly.prepare_features(stack, data.X)
+        plan = _stage_plan(stack, L, ly.sgc_propagate(L, Xp, 1), None)
+        splits, run_rows = [], ad.run_rows
+        monkeypatch.setattr(ad, "run_rows", lambda step, n, split: (splits.append(split),
+                                                                   run_rows(step, n, split)))
+        with ad.no_grad():
+            got = ly.stack_forward(stack, L, Xp, prepared=True, plan=plan, return_hidden=True)
+        assert splits == [False, True]
+        want = ly.stack_forward(stack, L, Xp, prepared=True, plan=plan, return_hidden=True)
+        _assert_same(got[1], want[1])
+
+    @pytest.mark.skipif(ad._OPENBLAS is None or ad._cpus() < 2,
+                        reason="needs numpy's OpenBLAS getter and two CPUs")
+    def test_a_narrowing_layer_at_one_blas_thread(self):
+        # a process of its own, so OpenBLAS starts at one thread and the real decision
+        # splits; one and two threads round a 1433-long inner product differently
+        code = """if True:
+            import numpy as np
+            from growgcn import autodiff as ad, generate_sbm, normalized_laplacian
+            from test_train import _float32_stack
+            assert ad.blas_info()["blas_threads"] == 1 and ad.split_rows(2709, 64)
+            data = generate_sbm(7, 387, 0.0083, 0.00034, f=1433, signal=2.0, seed=1)
+            L = normalized_laplacian(data.adjacency)
+            stack = _float32_stack(np.random.default_rng(0), 1433, 64, 7, 2)
+            from growgcn import layers as ly
+            want = ly.stack_forward(stack, L, data.X, return_hidden=True)
+            rows, kernel = [], ad._CSR_MATVECS
+            ad._CSR_MATVECS = lambda n, *a: (rows.append(n), kernel(n, *a))[1]
+            got = ly.eval_forward(stack, L, data.X, return_hidden=True)
+            assert sorted(rows) == [1354, 1354, 1355, 1355], rows
+            for a, b in zip([got[0].data] + got[1], [want[0].data] + want[1]):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            print("bitwise")
+        """
+        res = _one_blas_thread_process(code)
+        assert res.returncode == 0 and res.stdout.strip() == "bitwise", res.stderr
+
+
+def _one_blas_thread_process(code):
+    here = Path(__file__).parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def _split_logits(conn, stack, L, X):
+    conn.send((ly.eval_forward(stack, L, X).data, ad._pool is not None))
+    conn.close()
+
+
+class TestRowSplitFork:
+    def test_a_pools_worker_keeps_its_layers_whole(self, monkeypatch):
+        # k workers of a sweep each see the host's CPUs: split, they would run 2k busy
+        # threads on them
+        monkeypatch.setattr(ad, "_OPENBLAS", (lambda: 1, lambda: b"OpenBLAS test"))
+        monkeypatch.setattr(ad, "_cpus", lambda: 2)
+        assert ad.split_rows(10000, 64)
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+            assert pool.submit(ad.split_rows, 10000, 64).result(timeout=60) is False
+
+    def test_a_forked_child_starts_its_own_thread(self, monkeypatch, sbm_2709):
+        monkeypatch.setattr(ad, "split_rows", _split_by_size)
+        stack = _float32_stack(np.random.default_rng(0), sbm_2709.f, 64, sbm_2709.C, 2)
+        L = normalized_laplacian(sbm_2709.adjacency)
+        want = ly.eval_forward(stack, L, sbm_2709.X).data
+        assert ad._pool is not None  # the parent's split started the pool
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_split_logits, args=(send, stack, L, sbm_2709.X))
+        child.start()
+        send.close()
+        try:
+            # without a new pool the child would wait for the parent's thread forever
+            assert recv.poll(60), "the forked child's split forward did not finish"
+            got, started = recv.recv()
+        finally:
+            recv.close()
+            child.join(10)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert child.exitcode == 0 and started and np.array_equal(got, want)
