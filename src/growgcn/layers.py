@@ -147,6 +147,9 @@ def pairnorm(h, s):
 _MIN_SKIP = 1024
 # the bit generators whose ``advance(k)`` skips exactly k float64 draws
 _ADVANCEABLE = (np.random.PCG64, np.random.PCG64DXSM)
+# ``prepare_features`` takes |X|'s row sums over blocks of this many entries
+# (512 KB of float64), so its peak is its result plus one block
+_ROW_SUM_ENTRIES = 2 ** 16
 
 
 def _keep_mask(shape, p, training, rng, rows, n_rows, ws):
@@ -297,8 +300,12 @@ def prepare_features(stack, X):
     X, dtype = np.asarray(X), stack.head.data.dtype
     if not stack.row_normalize and X.dtype == dtype:
         return X
+    n, f = X.shape
     if stack.row_normalize:  # row_normalize's divisors, then its quotients cast
-        s = np.abs(X).sum(axis=1, keepdims=True)  # |X| is gone before ``out`` is taken
+        # |X| a block of rows at a time: each row's sum is reduced on its own
+        b = max(1, _ROW_SUM_ENTRIES // max(f, 1))
+        s = np.concatenate([np.abs(X[lo:lo + b]).sum(axis=1, keepdims=True)
+                            for lo in range(0, max(n, 1), b)])
         s[s == 0] = 1.0
 
         def rows(lo, hi):
@@ -307,7 +314,6 @@ def prepare_features(stack, X):
         def rows(lo, hi):
             np.copyto(out[lo:hi], X[lo:hi], casting="unsafe")
     out = np.empty(X.shape, dtype)
-    n, f = X.shape
     ad.run_rows(rows, n, ad.split_rows(n, f))
     return out
 

@@ -252,7 +252,10 @@ def _fit(forward, mutable, groups, target, cfg, dropout_p):
     Each epoch ends with an eval forward on the updated weights for the val
     accuracy. At ``dropout_p == 0`` it computes the training graph, so it is
     the next epoch's, and a stage of E epochs runs E + 1 forwards, not 2E;
-    otherwise it records no graph.
+    otherwise it records no graph. Once the best val accuracy is 1.0, no
+    later epoch can replace its snapshot, so the stage's last epoch stops
+    after its loss: no backward, step or eval forward, and E (2E - 1)
+    forwards. The report, the restored weights and the rng are unchanged.
     A graph is dropped before the next ``forward``, which may overwrite its
     arrays (the trainers' workspace does). ``Adam`` makes each tensor of
     ``groups`` a view into its group's buffer; ``_restore`` rebinds every
@@ -270,6 +273,10 @@ def _fit(forward, mutable, groups, target, cfg, dropout_p):
         loss = ad.masked_cross_entropy(ad.log_softmax_rows(logits), labels, train_idx)
         if not np.isfinite(loss.data):
             raise NumericalAbort(f"non-finite training loss at epoch {len(curve) + 1}")
+        if stopper.best == 1.0 and (len(curve) + 1 == cfg.max_epochs
+                                    or stopper.bad + 1 >= stopper.patience):
+            curve.append(float(loss.data))  # the last epoch cannot beat the snapshot
+            break
         adam.zero_grad()
         loss.backward()
         adam.step()

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import importlib
 import json
@@ -707,12 +708,14 @@ class TestReportSerialization:
             train(tiny_dataset, cfg, trainer="sgd")
 
 
-def _fit_two_forwards(forward, mutable, groups, target, cfg, dropout_p):
-    """Reference epoch loop: a training and an eval forward every epoch, at any dropout."""
+def _fit_two_forwards(forward, mutable, groups, target, cfg, dropout_p, val_curves=None):
+    """Reference epoch loop: a training and an eval forward every epoch, at any dropout.
+
+    Appends the stage's val accuracies to ``val_curves`` when given a list."""
     adam = Adam(groups)
     stopper = EarlyStopper(cfg.patience)
     best_snap = None
-    curve = []
+    curve, vals = [], []
     labels, train_idx, val_idx = target
     for _ in range(cfg.max_epochs):
         logits = forward(True)
@@ -724,18 +727,27 @@ def _fit_two_forwards(forward, mutable, groups, target, cfg, dropout_p):
         adam.step()
         curve.append(float(loss.data))
         val_acc = _accuracy(forward(False).data, labels, val_idx)
+        vals.append(val_acc)
         if val_acc > stopper.best:
             best_snap = _snapshot(mutable)
         if stopper.update(val_acc):
             break
     if best_snap is not None:
         _restore(mutable, best_snap)
+    if val_curves is not None:
+        val_curves.append(vals)
     return StageReport(
         epochs_run=len(curve),
         best_val_acc=float(stopper.best),
         train_loss=curve,
         wall_clock_seconds=0.0,
     )
+
+
+def _skips_last_step(vals):
+    """Whether ``_fit`` skips a stage's last step, from the oracle's val accuracies:
+    they reached 1.0 before the last epoch, so no later epoch could replace the snapshot."""
+    return max(vals[:-1], default=0.0) == 1.0
 
 
 def _run(monkeypatch, fit, trainer, variant, cfg, data):
@@ -773,8 +785,10 @@ class TestOneForwardPerEpoch:
                           dropout_p=dropout_p, seed=3)
         s_new, r_new, counts = _run(monkeypatch, gtrain._fit, trainer, variant, cfg,
                                     small_sbm)
-        s_ref, r_ref, _ = _run(monkeypatch, _fit_two_forwards, trainer, variant, cfg,
-                               small_sbm)
+        vals = []
+        s_ref, r_ref, _ = _run(monkeypatch, functools.partial(_fit_two_forwards,
+                                                              val_curves=vals),
+                               trainer, variant, cfg, small_sbm)
         for st_new, st_ref in zip(r_new.stages, r_ref.stages, strict=True):
             st_new.wall_clock_seconds = st_ref.wall_clock_seconds = 0.0
             assert st_new == st_ref
@@ -783,10 +797,11 @@ class TestOneForwardPerEpoch:
             assert np.array_equal(a.data, b.data)
         # early stopping fires in some stage, so the trailing forward is covered
         assert any(e < cfg.max_epochs for e, _ in counts)
-        if s_new.dropout_p == 0.0:
-            assert all(calls == e + 1 for e, calls in counts)
-        else:
-            assert all(calls == 2 * e for e, calls in counts)
+        # a stage whose val accuracy reached 1.0 before its last epoch skips that
+        # epoch's eval forward
+        for (e, calls), v in zip(counts, vals, strict=True):
+            skip = _skips_last_step(v)
+            assert calls == (e + 1 - skip if s_new.dropout_p == 0.0 else 2 * e - skip)
 
     def test_peak_memory_under_dropout_not_above_oracle(self, monkeypatch, small_sbm):
         # the eval graph must not live on into the next epoch's forward and backward
@@ -805,6 +820,51 @@ class TestOneForwardPerEpoch:
         # graph holds several float32 n x d activations per layer
         activation = small_sbm.n * cfg.hidden_dim * 4
         assert peaks["new"] <= peaks["oracle"] + activation
+
+
+class TestPerfectStageSkipsItsLastStep:
+    """Once a stage's best val accuracy is 1.0, its last epoch ends after its loss.
+
+    That epoch's backward, Adam step and eval forward would build weights that
+    ``_restore`` discards; the stages, the weights and the rng (dropout draws only
+    in training forwards) stay the two-forward oracle's, bitwise.
+    """
+
+    @pytest.mark.parametrize("trainer, variant, dropout_p, kw, stage_epochs, skips", [
+        # 48 steps become 45; stage 1 stops on patience at epoch 22 of 40
+        ("lgt", "gcn+pairnorm", 0.3, dict(max_epochs=40, patience=6, seed=3),
+         [22, 7, 12, 7], [True, True, True, False]),
+        # every stage runs to max_epochs
+        ("lgt", "gcn+pairnorm", 0.3, dict(max_epochs=12, patience=12, seed=0),
+         [12, 12, 12, 12], [True, True, True, True]),
+        ("standard", "gcn+pairnorm", 0.5, dict(depth=3, max_epochs=10, patience=4, seed=2),
+         [8], [True]),
+        # no stage's best reaches 1.0: every step runs
+        ("lgt", "gcn", None, dict(max_epochs=40, patience=6, seed=3),
+         [25, 12, 9, 9], [False, False, False, False]),
+    ], ids=["patience", "max-epochs", "standard", "below-1"])
+    def test_steps_match_the_two_forward_oracle(self, monkeypatch, small_sbm, trainer,
+                                                variant, dropout_p, kw, stage_epochs, skips):
+        cfg = TrainConfig(**{**dict(depth=4, hidden_dim=8, lora_rank=2, dropout_p=dropout_p),
+                             **kw})
+        steps = [0]
+
+        class Counting(Adam):
+            def step(self):
+                steps[0] += 1
+                super().step()
+
+        with monkeypatch.context() as m:
+            m.setattr(gtrain, "Adam", Counting)
+            stack, report = train(small_sbm, cfg, trainer=trainer, variant=variant)
+        vals = []
+        s_ref, r_ref, _ = _run(monkeypatch, functools.partial(_fit_two_forwards,
+                                                              val_curves=vals),
+                               trainer, variant, cfg, small_sbm)
+        assert _fingerprint(stack, report) == _fingerprint(s_ref, r_ref)
+        assert [s.epochs_run for s in report.stages] == stage_epochs
+        assert list(map(_skips_last_step, vals)) == skips
+        assert steps[0] == report.total_epochs - sum(skips)
 
 
 class TestInputPropagationOnce:
@@ -1430,16 +1490,23 @@ class TestFinalForward:
         # the parent's two final forwards, run after training
         assert report.test_acc == evaluate(stack, small_sbm, small_sbm.splits.test)
         assert report.collapse == collapse_report(stack, small_sbm)
+        # the stages whose last epoch skips its eval forward, from the oracle's val accuracies
+        vals = []
+        _, ref, _ = _run(monkeypatch, functools.partial(_fit_two_forwards, val_curves=vals),
+                         trainer, variant, cfg, small_sbm)
+        assert [s.epochs_run for s in ref.stages] == [s.epochs_run for s in report.stages]
+        skipped = sum(map(_skips_last_step, vals))
         epochs = report.total_epochs
         assert calls["return_hidden"] == 1
         if stack.dropout_p == 0.0:
-            # one training forward per stage plus one per epoch, then the final one
-            assert calls["all"] == epochs + len(report.stages) + 1
+            # one training forward per stage plus one per epoch but a skipping stage's
+            # last, then the final one
+            assert calls["all"] == epochs + len(report.stages) - skipped + 1
             # a conv stack's final forward is evaluate's, plan-less; the propagation-only
             # stack's starts from its head input, which is all its collapse report reads
             assert calls["plan-less"] == (0 if stack.sgc_steps else 1)
         else:
-            assert calls["all"] == calls["plan-less"] == 2 * epochs + 1
+            assert calls["all"] == calls["plan-less"] == 2 * epochs - skipped + 1
 
     def test_report_holds_one_head_input(self, monkeypatch):
         # degree about 11, so the report's chunk of edge differences outweighs the
@@ -1672,6 +1739,20 @@ class TestRowSplitOracle:
         stack.row_normalize = row_normalize
         want = (gdata.row_normalize(X) if row_normalize else X).astype(np.float32)
         _assert_same([ly.prepare_features(stack, X)], [want])
+
+    def test_row_normalising_peaks_at_the_result_plus_one_block(self):
+        X = np.random.default_rng(3).standard_normal((2709, 1433))
+        stack = _float32_stack(np.random.default_rng(4), 1433, 16, 7, 1)
+        stack.row_normalize = True
+        ly.prepare_features(stack, X)  # warm-up
+        tracemalloc.start()
+        try:
+            out = ly.prepare_features(stack, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # |X| whole would add X.nbytes, twice the float32 result
+        assert peak <= out.nbytes + ly._ROW_SUM_ENTRIES * X.itemsize
 
     def test_a_worker_error_reaches_the_caller(self):
         def step(lo, hi):
