@@ -12,11 +12,15 @@ alone, and ``backward()`` keeps only the gradients of leaves. ``gcn_layer``, a
 graph convolution in one node, applies a narrowing weight before it propagates,
 any other after. It keeps for its backward the input the weight multiplied (the
 propagated one, or the dropped one for a narrowing weight) and two bool masks,
-the ReLU's and dropout's, and gives every other buffer, its
-incoming gradient too, back to the workspace once read. Its backward never
-reads its output, so the caller may release that once the op above has read it.
-Ops write their results into a ``Workspace`` when given ``ws=``, else allocate.
-Under ``no_grad()`` no op records a graph, so nothing outlives the op that made it.
+the ReLU's and dropout's, and gives every other buffer, its incoming gradient
+too, back to the workspace once read. Its backward never reads its output, so
+the caller may release that once the op above has read it. Ops write their
+results into a ``Workspace`` when given ``ws=``, else allocate. Under
+``no_grad()`` no op records a graph, so nothing outlives the op that made it.
+
+Every sparse-times-dense product runs through one CSR row kernel, ``_csr_rows``.
+``spmm`` is the op that the tests and the benchmark's tracer call; no model
+forward builds one (SGC's hops go through ``layers.sgc_propagate``).
 
 A ``gcn_layer`` forward is one row-range step (the op's CSR rows, the dense
 product on those rows, ReLU) written into buffers the calling thread takes. A
@@ -80,11 +84,6 @@ class Workspace:
                 self._free.setdefault((a.shape, a.dtype), []).append(a)
 
 
-def _buffer(ws, shape, dtype):
-    """A workspace buffer for an op's result, or None (numpy allocates) without one."""
-    return None if ws is None else ws.take(shape, dtype)
-
-
 def _take(ws, shape, dtype):
     """A workspace buffer for an op's result, or a new array without one."""
     return np.empty(shape, dtype) if ws is None else ws.take(shape, dtype)
@@ -115,13 +114,9 @@ _CSR_MATVECS = _csr_matvecs_kernel()
 
 
 def _csr_times(m, x, ws):
-    """``m @ x`` for a scipy CSR ``m`` and a dense 2-D ``x``, into ``ws`` when given.
-
-    The buffer path runs the kernel ``m @ x`` runs, on a zeroed buffer: both round alike.
-    """
-    if ws is None or not _by_rows(m, x):
-        return m @ x
-    out = ws.take((m.shape[0], x.shape[1]), x.dtype)
+    """``m @ x`` for a scipy CSR ``m`` and a dense 2-D ``x``, into a buffer of ``ws`` when
+    given: ``_csr_rows`` over every row."""
+    out = _take(ws, (m.shape[0], x.shape[1]), np.result_type(m.dtype, x))
     _csr_rows(m, x, out, 0, m.shape[0])
     return out
 
@@ -319,7 +314,7 @@ def _accum(t, g):
 
 
 def _matmul(a, b, ws):
-    return np.matmul(a, b, out=_buffer(ws, a.shape[:-1] + b.shape[1:], np.result_type(a, b)))
+    return np.matmul(a, b, out=_take(ws, a.shape[:-1] + b.shape[1:], np.result_type(a, b)))
 
 
 def matmul(x, w, *, ws=None):
@@ -351,8 +346,8 @@ def spmm(s, x, *, ws=None):
 
 def _masked(x, keep, scale, ws):
     """``x * (keep * scale)``: inverted dropout by a bool ``keep``, its float mask transient."""
-    mask = np.multiply(keep, scale, dtype=x.dtype, out=_buffer(ws, x.shape, x.dtype))
-    out = np.multiply(x, mask, out=_buffer(ws, x.shape, x.dtype))
+    mask = np.multiply(keep, scale, dtype=x.dtype, out=_take(ws, x.shape, x.dtype))
+    out = np.multiply(x, mask, out=_take(ws, x.shape, x.dtype))
     _release(ws, mask)
     return out
 
@@ -360,7 +355,7 @@ def _masked(x, keep, scale, ws):
 def gcn_layer(op, h, W, adapter=None, C=None, keep=None, p=0.0, *, ws=None):
     """One graph convolution as one node: ``relu(op @ dropout(h) @ W')``.
 
-    ``W' = W + (alpha/rank)·A@B`` for an ``adapter``, else ``W``; ``keep`` is the bool
+    ``W' = W + adapter.delta()`` for an ``adapter``, else ``W``; ``keep`` is the bool
     dropout mask at rate ``p``, or None. With ``op`` None, ``h`` is the propagated
     input. A narrowing ``W'`` (more rows than columns) multiplies before the
     propagation, ``op @ (dropout(h) @ W')``, so the sparse product runs over the
@@ -399,8 +394,9 @@ def gcn_layer(op, h, W, adapter=None, C=None, keep=None, p=0.0, *, ws=None):
     if adapter is not None:
         A, B, s = adapter.A, adapter.B, float(adapter.scaling)
         if C is None:
-            weight = _matmul(A.data, B.data, ws)
-            np.add(W.data, np.multiply(weight, s, out=weight), out=weight)
+            weight = adapter.delta(out=_take(ws, (A.data.shape[0], B.data.shape[1]),
+                                             np.result_type(A.data, B.data)))
+            np.add(W.data, weight, out=weight)
     if C is not None:
         P = _take(ws, (xin.shape[0], A.data.shape[1]), np.result_type(xin, A.data))
         out = _take(ws, (xin.shape[0], B.data.shape[1]), np.result_type(P, B.data))
@@ -437,10 +433,10 @@ def gcn_layer(op, h, W, adapter=None, C=None, keep=None, p=0.0, *, ws=None):
     elif keep is not None:  # the dropped input, once propagated
         _release(ws, x)
     # where the product is positive: the backward reads this, and never ``out``
-    relu = np.greater(out, 0, out=_buffer(ws, out.shape, bool)) if records else None
+    relu = np.greater(out, 0, out=_take(ws, out.shape, bool)) if records else None
 
     def bwd(g):
-        gz = np.multiply(g, relu, out=_buffer(ws, g.shape, np.result_type(g, relu)))
+        gz = np.multiply(g, relu, out=_take(ws, g.shape, np.result_type(g, relu)))
         _release(ws, relu, g)
         if narrow:  # back through the propagation first: gz becomes that of xin @ W'
             gz, done = _csr_times(op.transpose_scipy(dtype), gz, ws), gz

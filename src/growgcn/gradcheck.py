@@ -54,7 +54,7 @@ def run_case(seed, eps=1e-5, use_pairnorm=None):
 
     w_in = Tensor(ly.glorot_init(f, d, rng, dt), requires_grad=True)
     frozen = ly.GcnLayer(Tensor(ly.glorot_init(d, d, rng, dt), requires_grad=False))
-    adapter = ly.make_adapter(d, d, rank, None, rng, dt)
+    adapter = ly.make_adapter(d, d, rank, rng, dt)
     # start B away from zero so its gradient path into A is live
     adapter.B.data = rng.standard_normal(adapter.B.data.shape) * 0.1
     frozen.attach_adapter(adapter)

@@ -50,21 +50,20 @@ class LoraAdapter:
     def scaling(self):
         return self.alpha / self.rank
 
-    def delta(self):
-        """(alpha/rank) * A @ B, the array ``GcnLayer.merge_adapter`` adds to W0."""
-        return self.scaling * (self.A.data @ self.B.data)
+    def delta(self, out=None):
+        """(alpha/rank) * A @ B, into ``out`` when given: what ``GcnLayer.merge_adapter``
+        adds to W0, and ``autodiff.gcn_layer`` to W0 for the layer's merged weight."""
+        out = np.matmul(self.A.data, self.B.data, out=out)
+        return np.multiply(out, float(self.scaling), out=out)
 
 
-def make_adapter(d_in, d_out, rank, alpha, rng, dtype=np.float32):
-    """Fresh adapter: A ~ N(0, 0.02^2), B = 0, so the initial delta is exactly zero."""
+def make_adapter(d_in, d_out, rank, rng, dtype=np.float32):
+    """Fresh adapter: A ~ N(0, 0.02^2), B = 0, so the initial delta is exactly zero;
+    alpha = rank, so the scaling alpha/rank is 1 at every rank."""
     a = rng.normal(0.0, 0.02, size=(d_in, rank)).astype(dtype)
     b = np.zeros((rank, d_out), dtype=dtype)
-    return LoraAdapter(
-        A=Tensor(a, requires_grad=True),
-        B=Tensor(b, requires_grad=True),
-        rank=rank,
-        alpha=float(rank) if alpha is None else float(alpha),
-    )
+    return LoraAdapter(Tensor(a, requires_grad=True), Tensor(b, requires_grad=True), rank,
+                       alpha=float(rank))
 
 
 # the values of GcnLayer.mode, which name a conv layer's state in a checkpoint
@@ -178,7 +177,7 @@ def _keep_mask(shape, p, training, rng, rows, n_rows, ws):
             skip = np.where(gaps * d >= _MIN_SKIP, gaps, 0)
     idx = rows if n > shape[0] else None  # the mask's rows in the draw
     if skip is None or 2 * skip.sum() < n or gaps.min() < -1 or bg.state["has_uint32"]:
-        draw = rng.random((n, d), out=ad._buffer(ws, (n, d), np.float64))
+        draw = rng.random((n, d), out=ad._take(ws, (n, d), np.float64))
     else:
         at = filled = 0  # the next row of the full draw, and of ``draw``
         draw = ad._take(ws, (n - int(skip.sum()), d), np.float64)
@@ -189,11 +188,11 @@ def _keep_mask(shape, p, training, rng, rows, n_rows, ws):
             at, filled = ext[j], stop
         rng.random(out=draw[filled:])
         idx = rows - np.cumsum(skip[:-1])
-    keep = np.greater_equal(draw, p, out=ad._buffer(ws, draw.shape, bool))
+    keep = np.greater_equal(draw, p, out=ad._take(ws, draw.shape, bool))
     ad._release(ws, draw)
     if idx is None:
         return keep
-    out = np.take(keep, idx, axis=0, out=ad._buffer(ws, shape, bool),
+    out = np.take(keep, idx, axis=0, out=ad._take(ws, shape, bool),
                   mode="clip")  # the indices are in range; "raise" copies through a temporary
     ad._release(ws, keep)
     return out
@@ -217,13 +216,13 @@ def dropout(h, p, training, rng=None, rows=None, n_rows=None, ws=None):
 
 
 def sgc_propagate(L, X, steps):
-    """L^steps @ X computed hop by hop; pure preprocessing, no gradients."""
+    """L^steps @ X computed hop by hop, one ``autodiff._csr_times`` each; no gradients."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     out = np.asarray(X)
     m = L.to_scipy(out.dtype)
     for _ in range(steps):
-        out = m @ out
+        out = ad._csr_times(m, out, None)
     return out
 
 
@@ -384,7 +383,7 @@ def stack_forward(stack, L, X, *, training=False, rng=None, return_hidden=False,
     done = (lambda a: None) if return_hidden else (lambda a: ad._release(ws, a))
     if plan.inp is None:
         for j in range(stack.sgc_steps):
-            h = ad.spmm(op(stack.sgc_steps - 1 - j), h, ws=ws)
+            h = Tensor(sgc_propagate(op(stack.sgc_steps - 1 - j), h.data, 1))
             record(h.data)
     elif plan.start >= len(layers):
         h = Tensor(plan.inp)

@@ -451,10 +451,10 @@ def train(data, cfg, trainer="standard", variant="gcn", on_stage_start=None,
             w = (ly.identity_init(d, dtype) if cfg.new_layer_init == "identity"
                  else ly.glorot_init(d, d, rng, dtype))
             stack.layers.append(ly.GcnLayer(Tensor(w, requires_grad=True)))
-            if cfg.use_lora:  # alpha = rank: the adapters' scaling is 1
+            if cfg.use_lora:
                 for layer in stack.layers[:-1]:
                     layer.attach_adapter(ly.make_adapter(
-                        layer.d_in, layer.d_out, cfg.lora_rank, None, rng, dtype))
+                        layer.d_in, layer.d_out, cfg.lora_rank, rng, dtype))
             stack.check()
 
         if on_stage_start is not None:

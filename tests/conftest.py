@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from growgcn import GraphDataset, Splits, build_adjacency, generate_sbm
+from growgcn import (GraphDataset, LoraAdapter, Splits, build_adjacency, generate_sbm,
+                     make_adapter)
 
 
 @pytest.fixture(scope="session")
@@ -35,6 +36,12 @@ def random_graph(rng, n):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
     pairs += [(i, i + 1) for i in range(n - 1)]
     return build_adjacency(pairs, n)
+
+
+def scaled_adapter(d_in, d_out, rank, alpha, rng, dtype=np.float32):
+    """``make_adapter``'s fresh factors, from the same draws, under another alpha."""
+    fresh = make_adapter(d_in, d_out, rank, rng, dtype)
+    return LoraAdapter(fresh.A, fresh.B, rank, alpha)
 
 
 BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.MT19937,

@@ -11,9 +11,31 @@ from growgcn import (NumericalAbort, Tensor, build_adjacency, grad_check, make_a
                      normalized_laplacian)
 from growgcn import autodiff as ad
 
+from conftest import random_graph, scaled_adapter
+
 
 def t64(x, grad=False):
     return Tensor(np.asarray(x, dtype=np.float64), requires_grad=grad)
+
+
+class TestCsrTimes:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cols", [1, 5])
+    @pytest.mark.parametrize("workspace", [False, True], ids=["alloc", "ws"])
+    def test_matches_scipy_bitwise(self, dtype, cols, workspace):
+        rng = np.random.default_rng(4)
+        m = normalized_laplacian(random_graph(rng, 13)).to_scipy(dtype)
+        x = rng.standard_normal((13, cols)).astype(dtype)
+        # one column takes the fallback, scipy's own m @ x
+        assert ad._by_rows(m, x) == (cols > 1 and ad._CSR_MATVECS is not None)
+        ws = None
+        if workspace:
+            ws = ad.Workspace()
+            ws.take((13, cols), dtype).fill(np.nan)  # stale contents the product must clear
+            ws.reset()
+        got, want = ad._csr_times(m, x, ws), m @ x
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert ws is None or len(ws) == 1
 
 
 class TestForwardValues:
@@ -42,7 +64,7 @@ class TestForwardValues:
         with pytest.raises(ValueError, match="gcn_layer"):
             ad.gcn_layer(s, t64(np.ones((2, 3))), t64(np.ones((2, 2))))
         # C is the product of the propagated input, so it goes with no op
-        adapter = make_adapter(2, 2, 1, 1.0, np.random.default_rng(0), np.float64)
+        adapter = make_adapter(2, 2, 1, np.random.default_rng(0), np.float64)
         with pytest.raises(ValueError, match="no op"):
             ad.gcn_layer(s, t64(np.ones((2, 2))), t64(np.ones((2, 2))), adapter, np.ones((2, 2)))
 
@@ -180,7 +202,7 @@ class TestGcnLayer:
         head = t64(rng.standard_normal((d_out, 2)), grad=True)
         adapter = keep = None
         if form.startswith("adapter"):
-            adapter = make_adapter(d_in, d_out, 2, 3.0, rng, np.float64)
+            adapter = scaled_adapter(d_in, d_out, 2, 3.0, rng, np.float64)
             adapter.B.data = rng.standard_normal((2, d_out))
         p = 0.4 if form == "dropout" else 0.0
         if p:

@@ -14,19 +14,20 @@ from growgcn import (
     build_adjacency,
     glorot_init,
     load_checkpoint,
-    make_adapter,
     normalized_laplacian,
     save_checkpoint,
     stack_forward,
 )
 from growgcn.checkpoint import MAGIC
 
+from conftest import scaled_adapter
+
 
 def _lora_stack(f, c):
     rng = np.random.default_rng(0)
     d = 6
     inp = GcnLayer(Tensor(glorot_init(f, d, rng)))
-    inp.attach_adapter(make_adapter(f, d, 2, 4.0, rng))
+    inp.attach_adapter(scaled_adapter(f, d, 2, 4.0, rng))
     inp.adapter.B.data = rng.standard_normal((2, d)).astype(np.float32) * 0.1
     mid = GcnLayer(Tensor(glorot_init(d, d, rng)))
     new = GcnLayer(Tensor(glorot_init(d, d, rng), requires_grad=True))

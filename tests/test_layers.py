@@ -21,7 +21,7 @@ from growgcn import (
 from growgcn import autodiff as ad
 from growgcn import layers as ly
 
-from conftest import BIT_GENERATORS, random_graph, same_state
+from conftest import BIT_GENERATORS, random_graph, same_state, scaled_adapter
 
 
 class TestInits:
@@ -50,7 +50,7 @@ class TestInits:
 class TestLoraAdapter:
     def test_fresh_adapter_is_noop(self):
         rng = np.random.default_rng(0)
-        adp = make_adapter(8, 6, 3, None, rng)
+        adp = make_adapter(8, 6, 3, rng)
         assert np.all(adp.B.data == 0)
         assert adp.alpha == 3.0
         assert np.all(adp.delta() == 0)
@@ -59,17 +59,27 @@ class TestLoraAdapter:
         assert np.array_equal(ad.gcn_layer(None, h, w0, adp).data,
                               ad.gcn_layer(None, h, w0).data)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_delta_into_a_buffer(self, dtype):
+        rng = np.random.default_rng(3)
+        adp = scaled_adapter(5, 4, 2, 3.0, rng, dtype)
+        adp.B.data = rng.standard_normal((2, 4)).astype(dtype)
+        buf = np.full((5, 4), np.nan, dtype)
+        assert adp.delta(out=buf) is buf
+        for want in (adp.delta(), adp.scaling * (adp.A.data @ adp.B.data)):
+            assert want.dtype == buf.dtype and np.array_equal(buf, want)
+
     def test_a_init_statistics(self):
         rng = np.random.default_rng(1)
         samples = np.concatenate(
-            [make_adapter(50, 50, 10, None, rng).A.data.ravel() for _ in range(20)]
+            [make_adapter(50, 50, 10, rng).A.data.ravel() for _ in range(20)]
         )
         assert abs(samples.mean()) < 2e-3
         assert abs(samples.std() - 0.02) < 2e-3
 
     def test_scaling_applied(self):
         rng = np.random.default_rng(2)
-        adp = make_adapter(4, 4, 2, 8.0, rng)
+        adp = scaled_adapter(4, 4, 2, 8.0, rng)
         adp.B.data = np.ones((2, 4), dtype=np.float32)
         expected = (8.0 / 2.0) * (adp.A.data @ adp.B.data)
         assert np.allclose(adp.delta(), expected, atol=1e-6)
@@ -81,15 +91,15 @@ class TestLoraAdapter:
     def test_rank_bounds(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="rank"):
-            make_adapter(4, 6, 5, None, rng)
+            make_adapter(4, 6, 5, rng)
         with pytest.raises(ValueError, match="rank"):
-            make_adapter(4, 6, 0, None, rng)
-        make_adapter(4, 6, 4, None, rng)  # rank == min(d_in, d_out) is legal
+            make_adapter(4, 6, 0, rng)
+        make_adapter(4, 6, 4, rng)  # rank == min(d_in, d_out) is legal
 
 
 class TestGcnLayer:
     def test_adapter_mode_consistency(self):
-        adp = make_adapter(3, 3, 1, None, np.random.default_rng(0))
+        adp = make_adapter(3, 3, 1, np.random.default_rng(0))
         with pytest.raises(ValueError, match="adapter"):
             GcnLayer(Tensor(np.eye(3), requires_grad=True), adapter=adp)
 
@@ -97,7 +107,7 @@ class TestGcnLayer:
         rng = np.random.default_rng(5)
         layer = GcnLayer(Tensor(rng.standard_normal((5, 5)).astype(np.float32),
                                 requires_grad=True))
-        layer.attach_adapter(make_adapter(5, 5, 2, None, rng))
+        layer.attach_adapter(make_adapter(5, 5, 2, rng))
         layer.adapter.B.data = rng.standard_normal((2, 5)).astype(np.float32) * 0.3
         h = Tensor(rng.standard_normal((7, 5)).astype(np.float32))
         eff = layer.W.data + layer.adapter.delta()
@@ -404,7 +414,7 @@ class TestLayerStack:
         rng = np.random.default_rng(9)
         w_in = Tensor(glorot_init(3, 4, rng, np.float64), requires_grad=True)
         frozen = GcnLayer(Tensor(glorot_init(4, 4, rng, np.float64)))
-        frozen.attach_adapter(make_adapter(4, 4, 2, None, rng, np.float64))
+        frozen.attach_adapter(make_adapter(4, 4, 2, rng, np.float64))
         frozen.adapter.B.data = rng.standard_normal((2, 4)) * 0.2
         head = Tensor(glorot_init(4, 3, rng, np.float64), requires_grad=True)
         stack = LayerStack(layers=[GcnLayer(w_in), frozen], head=head, row_normalize=False)

@@ -30,6 +30,7 @@ from growgcn import (
     build_adjacency,
     collapse_report,
     evaluate,
+    export_embeddings,
     generate_sbm,
     glorot_init,
     make_adapter,
@@ -40,7 +41,7 @@ from growgcn import autodiff as ad
 from growgcn import data as gdata
 from growgcn import layers as ly
 from growgcn.metrics import collapse_from_hidden
-from conftest import BIT_GENERATORS, random_graph, same_state
+from conftest import BIT_GENERATORS, random_graph, same_state, scaled_adapter
 from growgcn.train import (
     RowCone,
     StageReport,
@@ -559,7 +560,7 @@ class TestStageCaches:
     def _lora_stack(self, f, d, c, rng, zero_b):
         inp = GcnLayer(Tensor(glorot_init(f, d, rng, np.float64)))
         mid = GcnLayer(Tensor(glorot_init(d, d, rng, np.float64)))
-        mid.attach_adapter(make_adapter(d, d, 2, 3.0, rng, np.float64))
+        mid.attach_adapter(scaled_adapter(d, d, 2, 3.0, rng, np.float64))
         if not zero_b:
             mid.adapter.B.data = rng.standard_normal((2, d)) * 0.1
         new = GcnLayer(Tensor(ly.identity_init(d, np.float64), requires_grad=True))
@@ -606,7 +607,7 @@ def _random_stage_stack(rng, f, d, c, stage, pairnorm, lora, merged):
     for i in range(stage - 1):
         layer = GcnLayer(Tensor(glorot_init(f if i == 0 else d, d, rng, np.float64)))
         if lora:
-            layer.attach_adapter(make_adapter(layer.d_in, d, 2, 3.0, rng, np.float64))
+            layer.attach_adapter(scaled_adapter(layer.d_in, d, 2, 3.0, rng, np.float64))
             layer.adapter.B.data = rng.standard_normal((2, d)) * 0.1
             if merged[i]:
                 layer.merge_adapter()
@@ -1648,7 +1649,7 @@ def _float32_stack(rng, f, d, c, depth, rank=None, dropout_p=0.0):
     for i in range(depth):
         layer = GcnLayer(Tensor(glorot_init(f if i == 0 else d, d, rng), requires_grad=True))
         if rank is not None:
-            layer.attach_adapter(make_adapter(layer.d_in, d, rank, None, rng))
+            layer.attach_adapter(make_adapter(layer.d_in, d, rank, rng))
             layer.adapter.B.data = (rng.standard_normal((rank, d)) * 0.1).astype(np.float32)
         layers.append(layer)
     return LayerStack(layers=layers, head=Tensor(glorot_init(d, c, rng), requires_grad=True),
@@ -1930,3 +1931,76 @@ class TestRowSplitFork:
                 child.kill()
                 child.join()
         assert child.exitcode == 0 and started and np.array_equal(got, want)
+
+
+def _spmm_hops(stack, L, X, cone=None):
+    """A propagation-only stack's plan-less forward as one ``ad.spmm`` node a hop, with
+    ``cone``'s operators when given: (logits, hidden)."""
+    steps = stack.sgc_steps
+    Xp = ly.prepare_features(stack, X)
+    h = Tensor(Xp if cone is None else Xp[cone.rows(steps)])
+    hidden = [h.data]
+    for j in range(steps):
+        h = ad.spmm(L if cone is None else cone.op(steps - 1 - j), h)
+        hidden.append(h.data)
+    return ad.matmul(h, stack.head).data, hidden
+
+
+class TestSgcHopsOracle:
+    """A propagation-only stack's plan-less forward against one ``ad.spmm`` node a hop:
+    bitwise, in float32 and float64."""
+
+    @pytest.fixture(params=[np.float32, np.float64], ids=["float32", "float64"])
+    def sgc(self, request):
+        # sparse enough that 4 hops from a few rows stay short of every node
+        data = generate_sbm(3, 60, 0.03, 0.003, f=12, signal=2.0, seed=5)
+        head = glorot_init(data.f, data.C, np.random.default_rng(7), request.param)
+        return LayerStack(sgc_steps=4, head=Tensor(head, requires_grad=True)).check(), data
+
+    @pytest.mark.parametrize("use_cone", [False, True], ids=["all-rows", "cone"])
+    def test_forward(self, sgc, use_cone):
+        stack, data = sgc
+        L = normalized_laplacian(data.adjacency)
+        cone = RowCone(L, np.sort(data.splits.val)[:4], stack.sgc_steps) if use_cone else None
+        assert cone is None or cone.rows(stack.sgc_steps).size < data.n
+        want_logits, want = _spmm_hops(stack, L, data.X, cone)
+        logits, got = ly.eval_forward(stack, L, data.X, return_hidden=True,
+                                      plan=ly.ForwardPlan(cone=cone))
+        _assert_same([logits.data] + got, [want_logits] + want)
+
+    def test_evaluate_export_and_collapse_report(self, sgc, tmp_path):
+        stack, data = sgc
+        logits, hidden = _spmm_hops(stack, normalized_laplacian(data.adjacency), data.X)
+        test = np.asarray(data.splits.test, dtype=np.int64)
+        assert evaluate(stack, data, test) == _accuracy(logits, data.labels, test)
+        path = tmp_path / "emb.csv"
+        for k, H in enumerate(hidden):
+            export_embeddings(stack, data, k, path)
+            rows = [line.split(",", 2)[2] for line in path.read_text().splitlines()[1:]]
+            assert rows == [",".join(f"{v:.8e}" for v in r) for r in H.astype(np.float64)]
+        assert (collapse_report(stack, data, per_layer=True)
+                == collapse_from_hidden(hidden, data.adjacency, per_layer=True))
+
+
+@pytest.mark.parametrize("dropout_p", [0.0, 0.5])
+@pytest.mark.parametrize("trainer, variant", [
+    ("standard", "gcn"), ("standard", "gcn+pairnorm"), ("standard", "sgc"),
+    ("lgt", "gcn"), ("lgt", "gcn+pairnorm"),
+])
+def test_no_model_forward_builds_an_spmm_node(monkeypatch, small_sbm, tmp_path, trainer,
+                                              variant, dropout_p):
+    calls, spmm = [], ad.spmm
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return spmm(*args, **kwargs)
+
+    monkeypatch.setattr(ad, "spmm", spy)
+    cfg = TrainConfig(depth=3, hidden_dim=8, max_epochs=3, patience=3, lora_rank=2,
+                      dropout_p=dropout_p, seed=0)
+    stack, _ = train(small_sbm, cfg, trainer=trainer, variant=variant)
+    evaluate(stack, small_sbm, small_sbm.splits.test)
+    collapse_report(stack, small_sbm, per_layer=True)
+    for k in range(stack.depth + 1):
+        export_embeddings(stack, small_sbm, k, tmp_path / "emb.csv")
+    assert calls == []
